@@ -116,7 +116,6 @@ class Twist:
         self.bialg = bialg
         self.F = F
         self.F_inv = F_inv
-        self._twisted_split_cache: dict = {}
         one2 = NCPoly.one(bialg.rs, 2)
         if F * F_inv != one2 or F_inv * F != one2:
             raise InvalidTwistError("twist inverse fails at the truncation order")
@@ -267,8 +266,8 @@ def check_quasitriangular(
     rs = bialg.rs
     out = {}
     for g in rs.generators:
-        x = NCPoly.gen(rs, g.name)
-        out[f"intertwine:{g.name}"] = R * delta(x) - delta.opposite(x) * R
+        dx = delta(NCPoly.gen(rs, g.name))
+        out[f"intertwine:{g.name}"] = R * dx - dx.swap_legs() * R
     r13 = R.place_legs((1, 3), 3)
     r23 = R.place_legs((2, 3), 3)
     r12 = R.place_legs((1, 2), 3)

@@ -71,7 +71,9 @@ class PolyCoord:
         return PolyCoord(self.dim, self.order, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, TruncSeries)):
+        if other.__class__ is not PolyCoord and isinstance(
+            other, (TruncSeries, int, Fraction, GaussRational)
+        ):
             return self.scale(other)
         self._check(other)
         out: dict = {}

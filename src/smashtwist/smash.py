@@ -141,7 +141,7 @@ class SmashElem:
         return SmashElem(self.algebra, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, TruncSeries)):
+        if other.__class__ is TruncSeries or isinstance(other, (int, Fraction, GaussRational)):
             return self.scale(other)
         return NotImplemented
 

@@ -1,11 +1,14 @@
 """PBW rewriting kernel: normal forms, confluence, leg bookkeeping."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smashtwist.ncpoly import NCPoly, RewriteSystem, _inversions
-from smashtwist.registry import preset, twist_exponent
+from smashtwist.registry import PRESET_NAMES, preset, twist_exponent
 from smashtwist.scalars import TruncSeries
 
 
@@ -191,3 +194,47 @@ def test_unknown_generator_rejected():
     rs = igl2_rs()
     with pytest.raises(KeyError):
         NCPoly.gen(rs, "Q7")
+
+
+# -- properties of the rewriting (hypothesis) -----------------------------
+
+letters = st.tuples(st.integers(0, 2), st.integers(0, 23))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(letters, min_size=2, max_size=10), st.data())
+def test_swapping_a_descent_lowers_inversions_by_one(word, data):
+    # the termination measure of normalize_word's swap step
+    word = tuple(word)
+    descents = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
+    if not descents:
+        assert _inversions(word) == 0
+        return
+    i = data.draw(st.sampled_from(descents))
+    swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
+    assert _inversions(swapped) == _inversions(word) - 1
+
+
+@functools.cache
+def _preset_rs(name):
+    pre = preset(name)
+    return RewriteSystem(2, pre.generators, pre.brackets)
+
+
+@st.composite
+def preset_words(draw):
+    name = draw(st.sampled_from(PRESET_NAMES))
+    rs = _preset_rs(name)
+    legs = draw(st.sampled_from(((0,), (1, 2))))
+    letter = st.tuples(st.sampled_from(legs), st.integers(0, len(rs.generators) - 1))
+    return rs, tuple(draw(st.lists(letter, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(preset_words())
+def test_normalize_word_returns_non_decreasing_words(case):
+    rs, word = case
+    for w, c in rs.normalize_word(word).items():
+        assert all(w[i] <= w[i + 1] for i in range(len(w) - 1))
+        assert len(w) <= len(word)
+        assert not c.is_zero()
