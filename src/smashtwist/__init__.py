@@ -38,9 +38,6 @@ from .smash import (
     SmashAlgebra,
     SmashElem,
     SmashProduct,
-    canonical_action,
-    mul_twisted,
-    mul_undeformed,
     phi,
     phi_inv,
     verify_phi_homomorphism,
@@ -56,9 +53,7 @@ from .algebroid import (
     bm_bialgebroid_twisted,
     check_bialgebroid_axioms,
     check_qt_shifted,
-    shift_rmatrix,
     shift_twist,
-    tensor_over_A_normalize,
     verify_theorem,
     xu_twist,
 )

@@ -22,11 +22,11 @@ from .hopf import CoproductMap, InvalidTwistError, Twist, inv_unipotent, \
     r_matrix_from_twist
 from .modalg import PolyCoord, coaction, monomials_up_to, \
     check_braided_commutativity
-from .ncpoly import NCPoly, leg_word
+from .ncpoly import NCPoly, _strip, leg_word
 from .reporting import ResidualReport
 from .scalars import TruncSeries
-from .smash import SmashAlgebra, SmashElem, SmashProduct, phi, spanning_words
-from .smash import verify_phi_homomorphism
+from .smash import SmashAlgebra, SmashElem, SmashProduct, linear_on_basis, phi, \
+    spanning_words, verify_phi_homomorphism
 
 
 class BrokenAnchorError(ValueError):
@@ -241,23 +241,20 @@ class TensorOverA:
     def counit_left(self) -> SmashElem:
         """Contract the left leg with the counit: sum s(eps(l)) r."""
         bd = self.bd
-        out = bd.smash.zero()
+        out: dict = {}
         for (e, wl, wr), c in self.terms.items():
             if wl:
                 continue
             a = PolyCoord.monomial(bd.smash.dim, bd.smash.order, e)
-            out = out + bd.total(bd.source(a), bd.pure(wr)).scale(c)
-        return out
+            for k, v in bd.total(bd.source(a), bd.pure(wr)).terms.items():
+                _acc(out, k, v * c)
+        return bd.smash.from_terms(out)
 
     def counit_right(self) -> SmashElem:
         """Contract the right leg with the counit: sum t(eps(r)) l."""
-        bd = self.bd
-        out = bd.smash.zero()
-        for (e, wl, wr), c in self.terms.items():
-            if wr:
-                continue
-            out = out + bd.smash.basis_elem(e, wl).scale(c)
-        return out
+        return self.bd.smash.from_terms(
+            {(e, wl): c for (e, wl, wr), c in self.terms.items() if not wr}
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -359,11 +356,6 @@ def delta_right(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
     return bd.tensor_from_triples(triples)
 
 
-def tensor_over_A_normalize(raw, bd: Bialgebroid) -> TensorOverA:
-    """Canonical form of a raw list of (left, right) carrier pairs."""
-    return bd.tensor_from_pairs(raw)
-
-
 def _acc(d, key, value):
     prev = d.get(key)
     if prev is None:
@@ -374,10 +366,6 @@ def _acc(d, key, value):
             del d[key]
         else:
             d[key] = s
-
-
-def _strip(d):
-    return {k: v for k, v in d.items() if not v.is_zero()}
 
 
 # -- the smash-product bialgebroid --------------------------------------
@@ -427,12 +415,18 @@ def _bm_build(name, smash, total, rmatrix, hdelta, check_degree):
     def source(a: PolyCoord) -> SmashElem:
         return smash.coord_elem(a)
 
-    trivial_r = rmatrix == NCPoly.one(smash.rs, 2)
+    if rmatrix == NCPoly.one(smash.rs, 2):
+        target = source
+    else:
+        coaction_terms = linear_on_basis(
+            lambda e: coaction(
+                smash, rmatrix, PolyCoord.monomial(smash.dim, smash.order, e)
+            ).terms,
+            {},
+        )
 
-    def target(a: PolyCoord) -> SmashElem:
-        if trivial_r:
-            return smash.coord_elem(a)
-        return coaction(smash, rmatrix, a)
+        def target(a: PolyCoord) -> SmashElem:
+            return SmashElem(smash, coaction_terms(a.terms))
 
     def counit(m: SmashElem) -> PolyCoord:
         out = {}
@@ -528,11 +522,6 @@ def _tensor3_embed_23(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
     return bd.tensor_from_triples(triples)
 
 
-def shift_rmatrix(bd: Bialgebroid, R: NCPoly) -> TensorOverA:
-    """(1 (x) R_1) (x)_A (1 (x) R_2)."""
-    return shift_two_leg(bd, R)
-
-
 def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
     """The shifted R-matrix keeps its coproduct and counit laws but loses the
     intertwining property; report both, with a witness for the loss.
@@ -543,7 +532,7 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
     degree.
     """
     smash = bd.smash
-    Rt = shift_rmatrix(bd, R)
+    Rt = shift_two_leg(bd, R)
     Rt_inv = shift_two_leg(bd, inv_unipotent(R))
 
     preserved = ResidualReport("shifted-qt-preserved")
@@ -648,15 +637,16 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
         return cached
 
     def anchor_poly(e, wl, a: PolyCoord) -> PolyCoord:
-        out = PolyCoord.zero(smash.dim, smash.order)
+        out: dict = {}
         for exp, c in a.terms.items():
-            out = out + anchor_mono(e, wl, exp).scale(c)
-        return out
+            for k, v in anchor_mono(e, wl, exp).terms.items():
+                _acc(out, k, v * c)
+        return PolyCoord(smash.dim, smash.order, _strip(out))
 
     zero_exp = (0,) * smash.dim
 
     def base(a: PolyCoord, b: PolyCoord) -> PolyCoord:
-        out = PolyCoord.zero(smash.dim, smash.order)
+        out: dict = {}
         for (e, wl, wr), c in Fi.terms.items():
             la = anchor_poly(e, wl, a)
             if la.is_zero():
@@ -664,26 +654,41 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
             rb = anchor_poly(zero_exp, wr, b)
             if rb.is_zero():
                 continue
-            out = out + bd.base(la, rb).scale(c)
-        return out
+            for k, v in bd.base(la, rb).terms.items():
+                _acc(out, k, v * c)
+        return PolyCoord(smash.dim, smash.order, _strip(out))
 
-    def source(a: PolyCoord) -> SmashElem:
-        out = smash.zero()
+    # source, target and coproduct are linear: each is computed once per
+    # basis element and extended through a cache held by the new bialgebroid
+
+    def source_on_monomial(exp) -> dict:
+        out: dict = {}
         for (e, wl, wr), c in Fi.terms.items():
-            la = anchor_poly(e, wl, a)
+            la = anchor_mono(e, wl, exp)
             if la.is_zero():
                 continue
-            out = out + bd.total(bd.source(la), bd.pure(wr)).scale(c)
-        return out
+            for k, v in bd.total(bd.source(la), bd.pure(wr)).terms.items():
+                _acc(out, k, v * c)
+        return _strip(out)
 
-    def target(a: PolyCoord) -> SmashElem:
-        out = smash.zero()
+    def target_on_monomial(exp) -> dict:
+        out: dict = {}
         for (e, wl, wr), c in Fi.terms.items():
-            ra = anchor_poly(zero_exp, wr, a)
+            ra = anchor_mono(zero_exp, wr, exp)
             if ra.is_zero():
                 continue
-            out = out + bd.total(bd.target(ra), smash.basis_elem(e, wl)).scale(c)
-        return out
+            for k, v in bd.total(bd.target(ra), smash.basis_elem(e, wl)).terms.items():
+                _acc(out, k, v * c)
+        return _strip(out)
+
+    source_terms = linear_on_basis(source_on_monomial, {})
+    target_terms = linear_on_basis(target_on_monomial, {})
+
+    def source(a: PolyCoord) -> SmashElem:
+        return SmashElem(smash, source_terms(a.terms))
+
+    def target(a: PolyCoord) -> SmashElem:
+        return SmashElem(smash, target_terms(a.terms))
 
     new_bd = Bialgebroid(
         f"{bd.name}-twisted", smash, base, bd.total, source, target, bd.counit,
@@ -704,8 +709,8 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
                 items.append((apoly, wr2, c * cr2))
         return items
 
-    def coproduct(m: SmashElem) -> TensorOverA:
-        inner = bd.coproduct(m).mul(Fi)
+    def coproduct_on_basis(key) -> dict:
+        inner = bd.coproduct(smash.basis_elem(*key)).mul(Fi)
         pairs = []
         for (e, wl, wr), c in inner.terms.items():
             l0 = smash.basis_elem(e, wl)
@@ -716,7 +721,12 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
                     bd.total(bd.pure(frw), r0),
                     c * cf,
                 ))
-        return new_bd.tensor_from_pairs(pairs)
+        return new_bd.tensor_from_pairs(pairs).terms
+
+    coproduct_terms = linear_on_basis(coproduct_on_basis, {})
+
+    def coproduct(m: SmashElem) -> TensorOverA:
+        return TensorOverA(new_bd, coproduct_terms(m.terms))
 
     new_bd._right_split = right_split
     new_bd._coproduct = coproduct
@@ -746,40 +756,43 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2, seed: int = 20259
     span = smash.spanning(degree)
 
     maps = ResidualReport("source-target-laws")
-    for a in monos:
-        for b in monos:
-            res = bd.total(bd.source(a), bd.source(b)) - bd.source(bd.base(a, b))
-            maps.record(f"s hom {a!r},{b!r}", not res.is_zero(), res)
-            res = bd.total(bd.target(b), bd.target(a)) - bd.target(bd.base(a, b))
-            maps.record(f"t antihom {a!r},{b!r}", not res.is_zero(), res)
-            res = bd.total(bd.source(a), bd.target(b)) - bd.total(
-                bd.target(b), bd.source(a)
-            )
-            maps.record(f"s/t commute {a!r},{b!r}", not res.is_zero(), res)
+    with maps.timed():
+        for a in monos:
+            for b in monos:
+                res = bd.total(bd.source(a), bd.source(b)) - bd.source(bd.base(a, b))
+                maps.record(f"s hom {a!r},{b!r}", not res.is_zero(), res)
+                res = bd.total(bd.target(b), bd.target(a)) - bd.target(bd.base(a, b))
+                maps.record(f"t antihom {a!r},{b!r}", not res.is_zero(), res)
+                res = bd.total(bd.source(a), bd.target(b)) - bd.total(
+                    bd.target(b), bd.source(a)
+                )
+                maps.record(f"s/t commute {a!r},{b!r}", not res.is_zero(), res)
 
     coassoc = ResidualReport("coassociativity")
-    for m in span:
-        T = bd.coproduct(m)
-        res = delta_left(bd, T) - delta_right(bd, T)
-        coassoc.record(repr(m), not res.is_zero(), res)
+    with coassoc.timed():
+        for m in span:
+            T = bd.coproduct(m)
+            res = delta_left(bd, T) - delta_right(bd, T)
+            coassoc.record(repr(m), not res.is_zero(), res)
 
     takeuchi = ResidualReport("takeuchi-invariance")
-    coord_gens = [
-        PolyCoord.coord(smash.dim, order, mu) for mu in range(smash.dim)
-    ]
-    for m in span:
-        T = bd.coproduct(m)
-        for mu, a in enumerate(coord_gens):
-            ta, sa = bd.target(a), bd.source(a)
-            left_pairs = []
-            right_pairs = []
-            for (e, wl, wr), c in T.terms.items():
-                l = smash.basis_elem(e, wl)
-                r = bd.pure(wr)
-                left_pairs.append((bd.total(l, ta), r, c))
-                right_pairs.append((l, bd.total(r, sa), c))
-            res = bd.tensor_from_pairs(left_pairs) - bd.tensor_from_pairs(right_pairs)
-            takeuchi.record(f"{m!r} against x{mu}", not res.is_zero(), res)
+    with takeuchi.timed():
+        coord_gens = [
+            PolyCoord.coord(smash.dim, order, mu) for mu in range(smash.dim)
+        ]
+        for m in span:
+            T = bd.coproduct(m)
+            for mu, a in enumerate(coord_gens):
+                ta, sa = bd.target(a), bd.source(a)
+                left_pairs = []
+                right_pairs = []
+                for (e, wl, wr), c in T.terms.items():
+                    l = smash.basis_elem(e, wl)
+                    r = bd.pure(wr)
+                    left_pairs.append((bd.total(l, ta), r, c))
+                    right_pairs.append((l, bd.total(r, sa), c))
+                res = bd.tensor_from_pairs(left_pairs) - bd.tensor_from_pairs(right_pairs)
+                takeuchi.record(f"{m!r} against x{mu}", not res.is_zero(), res)
 
     rng = random.Random(seed)
     pairs = [(u, v) for u in span[: smash.dim + 1] for v in span[: smash.dim + 1]]
@@ -790,32 +803,37 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2, seed: int = 20259
     multiplicative = ResidualReport("coproduct-multiplicative")
     counit_product = ResidualReport("counit-product-law")
     for u, v in pairs:
-        uv = bd.total(u, v)
-        res = bd.coproduct(uv) - bd.coproduct(u).mul(bd.coproduct(v))
-        multiplicative.record(f"{u!r} * {v!r}", not res.is_zero(), res)
-        eps_uv = bd.counit(uv)
-        res_s = eps_uv - bd.counit(bd.total(u, bd.source(bd.counit(v))))
-        counit_product.record(f"s-form {u!r},{v!r}", not res_s.is_zero(), res_s)
-        res_t = eps_uv - bd.counit(bd.total(u, bd.target(bd.counit(v))))
-        counit_product.record(f"t-form {u!r},{v!r}", not res_t.is_zero(), res_t)
+        with multiplicative.timed():
+            uv = bd.total(u, v)
+            res = bd.coproduct(uv) - bd.coproduct(u).mul(bd.coproduct(v))
+            multiplicative.record(f"{u!r} * {v!r}", not res.is_zero(), res)
+        with counit_product.timed():
+            eps_uv = bd.counit(uv)
+            res_s = eps_uv - bd.counit(bd.total(u, bd.source(bd.counit(v))))
+            counit_product.record(f"s-form {u!r},{v!r}", not res_s.is_zero(), res_s)
+            res_t = eps_uv - bd.counit(bd.total(u, bd.target(bd.counit(v))))
+            counit_product.record(f"t-form {u!r},{v!r}", not res_t.is_zero(), res_t)
 
     counit_laws = ResidualReport("counit-coproduct-law")
-    one_a = PolyCoord.one(smash.dim, order)
-    res = bd.counit(bd.unit()) - one_a
-    counit_laws.record("counit of unit", not res.is_zero(), res)
-    for m in span:
-        T = bd.coproduct(m)
-        left = smash.zero()
-        right = smash.zero()
-        for (e, wl, wr), c in T.terms.items():
-            l = smash.basis_elem(e, wl)
-            r = bd.pure(wr)
-            left = left + bd.total(bd.source(bd.counit(l)), r).scale(c)
-            right = right + bd.total(bd.target(bd.counit(r)), l).scale(c)
-        res = left - m
-        counit_laws.record(f"s(eps(m1))m2 on {m!r}", not res.is_zero(), res)
-        res = right - m
-        counit_laws.record(f"t(eps(m2))m1 on {m!r}", not res.is_zero(), res)
+    with counit_laws.timed():
+        one_a = PolyCoord.one(smash.dim, order)
+        res = bd.counit(bd.unit()) - one_a
+        counit_laws.record("counit of unit", not res.is_zero(), res)
+        for m in span:
+            T = bd.coproduct(m)
+            left: dict = {}
+            right: dict = {}
+            for (e, wl, wr), c in T.terms.items():
+                l = smash.basis_elem(e, wl)
+                r = bd.pure(wr)
+                for k, v in bd.total(bd.source(bd.counit(l)), r).terms.items():
+                    _acc(left, k, v * c)
+                for k, v in bd.total(bd.target(bd.counit(r)), l).terms.items():
+                    _acc(right, k, v * c)
+            res = smash.from_terms(left) - m
+            counit_laws.record(f"s(eps(m1))m2 on {m!r}", not res.is_zero(), res)
+            res = smash.from_terms(right) - m
+            counit_laws.record(f"t(eps(m2))m1 on {m!r}", not res.is_zero(), res)
 
     return {
         "maps": maps,
@@ -839,11 +857,6 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
     counit, and that the coproducts correspond under phi (x) phi, first on
     the two generator families and then on general spanning monomials.
     """
-    lhs = bm_bialgebroid_twisted(smash, twist, check_degree=check_degree)
-    bd0 = bm_bialgebroid(smash, check_degree=check_degree)
-    shifted = shift_twist(bd0, twist)
-    rhs = xu_twist(bd0, shifted)
-
     order = smash.order
     monos = [
         PolyCoord.monomial(smash.dim, order, e)
@@ -851,25 +864,32 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
     ]
 
     base_rep = ResidualReport("base-products")
-    for a in monos:
-        for b in monos:
-            res = lhs.base(a, b) - rhs.base(a, b)
-            base_rep.record(f"{a!r} * {b!r}", not res.is_zero(), res)
+    with base_rep.timed():  # building both sides is charged here
+        lhs = bm_bialgebroid_twisted(smash, twist, check_degree=check_degree)
+        bd0 = bm_bialgebroid(smash, check_degree=check_degree)
+        shifted = shift_twist(bd0, twist)
+        rhs = xu_twist(bd0, shifted)
+        for a in monos:
+            for b in monos:
+                res = lhs.base(a, b) - rhs.base(a, b)
+                base_rep.record(f"{a!r} * {b!r}", not res.is_zero(), res)
 
     total_rep = verify_phi_homomorphism(smash, twist, degree)
 
     st_rep = ResidualReport("source-target-maps")
-    for a in monos:
-        res = phi(smash, twist, lhs.source(a)) - rhs.source(a)
-        st_rep.record(f"source {a!r}", not res.is_zero(), res)
-        res = phi(smash, twist, lhs.target(a)) - rhs.target(a)
-        st_rep.record(f"target {a!r}", not res.is_zero(), res)
+    with st_rep.timed():
+        for a in monos:
+            res = phi(smash, twist, lhs.source(a)) - rhs.source(a)
+            st_rep.record(f"source {a!r}", not res.is_zero(), res)
+            res = phi(smash, twist, lhs.target(a)) - rhs.target(a)
+            st_rep.record(f"target {a!r}", not res.is_zero(), res)
 
     span = smash.spanning(degree)
     counit_rep = ResidualReport("counit-intertwined")
-    for u in span:
-        res = rhs.counit(phi(smash, twist, u)) - lhs.counit(u)
-        counit_rep.record(repr(u), not res.is_zero(), res)
+    with counit_rep.timed():
+        for u in span:
+            res = rhs.counit(phi(smash, twist, u)) - lhs.counit(u)
+            counit_rep.record(repr(u), not res.is_zero(), res)
 
     def transported(u: SmashElem) -> TensorOverA:
         T = lhs.coproduct(u)
@@ -883,21 +903,23 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
         return rhs.tensor_from_pairs(pairs)
 
     cases_rep = ResidualReport("coproduct-generator-cases")
-    for w in spanning_words(smash.rs, degree):
-        if not w:
-            continue
-        u = smash.basis_elem((0,) * smash.dim, w)
-        res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
-        cases_rep.record(f"Hopf generator {u!r}", not res.is_zero(), res)
-    for e in monomials_up_to(smash.dim, degree):
-        u = smash.basis_elem(e, ())
-        res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
-        cases_rep.record(f"coordinate {u!r}", not res.is_zero(), res)
+    with cases_rep.timed():
+        for w in spanning_words(smash.rs, degree):
+            if not w:
+                continue
+            u = smash.basis_elem((0,) * smash.dim, w)
+            res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
+            cases_rep.record(f"Hopf generator {u!r}", not res.is_zero(), res)
+        for e in monomials_up_to(smash.dim, degree):
+            u = smash.basis_elem(e, ())
+            res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
+            cases_rep.record(f"coordinate {u!r}", not res.is_zero(), res)
 
     general_rep = ResidualReport("coproduct-general")
-    for u in span:
-        res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
-        general_rep.record(repr(u), not res.is_zero(), res)
+    with general_rep.timed():
+        for u in span:
+            res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
+            general_rep.record(repr(u), not res.is_zero(), res)
 
     return {
         "base-products": base_rep,

@@ -388,16 +388,16 @@ def run_twist_checks(report: Report, prob, fail_fast=False) -> bool:
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_check_twist(args) -> Report:
-    prob, source, _ = load_problem(args)
+def cmd_check_twist(args, loaded=None) -> Report:
+    prob, source, _ = loaded or load_problem(args)
     report = Report("check-twist", source, prob.order, prob.degree)
     if run_foundation_checks(report, prob, args.fail_fast):
         run_twist_checks(report, prob, args.fail_fast)
     return report
 
 
-def cmd_star_table(args) -> Report:
-    prob, source, _ = load_problem(args)
+def cmd_star_table(args, loaded=None) -> Report:
+    prob, source, _ = loaded or load_problem(args)
     report = Report("star-table", source, prob.order, prob.degree)
     if not run_foundation_checks(report, prob, args.fail_fast):
         return report
@@ -420,10 +420,10 @@ def cmd_star_table(args) -> Report:
     return report
 
 
-def cmd_smash_verify(args) -> Report:
+def cmd_smash_verify(args, loaded=None) -> Report:
     import random
 
-    prob, source, _ = load_problem(args)
+    prob, source, _ = loaded or load_problem(args)
     report = Report("smash-verify", source, prob.order, prob.degree)
     if not run_foundation_checks(report, prob, args.fail_fast):
         return report
@@ -463,8 +463,8 @@ def cmd_smash_verify(args) -> Report:
     return report
 
 
-def cmd_algebroid_verify(args) -> Report:
-    prob, source, _ = load_problem(args)
+def cmd_algebroid_verify(args, loaded=None) -> Report:
+    prob, source, _ = loaded or load_problem(args)
     report = Report(f"algebroid-verify:{args.side}", source, prob.order, prob.degree)
     if not run_foundation_checks(report, prob, args.fail_fast):
         return report
@@ -486,11 +486,12 @@ def cmd_algebroid_verify(args) -> Report:
     build_ms = (time.perf_counter() - t0) * 1000.0
     report.add("construction", "braided-commutativity-precondition", "pass", "0", 1, build_ms)
 
-    axioms, ms = _timed(check_bialgebroid_axioms, bd, prob.degree)
+    axioms = check_bialgebroid_axioms(bd, prob.degree)
     for name, rep in axioms.items():
-        if not report.add_residual_report(name, f"bialgebroid-{name}", rep, ms) and args.fail_fast:
+        if not report.add_residual_report(
+            name, f"bialgebroid-{name}", rep, rep.wall_ms
+        ) and args.fail_fast:
             return report
-        ms = 0.0
 
     R = r_matrix_from_twist(prob.bialg, prob.twist)
     qt, ms = _timed(check_qt_shifted, bd, R, min(prob.degree, 1))
@@ -506,13 +507,13 @@ def cmd_algebroid_verify(args) -> Report:
     return report
 
 
-def cmd_theorem(args) -> Report:
-    prob, source, _ = load_problem(args)
+def cmd_theorem(args, loaded=None) -> Report:
+    prob, source, _ = loaded or load_problem(args)
     report = Report("theorem", source, prob.order, prob.degree)
     if not run_foundation_checks(report, prob, args.fail_fast):
         return report
     try:
-        out, ms = _timed(verify_theorem, prob.smash, prob.twist, prob.degree)
+        out = verify_theorem(prob.smash, prob.twist, prob.degree)
     except ValueError as exc:
         report.add("construction", "braided-commutativity-precondition", "fail",
                    str(exc), 1)
@@ -520,8 +521,7 @@ def cmd_theorem(args) -> Report:
     for name, rep in out.items():
         if name.startswith("_"):
             continue
-        report.add_residual_report(name, f"equivalence-{name}", rep, ms)
-        ms = 0.0
+        report.add_residual_report(name, f"equivalence-{name}", rep, rep.wall_ms)
         if not report.ok and args.fail_fast:
             return report
     return report
@@ -531,8 +531,8 @@ SUITE_CHECKS = {
     "twist": cmd_check_twist,
     "star-table": cmd_star_table,
     "smash": cmd_smash_verify,
-    "algebroid-bm": lambda a: cmd_algebroid_verify(_with_side(a, "bm-twisted")),
-    "algebroid-xu": lambda a: cmd_algebroid_verify(_with_side(a, "xu-twisted")),
+    "algebroid-bm": lambda a, loaded: cmd_algebroid_verify(_with_side(a, "bm-twisted"), loaded),
+    "algebroid-xu": lambda a, loaded: cmd_algebroid_verify(_with_side(a, "xu-twisted"), loaded),
     "theorem": cmd_theorem,
 }
 
@@ -544,11 +544,13 @@ def _with_side(args, side):
 
 
 def cmd_suite(args) -> Report:
-    prob, source, checks = load_problem(args)
+    loaded = load_problem(args)
+    prob, source, checks = loaded
     wanted = checks or list(SUITE_CHECKS)
     combined = Report("suite", source, prob.order, prob.degree)
     for name in wanted:
-        sub = SUITE_CHECKS[name](args)
+        # every sub-check runs on the one problem, so its caches stay warm
+        sub = SUITE_CHECKS[name](args, loaded)
         for rec in sub.records:
             rec = dict(rec)
             rec["name"] = f"{name}: {rec['name']}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ncpoly import MOMENTUM, SYMMETRY, NCPoly, RewriteSystem, leg_word
+from .ncpoly import MOMENTUM, SYMMETRY, NCPoly, RewriteSystem, _strip, leg_word
 from .scalars import GaussRational, TruncSeries, parse_gauss_literal
 from .reporting import ResidualReport
 
@@ -303,14 +303,17 @@ def act(rep: RepData, h_elem: NCPoly, a: PolyCoord) -> PolyCoord:
         raise ValueError("the action expects a single-leg element")
     if h_elem.rs is not rep.rs:
         raise ValueError("alphabet mismatch between element and representation")
-    out = PolyCoord.zero(rep.dim, rep.rs.order)
+    out: dict = {}
     for word, c in h_elem.terms.items():
         ranks = tuple(r for _, r in word)
         for e, ce in a.terms.items():
             part = rep.act_word(ranks, e)
-            if not part.is_zero():
-                out = out + part.scale(c * ce)
-    return out
+            if part.is_zero():
+                continue
+            cc = c * ce
+            for e2, c2 in part.terms.items():
+                _acc(out, e2, c2 * cc)
+    return PolyCoord(rep.dim, rep.rs.order, _strip(out))
 
 
 class StarProduct:
@@ -329,11 +332,13 @@ class StarProduct:
     def __call__(self, a: PolyCoord, b: PolyCoord) -> PolyCoord:
         if self.twist is None:
             return a * b
-        out = PolyCoord.zero(self.rep.dim, self.rep.rs.order)
+        out: dict = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                out = out + self._mono(ea, eb).scale(ca * cb)
-        return out
+                c = ca * cb
+                for e, cm in self._mono(ea, eb).terms.items():
+                    _acc(out, e, cm * c)
+        return PolyCoord(self.rep.dim, self.rep.rs.order, _strip(out))
 
     def _mono(self, ea, eb) -> PolyCoord:
         key = (ea, eb)
@@ -341,7 +346,7 @@ class StarProduct:
         if cached is not None:
             return cached
         rep = self.rep
-        out = PolyCoord.zero(rep.dim, rep.rs.order)
+        out: dict = {}
         for word, c in self.twist.F_inv.terms.items():
             left = rep.act_word(leg_word(word, 1), ea)
             if left.is_zero():
@@ -349,7 +354,9 @@ class StarProduct:
             right = rep.act_word(leg_word(word, 2), eb)
             if right.is_zero():
                 continue
-            out = out + (left * right).scale(c)
+            for e, cp in (left * right).terms.items():
+                _acc(out, e, cp * c)
+        out = PolyCoord(rep.dim, rep.rs.order, _strip(out))
         self._mono_cache[key] = out
         return out
 

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
+
 
 class ResidualReport:
     """Outcome of one identity sweep: how many cases ran, which failed.
 
     Each failure keeps the witness label and the offending residual element
     so a nonzero result can be traced to a concrete input and h-order.
+    ``wall_ms`` is the time spent in the sections run under ``timed()``.
     """
 
     def __init__(self, name: str):
         self.name = name
         self.checked = 0
         self.failures: list = []
+        self.wall_ms = 0.0
 
     def record(self, label: str, failed: bool, residual=None):
         self.checked += 1
@@ -23,6 +28,16 @@ class ResidualReport:
     def merge(self, other: "ResidualReport"):
         self.checked += other.checked
         self.failures.extend(other.failures)
+        self.wall_ms += other.wall_ms
+
+    @contextmanager
+    def timed(self):
+        """Charge the wall time of the enclosed block to this report."""
+        t0 = time.perf_counter()
+        try:
+            yield self
+        finally:
+            self.wall_ms += (time.perf_counter() - t0) * 1000.0
 
     def ok(self) -> bool:
         return not self.failures

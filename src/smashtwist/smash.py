@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .hopf import BialgebraPresentation, CoproductMap, Twist
 from .modalg import PolyCoord, RepData, StarProduct, monomials_up_to
-from .ncpoly import NCPoly, leg_word
+from .ncpoly import NCPoly, _strip, leg_word
 from .reporting import ResidualReport
 from .scalars import GaussRational, TruncSeries
 
@@ -31,6 +31,7 @@ class SmashAlgebra:
         self.dim = rep.dim
         self.order = bialg.order
         self._products: dict = {}
+        self._transports: dict = {}
 
     def product(self, twist: Twist | None = None) -> "SmashProduct":
         """Memoized multiplication object; caches survive across sweeps."""
@@ -192,6 +193,28 @@ def _acc(d, key, value):
             d[key] = s
 
 
+def linear_on_basis(f, cache: dict):
+    """Extend a map given on basis elements linearly to term dicts.
+
+    ``f(key)`` returns the image of one basis key as a term dict.  It runs
+    once per key; ``cache`` keeps the image and belongs to the object whose
+    map this is, so it lives and dies with that object.  The returned function
+    sends {key: coefficient} to the term dict of the image.  A product of
+    truncated series can vanish, so terms whose coefficient is zero are
+    dropped.
+    """
+    def apply(terms: dict) -> dict:
+        out: dict = {}
+        for key, c in terms.items():
+            image = cache.get(key)
+            if image is None:
+                image = cache[key] = f(key)
+            for k2, c2 in image.items():
+                _acc(out, k2, c * c2)
+        return _strip(out)
+    return apply
+
+
 class SmashProduct:
     """One of the two multiplications on the shared carrier.
 
@@ -250,24 +273,19 @@ class SmashProduct:
         """The representation of the smash product on its coordinate algebra:
         (a (x) L) sends b to a * (L acting on b), with this product's star."""
         alg = self.algebra
-        out = PolyCoord.zero(alg.dim, alg.order)
+        out: dict = {}
         for (e, w), c in u.terms.items():
-            acted = PolyCoord.zero(alg.dim, alg.order)
+            acted: dict = {}
             for eb, cb in b.terms.items():
-                acted = acted + alg.rep.act_word(w, eb).scale(cb)
+                for e2, c2 in alg.rep.act_word(w, eb).terms.items():
+                    _acc(acted, e2, c2 * cb)
+            acted = PolyCoord(alg.dim, alg.order, _strip(acted))
             if acted.is_zero():
                 continue
             part = self.star(PolyCoord.monomial(alg.dim, alg.order, e), acted)
-            out = out + part.scale(c)
-        return out
-
-
-def mul_undeformed(algebra: SmashAlgebra, u: SmashElem, v: SmashElem) -> SmashElem:
-    return algebra.product(None)(u, v)
-
-
-def mul_twisted(algebra: SmashAlgebra, twist: Twist, u: SmashElem, v: SmashElem) -> SmashElem:
-    return algebra.product(twist)(u, v)
+            for e2, c2 in part.terms.items():
+                _acc(out, e2, c2 * c)
+        return PolyCoord(alg.dim, alg.order, _strip(out))
 
 
 def phi(algebra: SmashAlgebra, twist: Twist, u: SmashElem) -> SmashElem:
@@ -280,25 +298,18 @@ def phi_inv(algebra: SmashAlgebra, twist: Twist, u: SmashElem) -> SmashElem:
     return _twist_transport(algebra, twist.F, u)
 
 
-_transport_caches: dict = {}
-
-
 def _twist_transport(algebra: SmashAlgebra, two_leg: NCPoly, u: SmashElem) -> SmashElem:
-    # the cache entry keeps the keying objects alive so their ids stay unique
-    _, cache = _transport_caches.setdefault(
-        (id(algebra), id(two_leg)), ((algebra, two_leg), {})
-    )
-    out: dict = {}
-    for key, c in u.terms.items():
-        for k2, c2 in _transport_basis(algebra, two_leg, cache, key).items():
-            _acc(out, k2, c * c2)
-    return algebra.from_terms(out)
+    entry = algebra._transports.get(id(two_leg))
+    if entry is None:
+        # the entry keeps two_leg alive so its id stays unique
+        entry = (two_leg, linear_on_basis(
+            lambda key: _transport_basis(algebra, two_leg, key), {}
+        ))
+        algebra._transports[id(two_leg)] = entry
+    return SmashElem(algebra, entry[1](u.terms))
 
 
-def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, cache: dict, key) -> dict:
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
+def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, key) -> dict:
     e, w = key
     rs = algebra.rs
     out: dict = {}
@@ -311,15 +322,7 @@ def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, cache: dict, key) -
             cc = cf * c2
             for hw, ch in hpart.items():
                 _acc(out, (e2, tuple(r for _, r in hw)), cc * ch)
-    cache[key] = out
-    return out
-
-
-def canonical_action(
-    algebra: SmashAlgebra, u: SmashElem, b: PolyCoord, twist: Twist | None = None
-) -> PolyCoord:
-    """(a (x) L) acting on the base by a * (L acting on b)."""
-    return algebra.product(twist).action_on_base(u, b)
+    return _strip(out)
 
 
 def spanning_words(rs, max_len: int):
@@ -348,22 +351,23 @@ def verify_phi_homomorphism(
     plain = alg.product(None)
     report = ResidualReport("phi-homomorphism")
 
-    monos = monomials_up_to(alg.dim, degree)
-    words = spanning_words(alg.rs, degree)
-    basis = [(ea, wl) for ea in monos for wl in words]
-    phi_of = {key: phi(alg, twist, alg.basis_elem(*key)) for key in basis}
+    with report.timed():
+        monos = monomials_up_to(alg.dim, degree)
+        words = spanning_words(alg.rs, degree)
+        basis = [(ea, wl) for ea in monos for wl in words]
+        phi_of = {key: phi(alg, twist, alg.basis_elem(*key)) for key in basis}
 
-    for ea, wl in basis:
-        u = alg.basis_elem(ea, wl)
-        pu = phi_of[(ea, wl)]
-        if not wl:
-            case = "(i)"
-        elif sum(ea) == 0:
-            case = "(ii)"
-        else:
-            case = "(gen)"
-        for eb, wj in basis:
-            v = alg.basis_elem(eb, wj)
-            r = phi(alg, twist, deformed(u, v)) - plain(pu, phi_of[(eb, wj)])
-            report.record(f"{case} {ea}|{wl} vs {eb}|{wj}", not r.is_zero(), r)
+        for ea, wl in basis:
+            u = alg.basis_elem(ea, wl)
+            pu = phi_of[(ea, wl)]
+            if not wl:
+                case = "(i)"
+            elif sum(ea) == 0:
+                case = "(ii)"
+            else:
+                case = "(gen)"
+            for eb, wj in basis:
+                v = alg.basis_elem(eb, wj)
+                r = phi(alg, twist, deformed(u, v)) - plain(pu, phi_of[(eb, wj)])
+                report.record(f"{case} {ea}|{wl} vs {eb}|{wj}", not r.is_zero(), r)
     return report

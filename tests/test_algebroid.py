@@ -14,18 +14,17 @@ from smashtwist.algebroid import (
     check_qt_shifted,
     delta_left,
     delta_right,
-    shift_rmatrix,
+    shift_two_leg,
     shift_twist,
     shifted_twist_residuals,
-    tensor_over_A_normalize,
     verify_theorem,
     xu_twist,
 )
 from smashtwist.hopf import r_matrix_from_twist, trivial_twist
-from smashtwist.modalg import PolyCoord, act
+from smashtwist.modalg import PolyCoord, act, monomials_up_to
 from smashtwist.ncpoly import NCPoly, leg_word
 from smashtwist.registry import materialize
-from smashtwist.scalars import TruncSeries
+from smashtwist.scalars import GaussRational, TruncSeries
 from smashtwist.smash import phi
 
 
@@ -62,12 +61,12 @@ def coords(prob):
 def test_normalize_moves_coordinates_left(igl2, bd_plain):
     alg = igl2.smash
     x0, _ = coords(igl2)
-    T = tensor_over_A_normalize([(alg.one(), alg.coord_elem(x0))], bd_plain)
+    T = bd_plain.tensor_from_pairs([(alg.one(), alg.coord_elem(x0))])
     # trivial R: t(x0) = x0 (x) 1, so the left factor absorbs the coordinate
     assert T.terms == {((1, 0), (), ()): TruncSeries.one(igl2.order)}
     # already-canonical input is unchanged
     u = alg.elem(x0, NCPoly.gen(alg.rs, "P0"))
-    T2 = tensor_over_A_normalize([(u, bd_plain.pure((alg.rs.rank_of["L01"],)))], bd_plain)
+    T2 = bd_plain.tensor_from_pairs([(u, bd_plain.pure((alg.rs.rank_of["L01"],)))])
     key = ((1, 0), (alg.rs.rank_of["P0"],), (alg.rs.rank_of["L01"],))
     assert T2.terms == {key: TruncSeries.one(igl2.order)}
 
@@ -163,7 +162,7 @@ def test_shift_twist_validates(igl2, bd_plain):
 
 def test_shift_rmatrix_laws(igl2, bd_twisted):
     R = r_matrix_from_twist(igl2.bialg, igl2.twist)
-    Rt = shift_rmatrix(bd_twisted, R)
+    Rt = shift_two_leg(bd_twisted, R)
     # counit contractions collapse to the unit
     assert Rt.counit_left() == bd_twisted.unit()
     assert Rt.counit_right() == bd_twisted.unit()
@@ -371,3 +370,89 @@ def test_verify_theorem_larger_algebra():
     prob = materialize("igl4-abelian", order=2)
     out = verify_theorem(prob.smash, prob.twist, degree=1, check_degree=1)
     assert all(rep.ok() for name, rep in out.items() if not name.startswith("_"))
+
+
+def _direct_xu_maps(bd, shifted, new_bd):
+    """The xu_twist source, target and coproduct evaluated from the formula
+    on every call: the reference for the maps memoized on basis elements."""
+    Ft, Fi = shifted.forward, shifted.inverse
+    smash = bd.smash
+
+    def source(a):
+        out = smash.zero()
+        for (e, wl, wr), c in Fi.terms.items():
+            la = bd.anchor(smash.basis_elem(e, wl), a)
+            out = out + bd.total(bd.source(la), bd.pure(wr)).scale(c)
+        return out
+
+    def target(a):
+        out = smash.zero()
+        for (e, wl, wr), c in Fi.terms.items():
+            ra = bd.anchor(bd.pure(wr), a)
+            out = out + bd.total(bd.target(ra), smash.basis_elem(e, wl)).scale(c)
+        return out
+
+    def coproduct(m):
+        pairs = []
+        for (e, wl, wr), c in bd.coproduct(m).mul(Fi).terms.items():
+            for (ef, flw, frw), cf in Ft.terms.items():
+                pairs.append((
+                    bd.total(smash.basis_elem(ef, flw), smash.basis_elem(e, wl)),
+                    bd.total(bd.pure(frw), bd.pure(wr)),
+                    c * cf,
+                ))
+        return new_bd.tensor_from_pairs(pairs)
+
+    return source, target, coproduct
+
+
+@pytest.mark.parametrize("name, order", [
+    ("trivial", 2), ("heisenberg", 2), ("igl2-abelian", 2),
+    ("igl4-abelian", 1), ("pw-jordanian", 2),
+])
+def test_xu_memoized_maps_match_direct_formula(name, order):
+    prob = materialize(name, order=order)
+    smash = prob.smash
+    bd0 = bm_bialgebroid(smash, check_degree=1)
+    shifted = shift_twist(bd0, prob.twist, validate=False)
+    bd = xu_twist(bd0, shifted)
+    source, target, coproduct = _direct_xu_maps(bd0, shifted, bd)
+
+    top = TruncSeries.h_power(order, order)  # h^N: any O(h) product truncates
+    mixed = TruncSeries(order, [2] + [GaussRational(1, -3)] * order)
+    span = smash.spanning(1)
+    combos = list(span)
+    combos += [span[k].scale(mixed) + span[-1 - k].scale(top) for k in range(len(span))]
+    combos += [m.scale(top) for m in span]
+    truncated = 0
+    for m in combos:
+        got = bd.coproduct(m)
+        assert got == coproduct(m), repr(m)
+        assert all(not c.is_zero() for c in got.terms.values())
+        if m.terms and len(got.terms) < len(bd.coproduct(smash.from_terms(
+                {k: TruncSeries.one(order) for k in m.terms})).terms):
+            truncated += 1
+    if not prob.twist.is_trivial():
+        assert truncated  # some h^N-scaled image lost terms to truncation
+
+    dim = smash.dim
+    monos = [PolyCoord.monomial(dim, order, e) for e in monomials_up_to(dim, 2)]
+    polys = monos + [
+        monos[k].scale(mixed) + monos[-1 - k].scale(top) for k in range(len(monos))
+    ]
+    for a in polys:
+        for memoized, direct in ((bd.source, source), (bd.target, target)):
+            got = memoized(a)
+            assert got == direct(a), repr(a)
+            assert all(not c.is_zero() for c in got.terms.values())
+
+
+def test_axiom_and_theorem_reports_are_each_timed():
+    prob = materialize("heisenberg", order=1)
+    bd = bm_bialgebroid_twisted(prob.smash, prob.twist)
+    reports = list(check_bialgebroid_axioms(bd, 1).values())
+    out = verify_theorem(prob.smash, prob.twist, degree=1, check_degree=1)
+    reports += [rep for name, rep in out.items() if not name.startswith("_")]
+    assert len(reports) == 12
+    for rep in reports:
+        assert rep.wall_ms > 0, rep.name

@@ -143,6 +143,21 @@ def test_suite_respects_checks_list(tmp_path, igl2_config):
     assert prefixes == {"twist", "star-table"}
 
 
+def test_suite_materializes_the_problem_once(monkeypatch):
+    import smashtwist.cli as cli
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return materialize(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "materialize", counting)
+    assert main(["suite", "--preset", "pw-jordanian", "--order", "1",
+                 "--degree", "1"]) == EXIT_PASS
+    assert len(calls) == 1
+
+
 def test_expression_parser():
     prob = materialize("igl2-abelian", order=2)
     mul = prob.smash.product(None)

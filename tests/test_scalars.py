@@ -55,6 +55,25 @@ def test_mul_examples():
     assert h * TruncSeries.h_power(4, 4) == TruncSeries.zero(4)
 
 
+def test_series_times_element_defers_to_the_element():
+    from smashtwist.modalg import PolyCoord
+    from smashtwist.ncpoly import NCPoly
+    from smashtwist.registry import materialize
+
+    prob = materialize("heisenberg", order=2)
+    h = TruncSeries.h_power(1, 2, GaussRational(3, -1))
+    elements = (
+        NCPoly.gen(prob.bialg.rs, "P0"),
+        PolyCoord.coord(prob.rep.dim, 2, 0),
+        prob.smash.h_elem(NCPoly.gen(prob.bialg.rs, "P0")),
+    )
+    for x in elements:
+        assert h * x == x * h
+        assert not (h * x).is_zero()
+    with pytest.raises(TypeError):
+        h * "junk"
+
+
 def test_invert_examples():
     two = TruncSeries.const(2, 3)
     assert two.invert() == TruncSeries.const("1/2", 3)

@@ -142,6 +142,14 @@ def test_gauss_constructor_inputs_match():
         new.GaussRational.coerce(1.0)
 
 
+@kernel_settings
+@given(st.one_of(st.integers(-10, 10), st.integers(), st.integers(-10**40, 10**40),
+                 st.sampled_from((0, -1, 1, -(2**70), 3**50, True, False))))
+def test_int_coercion_matches(n):
+    assert_gauss_same(new.GaussRational.coerce(n), ref.GaussRational.coerce(n))
+    assert_series_same(new.TruncSeries.const(n, 2), ref.TruncSeries.const(n, 2))
+
+
 # -- truncated series -------------------------------------------------------
 
 

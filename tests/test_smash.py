@@ -10,9 +10,6 @@ from smashtwist.ncpoly import NCPoly
 from smashtwist.registry import materialize
 from smashtwist.scalars import GaussRational, TruncSeries
 from smashtwist.smash import (
-    canonical_action,
-    mul_twisted,
-    mul_undeformed,
     phi,
     phi_inv,
     verify_phi_homomorphism,
@@ -41,8 +38,8 @@ def test_factorized_generators(igl2):
     L = NCPoly.gen(rs, "L11")
     # (a (x) 1)(1 (x) L) = a (x) L in both products
     want = alg.elem(x0, L)
-    assert mul_undeformed(alg, alg.coord_elem(x0), alg.h_elem(L)) == want
-    assert mul_twisted(alg, igl2.twist, alg.coord_elem(x0), alg.h_elem(L)) == want
+    assert alg.product(None)(alg.coord_elem(x0), alg.h_elem(L)) == want
+    assert alg.product(igl2.twist)(alg.coord_elem(x0), alg.h_elem(L)) == want
 
 
 def test_momentum_coordinate_relation(igl2):
@@ -50,9 +47,9 @@ def test_momentum_coordinate_relation(igl2):
     rs = alg.rs
     x0, x1 = coords(igl2)
     p1 = NCPoly.gen(rs, "P1")
-    got = mul_undeformed(alg, alg.h_elem(p1), alg.coord_elem(x1))
+    got = alg.product(None)(alg.h_elem(p1), alg.coord_elem(x1))
     assert got == alg.one() + alg.elem(x1, p1)
-    assert mul_undeformed(alg, alg.h_elem(p1), alg.coord_elem(x0)) == alg.elem(x0, p1)
+    assert alg.product(None)(alg.h_elem(p1), alg.coord_elem(x0)) == alg.elem(x0, p1)
 
 
 def test_associativity_both_products(igl2, pw):
@@ -85,17 +82,17 @@ def test_twisted_mul_examples(igl2):
     # trivial twist coincides with the undeformed product
     triv = trivial_twist(igl2.bialg)
     u, v = alg.elem(x0, NCPoly.gen(rs, "P0")), alg.elem(x1, NCPoly.gen(rs, "L01"))
-    assert mul_twisted(alg, triv, u, v) == mul_undeformed(alg, u, v)
+    assert alg.product(triv)(u, v) == alg.product(None)(u, v)
     # deformed coordinate sector reproduces the deformed commutator
     ih = TruncSeries.h_power(1, rs.order, GaussRational(0, 1))
     got = (
-        mul_twisted(alg, igl2.twist, alg.coord_elem(x0), alg.coord_elem(x1))
-        - mul_twisted(alg, igl2.twist, alg.coord_elem(x1), alg.coord_elem(x0))
+        alg.product(igl2.twist)(alg.coord_elem(x0), alg.coord_elem(x1))
+        - alg.product(igl2.twist)(alg.coord_elem(x1), alg.coord_elem(x0))
     )
     assert got == alg.coord_elem(x1).scale(ih)
     # the Hopf sector is untouched
     L, J = NCPoly.gen(rs, "L10"), NCPoly.from_word(rs, ["L01", "P1"])
-    assert mul_twisted(alg, igl2.twist, alg.h_elem(L), alg.h_elem(J)) == alg.h_elem(L * J)
+    assert alg.product(igl2.twist)(alg.h_elem(L), alg.h_elem(J)) == alg.h_elem(L * J)
 
 
 def test_subalgebra_embeddings(igl2):
@@ -138,6 +135,20 @@ def test_phi_bijective(igl2, pw):
         for u in alg.spanning(2):
             assert phi(alg, prob.twist, phi_inv(alg, prob.twist, u)) == u
             assert phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) == u
+
+
+def test_algebra_is_collectable_after_phi():
+    import gc
+    import weakref
+
+    prob = materialize("heisenberg", order=1)
+    alg = prob.smash
+    u = alg.spanning(1)[-1]
+    assert phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) == u
+    ref = weakref.ref(alg)
+    del prob, alg, u
+    gc.collect()
+    assert ref() is None
 
 
 def test_phi_homomorphism_trivial(igl2):
@@ -194,11 +205,11 @@ def test_canonical_action(igl2):
     # (a (x) 1) acts by star multiplication, (1 (x) L) by the Hopf action
     from smashtwist.modalg import StarProduct, act
     star = StarProduct(alg.rep, igl2.twist)
-    got = canonical_action(alg, alg.coord_elem(x0), b, igl2.twist)
+    got = alg.product(igl2.twist).action_on_base(alg.coord_elem(x0), b)
     assert got == star(x0, b)
     p = NCPoly.from_word(rs, ["L01", "P0"])
-    assert canonical_action(alg, alg.h_elem(p), b) == act(alg.rep, p, b)
-    assert canonical_action(alg, alg.one(), b) == b
+    assert alg.product(None).action_on_base(alg.h_elem(p), b) == act(alg.rep, p, b)
+    assert alg.product(None).action_on_base(alg.one(), b) == b
 
 
 def test_canonical_action_is_representation(igl2):
@@ -211,6 +222,6 @@ def test_canonical_action_is_representation(igl2):
         mul = alg.product(twist)
         for _ in range(15):
             u, v = rng.choice(span), rng.choice(span)
-            lhs = canonical_action(alg, mul(u, v), b, twist)
-            rhs = canonical_action(alg, u, canonical_action(alg, v, b, twist), twist)
+            lhs = alg.product(twist).action_on_base(mul(u, v), b)
+            rhs = alg.product(twist).action_on_base(u, alg.product(twist).action_on_base(v, b))
             assert lhs == rhs
