@@ -9,7 +9,6 @@ from .ncpoly import (
     NCPoly,
     RewriteSystem,
     SYMMETRY,
-    normal_form,
 )
 from .hopf import (
     BialgebraPresentation,
@@ -21,7 +20,6 @@ from .hopf import (
     classical_r_extract,
     r_matrix_from_twist,
     twist_from_exponent,
-    twisted_coproduct,
     trivial_twist,
 )
 from .modalg import (

@@ -478,32 +478,35 @@ def shift_twist(bd: Bialgebroid, twist: Twist, validate: bool = True) -> Shifted
 def shifted_twist_residuals(bd: Bialgebroid, shifted: ShiftedTwist) -> dict:
     """Inverse, cocycle and normalization laws at the bialgebroid level."""
     F, Fi = shifted.forward, shifted.inverse
-    unit2 = bd.tensor_unit()
     inv = ResidualReport("shifted-inverse")
-    r1 = F.mul(Fi) - unit2
-    inv.record("F Finv", not r1.is_zero(), r1)
-    r2 = Fi.mul(F) - unit2
-    inv.record("Finv F", not r2.is_zero(), r2)
+    with inv.timed():
+        unit2 = bd.tensor_unit()
+        r1 = F.mul(Fi) - unit2
+        inv.record("F Finv", not r1.is_zero(), r1)
+        r2 = Fi.mul(F) - unit2
+        inv.record("Finv F", not r2.is_zero(), r2)
 
     coc = ResidualReport("shifted-cocycle")
-    f12 = _tensor3_embed_12(bd, F)
-    f23 = _tensor3_embed_23(bd, F)
-    lhs = f12.mul(delta_left(bd, F))
-    rhs = f23.mul(delta_right(bd, F))
-    res = lhs - rhs
-    coc.record("cocycle", not res.is_zero(), res)
-    fi12 = _tensor3_embed_12(bd, Fi)
-    fi23 = _tensor3_embed_23(bd, Fi)
-    ires = delta_left(bd, Fi).mul(fi12) - delta_right(bd, Fi).mul(fi23)
-    coc.record("inverse-cocycle", not ires.is_zero(), ires)
+    with coc.timed():
+        f12 = _tensor3_embed_12(bd, F)
+        f23 = _tensor3_embed_23(bd, F)
+        lhs = f12.mul(delta_left(bd, F))
+        rhs = f23.mul(delta_right(bd, F))
+        res = lhs - rhs
+        coc.record("cocycle", not res.is_zero(), res)
+        fi12 = _tensor3_embed_12(bd, Fi)
+        fi23 = _tensor3_embed_23(bd, Fi)
+        ires = delta_left(bd, Fi).mul(fi12) - delta_right(bd, Fi).mul(fi23)
+        coc.record("inverse-cocycle", not ires.is_zero(), ires)
 
     nor = ResidualReport("shifted-normalization")
-    unit = bd.unit()
-    for label, elem in (("twist", F), ("inverse", Fi)):
-        le = elem.counit_left() - unit
-        nor.record(f"{label} left counit", not le.is_zero(), le)
-        re = elem.counit_right() - unit
-        nor.record(f"{label} right counit", not re.is_zero(), re)
+    with nor.timed():
+        unit = bd.unit()
+        for label, elem in (("twist", F), ("inverse", Fi)):
+            le = elem.counit_left() - unit
+            nor.record(f"{label} left counit", not le.is_zero(), le)
+            re = elem.counit_right() - unit
+            nor.record(f"{label} right counit", not re.is_zero(), re)
 
     return {"inverse": inv, "cocycle": coc, "normalization": nor}
 
@@ -532,39 +535,42 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
     degree.
     """
     smash = bd.smash
-    Rt = shift_two_leg(bd, R)
-    Rt_inv = shift_two_leg(bd, inv_unipotent(R))
-
     preserved = ResidualReport("shifted-qt-preserved")
-    r13 = _two_leg_to_tensor3(bd, R, (1, 3))
-    r23 = _two_leg_to_tensor3(bd, R, (2, 3))
-    r12 = _two_leg_to_tensor3(bd, R, (1, 2))
-    res = delta_left(bd, Rt) - r13.mul(r23)
-    preserved.record("hexagon-left", not res.is_zero(), res)
-    res = delta_right(bd, Rt) - r13.mul(r12)
-    preserved.record("hexagon-right", not res.is_zero(), res)
-    unit = bd.unit()
-    res = Rt.counit_left() - unit
-    preserved.record("counit-left", not res.is_zero(), res)
-    res = Rt.counit_right() - unit
-    preserved.record("counit-right", not res.is_zero(), res)
+    with preserved.timed():
+        Rt = shift_two_leg(bd, R)
+        r13 = _two_leg_to_tensor3(bd, R, (1, 3))
+        r23 = _two_leg_to_tensor3(bd, R, (2, 3))
+        r12 = _two_leg_to_tensor3(bd, R, (1, 2))
+        res = delta_left(bd, Rt) - r13.mul(r23)
+        preserved.record("hexagon-left", not res.is_zero(), res)
+        res = delta_right(bd, Rt) - r13.mul(r12)
+        preserved.record("hexagon-right", not res.is_zero(), res)
+        unit = bd.unit()
+        res = Rt.counit_left() - unit
+        preserved.record("counit-left", not res.is_zero(), res)
+        res = Rt.counit_right() - unit
+        preserved.record("counit-right", not res.is_zero(), res)
 
+    # the intertwining witness comes out of the same sweep, so its time is
+    # charged to the closed forms
     closed = ResidualReport("shifted-qt-closed-forms")
     witness = None
-    for elem in smash.spanning(degree):
-        label = repr(elem)
-        lhs = Rt.mul(bd.coproduct(elem)).mul(Rt_inv)
-        rhs = bd.coproduct(elem).flip()
-        if bd.hdelta is not None:
-            lc = _qt2_closed_lhs(bd, R, elem)
-            rc = _qt2_closed_rhs(bd, R, elem)
-            dl = lhs - lc
-            closed.record(f"lhs {label}", not dl.is_zero(), dl)
-            dr = rhs - rc
-            closed.record(f"rhs {label}", not dr.is_zero(), dr)
-        diff = lhs - rhs
-        if witness is None and not diff.is_zero():
-            witness = (label, diff)
+    with closed.timed():
+        Rt_inv = shift_two_leg(bd, inv_unipotent(R))
+        for elem in smash.spanning(degree):
+            label = repr(elem)
+            lhs = Rt.mul(bd.coproduct(elem)).mul(Rt_inv)
+            rhs = bd.coproduct(elem).flip()
+            if bd.hdelta is not None:
+                lc = _qt2_closed_lhs(bd, R, elem)
+                rc = _qt2_closed_rhs(bd, R, elem)
+                dl = lhs - lc
+                closed.record(f"lhs {label}", not dl.is_zero(), dl)
+                dr = rhs - rc
+                closed.record(f"rhs {label}", not dr.is_zero(), dr)
+            diff = lhs - rhs
+            if witness is None and not diff.is_zero():
+                witness = (label, diff)
     return {"preserved": preserved, "closed_forms": closed, "witness": witness}
 
 

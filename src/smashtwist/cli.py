@@ -85,7 +85,10 @@ class Report:
         })
         return status != "fail"
 
-    def add_residual_report(self, name, identity, rep: ResidualReport, wall_ms=0.0):
+    def add_residual_report(self, name, identity, rep: ResidualReport, wall_ms=None):
+        """Add one record for a report; its time defaults to ``rep.wall_ms``."""
+        if wall_ms is None:
+            wall_ms = rep.wall_ms
         if rep.ok():
             return self.add(name, identity, "pass", "0", rep.checked, wall_ms)
         label, res = rep.witness()
@@ -139,6 +142,12 @@ class Report:
 # -- config handling -------------------------------------------------------
 
 _SORTS = (SYMMETRY, MOMENTUM, COORDINATE)
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _non_negative_int(x) -> bool:
+    # JSON true/false are not integers, though bool subclasses int
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def validate_config(cfg) -> list:
@@ -152,25 +161,35 @@ def validate_config(cfg) -> list:
             errors.append(msg)
         return cond
 
-    if expect(isinstance(cfg.get("order"), int) and cfg.get("order", -1) >= 0,
-              "order: required non-negative integer"):
-        pass
+    def known_keys(obj, path, allowed):
+        # every object of the schema sets additionalProperties: false
+        for key in obj:
+            expect(key in allowed, f"{path}{key}: unknown key")
+
+    known_keys(cfg, "", ("name", "order", "degree", "algebra", "representation",
+                         "twist", "checks"))
+    if "name" in cfg:
+        expect(isinstance(cfg["name"], str), "name: must be a string")
+    expect(_non_negative_int(cfg.get("order")), "order: required non-negative integer")
     if "degree" in cfg:
-        expect(isinstance(cfg["degree"], int) and cfg["degree"] >= 0,
-               "degree: must be a non-negative integer")
+        expect(_non_negative_int(cfg["degree"]), "degree: must be a non-negative integer")
 
     algebra = cfg.get("algebra")
     declared = set()
     sorts = {}
     if expect(isinstance(algebra, dict), "algebra: required object"):
+        known_keys(algebra, "algebra.", ("generators", "brackets"))
         gens = algebra.get("generators")
         if expect(isinstance(gens, list) and gens, "algebra.generators: required non-empty list"):
             for k, g in enumerate(gens):
                 path = f"algebra.generators[{k}]"
                 if not expect(isinstance(g, dict), f"{path}: must be an object"):
                     continue
+                known_keys(g, f"{path}.", ("name", "sort"))
                 name = g.get("name")
-                expect(isinstance(name, str) and name, f"{path}.name: required string")
+                if expect(isinstance(name, str), f"{path}.name: required string"):
+                    expect(_NAME.fullmatch(name) is not None,
+                           f"{path}.name: {name!r} does not match {_NAME.pattern}")
                 expect(g.get("sort") in _SORTS,
                        f"{path}.sort: must be one of {', '.join(_SORTS)}")
                 if isinstance(name, str):
@@ -181,6 +200,7 @@ def validate_config(cfg) -> list:
             path = f"algebra.brackets[{k}]"
             if not expect(isinstance(b, dict), f"{path}: must be an object"):
                 continue
+            known_keys(b, f"{path}.", ("left", "right", "terms"))
             for side in ("left", "right"):
                 expect(b.get(side) in declared,
                        f"{path}.{side}: undeclared generator {b.get(side)!r}")
@@ -190,6 +210,7 @@ def validate_config(cfg) -> list:
                     tp = f"{path}.terms[{j}]"
                     if not expect(isinstance(t, dict), f"{tp}: must be an object"):
                         continue
+                    known_keys(t, f"{tp}.", ("coeff", "gen"))
                     expect(isinstance(t.get("coeff"), str), f"{tp}.coeff: required string")
                     gen = t.get("gen")
                     expect(gen is None or gen in declared,
@@ -197,6 +218,7 @@ def validate_config(cfg) -> list:
 
     rep = cfg.get("representation")
     if expect(isinstance(rep, dict), "representation: required object"):
+        known_keys(rep, "representation.", ("momenta", "matrices"))
         momenta = rep.get("momenta")
         dim = 0
         if expect(isinstance(momenta, list) and momenta,
@@ -221,12 +243,14 @@ def validate_config(cfg) -> list:
 
     twist = cfg.get("twist", {"exponent": []})
     if expect(isinstance(twist, dict), "twist: must be an object"):
+        known_keys(twist, "twist.", ("exponent",))
         exponent = twist.get("exponent", [])
         if expect(isinstance(exponent, list), "twist.exponent: must be a list"):
             for k, term in enumerate(exponent):
                 path = f"twist.exponent[{k}]"
                 if not expect(isinstance(term, dict), f"{path}: must be an object"):
                     continue
+                known_keys(term, f"{path}.", ("coeff", "left", "right"))
                 expect(isinstance(term.get("coeff"), str), f"{path}.coeff: required string")
                 for side in ("left", "right"):
                     words = term.get(side)
@@ -352,15 +376,15 @@ def run_twist_checks(report: Report, prob, fail_fast=False) -> bool:
     res, ms = _timed(lambda: twist.F * twist.F_inv - one2)
     if not _poly_record(report, "twist-inverse (left)", "two-sided-inverse", res, ms) and fail_fast:
         return False
-    res = twist.F_inv * twist.F - one2
-    if not _poly_record(report, "twist-inverse (right)", "two-sided-inverse", res) and fail_fast:
+    res, ms = _timed(lambda: twist.F_inv * twist.F - one2)
+    if not _poly_record(report, "twist-inverse (right)", "two-sided-inverse", res, ms) and fail_fast:
         return False
     for leg, tag in ((1, "left"), (2, "right")):
-        res = bialg.counit_on_leg(twist.F, leg) - one1
-        if not _poly_record(report, f"normalization ({tag})", "counit-normalization", res) and fail_fast:
+        res, ms = _timed(lambda: bialg.counit_on_leg(twist.F, leg) - one1)
+        if not _poly_record(report, f"normalization ({tag})", "counit-normalization", res, ms) and fail_fast:
             return False
-        res = bialg.counit_on_leg(twist.F_inv, leg) - one1
-        if not _poly_record(report, f"inverse normalization ({tag})", "counit-normalization", res) and fail_fast:
+        res, ms = _timed(lambda: bialg.counit_on_leg(twist.F_inv, leg) - one1)
+        if not _poly_record(report, f"inverse normalization ({tag})", "counit-normalization", res, ms) and fail_fast:
             return False
 
     coc, ms = _timed(check_cocycle, bialg, twist)
@@ -378,11 +402,11 @@ def run_twist_checks(report: Report, prob, fail_fast=False) -> bool:
     if not report.add_residual_report("r-matrix laws", "quasi-triangularity", worst, ms) and fail_fast:
         return False
 
-    _, cybe = classical_r_extract(R)
-    triang = R * R.swap_legs() - one2
-    if not _poly_record(report, "triangularity", "r-matrix-triangularity", triang) and fail_fast:
+    (_, cybe), cybe_ms = _timed(classical_r_extract, R)
+    triang, ms = _timed(lambda: R * R.swap_legs() - one2)
+    if not _poly_record(report, "triangularity", "r-matrix-triangularity", triang, ms) and fail_fast:
         return False
-    return _poly_record(report, "classical limit", "classical-yang-baxter", cybe) or not fail_fast
+    return _poly_record(report, "classical limit", "classical-yang-baxter", cybe, cybe_ms) or not fail_fast
 
 
 # -- commands ---------------------------------------------------------------
@@ -434,15 +458,16 @@ def cmd_smash_verify(args, loaded=None) -> Report:
     for label, twist in (("undeformed", None), ("deformed", prob.twist)):
         mul = alg.product(twist)
         assoc = ResidualReport(f"associativity-{label}")
-        for u, v, w in triples:
-            res = mul(mul(u, v), w) - mul(u, mul(v, w))
-            assoc.record(f"{u!r};{v!r};{w!r}", not res.is_zero(), res)
         unital = ResidualReport("unit")
-        for u in span[:10]:
-            res = mul(alg.one(), u) - u
-            unital.record(f"1*{u!r}", not res.is_zero(), res)
-            res = mul(u, alg.one()) - u
-            unital.record(f"{u!r}*1", not res.is_zero(), res)
+        with assoc.timed():
+            for u, v, w in triples:
+                res = mul(mul(u, v), w) - mul(u, mul(v, w))
+                assoc.record(f"{u!r};{v!r};{w!r}", not res.is_zero(), res)
+            for u in span[:10]:
+                res = mul(alg.one(), u) - u
+                unital.record(f"1*{u!r}", not res.is_zero(), res)
+                res = mul(u, alg.one()) - u
+                unital.record(f"{u!r}*1", not res.is_zero(), res)
         assoc.merge(unital)
         if not report.add_residual_report(
             f"{label} product", "smash-associativity-unitality", assoc
@@ -450,11 +475,12 @@ def cmd_smash_verify(args, loaded=None) -> Report:
             return report
 
     bij = ResidualReport("phi-bijective")
-    for u in span:
-        res = phi(alg, prob.twist, phi_inv(alg, prob.twist, u)) - u
-        bij.record(f"phi.phi_inv {u!r}", not res.is_zero(), res)
-        res = phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) - u
-        bij.record(f"phi_inv.phi {u!r}", not res.is_zero(), res)
+    with bij.timed():
+        for u in span:
+            res = phi(alg, prob.twist, phi_inv(alg, prob.twist, u)) - u
+            bij.record(f"phi.phi_inv {u!r}", not res.is_zero(), res)
+            res = phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) - u
+            bij.record(f"phi_inv.phi {u!r}", not res.is_zero(), res)
     if not report.add_residual_report("phi bijectivity", "phi-invertibility", bij) and args.fail_fast:
         return report
 
@@ -488,14 +514,12 @@ def cmd_algebroid_verify(args, loaded=None) -> Report:
 
     axioms = check_bialgebroid_axioms(bd, prob.degree)
     for name, rep in axioms.items():
-        if not report.add_residual_report(
-            name, f"bialgebroid-{name}", rep, rep.wall_ms
-        ) and args.fail_fast:
+        if not report.add_residual_report(name, f"bialgebroid-{name}", rep) and args.fail_fast:
             return report
 
     R = r_matrix_from_twist(prob.bialg, prob.twist)
-    qt, ms = _timed(check_qt_shifted, bd, R, min(prob.degree, 1))
-    report.add_residual_report("shifted R preserved laws", "shifted-r-coproduct-counit", qt["preserved"], ms)
+    qt = check_qt_shifted(bd, R, min(prob.degree, 1))
+    report.add_residual_report("shifted R preserved laws", "shifted-r-coproduct-counit", qt["preserved"])
     report.add_residual_report("shifted R closed forms", "shifted-r-closed-forms", qt["closed_forms"])
     if qt["witness"] is None:
         report.add("shifted R intertwining", "shifted-r-intertwining", "pass",
@@ -521,7 +545,7 @@ def cmd_theorem(args, loaded=None) -> Report:
     for name, rep in out.items():
         if name.startswith("_"):
             continue
-        report.add_residual_report(name, f"equivalence-{name}", rep, rep.wall_ms)
+        report.add_residual_report(name, f"equivalence-{name}", rep)
         if not report.ok and args.fail_fast:
             return report
     return report

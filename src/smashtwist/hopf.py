@@ -223,10 +223,6 @@ def _word_poly(rs: RewriteSystem, ranks) -> NCPoly:
     return NCPoly(rs, 1, {word: TruncSeries.one(rs.order)})
 
 
-def twisted_coproduct(bialg: BialgebraPresentation, twist: Twist, p: NCPoly) -> NCPoly:
-    return CoproductMap(bialg, twist)(p)
-
-
 def r_matrix_from_twist(bialg: BialgebraPresentation, twist: Twist) -> NCPoly:
     """R = F_21 F^{-1}, the triangular R-matrix generated by the twist."""
     return twist.swap() * twist.F_inv

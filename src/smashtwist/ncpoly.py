@@ -14,6 +14,7 @@ to TruncSeries coefficients and never stores a zero coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .scalars import GaussRational, TruncSeries, parse_scalar_literal
 
@@ -22,6 +23,8 @@ MOMENTUM = "momentum"
 COORDINATE = "coordinate"
 
 _SORT_BLOCK = {SYMMETRY: 0, MOMENTUM: 1, COORDINATE: 2}
+
+_leg = itemgetter(0)
 
 
 class Generator:
@@ -149,14 +152,16 @@ class RewriteSystem:
     def normalize_word(self, word) -> dict:
         """PBW normal form of a word as a dict {word: TruncSeries}.
 
-        The returned dict is cached and shared; callers must not mutate it.
+        Letters of distinct legs commute exactly, so the word is first
+        stable-sorted by leg (each leg keeps its letter order) and only
+        descents within one leg are rewritten.  The returned dict is cached
+        under the word as given, and shared; callers must not mutate it.
         """
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
         out: dict = {}
-        one = TruncSeries.one(self.order)
-        stack = [(word, one)]
+        stack = [(tuple(sorted(word, key=_leg)), TruncSeries.one(self.order))]
         while stack:
             w, c = stack.pop()
             idx = -1
@@ -168,36 +173,46 @@ class RewriteSystem:
                 prev = out.get(w)
                 out[w] = c if prev is None else prev + c
                 continue
-            (l1, r1), (l2, r2) = w[idx], w[idx + 1]
-            swapped = w[:idx] + (w[idx + 1], w[idx]) + w[idx + 2 :]
-            stack.append((swapped, c))
-            if l1 == l2:
-                corr = self._corr.get((r1, r2))
-                if corr:
-                    for cw, cc in corr:
-                        nw = w[:idx] + tuple((l1, r) for r in cw) + w[idx + 2 :]
-                        stack.append((nw, c * cc))
+            # legs stay sorted, so the descent lies within one leg
+            (leg, r1), (_, r2) = w[idx], w[idx + 1]
+            stack.append((w[:idx] + (w[idx + 1], w[idx]) + w[idx + 2 :], c))
+            for cw, cc in self._corr.get((r1, r2), ()):
+                nw = w[:idx] + tuple((leg, r) for r in cw) + w[idx + 2 :]
+                stack.append((nw, c * cc))
         out = {w: c for w, c in out.items() if not c.is_zero()}
         self._nf_cache[word] = out
         return out
 
     def jacobi_residuals(self):
-        """Nonzero Jacobi residuals [(name_a, name_b, name_c, NCPoly)]."""
-        bad = []
+        """Nonzero Jacobi residuals [(name_a, name_b, name_c, NCPoly)].
+
+        A correction has word length at most one, so [[X_a, X_b], X_c] is a
+        combination of generator brackets [X_r, X_c].  The table of all n^2
+        of them is filled once, one commutator per unordered pair and the
+        rest by antisymmetry, and every triple reads from it.
+        """
         gens = [NCPoly.gen(self, g.name) for g in self.generators]
         names = [g.name for g in self.generators]
         n = len(gens)
+        table = [[NCPoly.zero(self)] * n for _ in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
-                ab = gens[a].commutator(gens[b])
+                table[a][b] = gens[a].commutator(gens[b])
+                table[b][a] = -table[a][b]
+
+        bad = []
+        for a in range(n):
+            for b in range(a + 1, n):
                 for c in range(b + 1, n):
-                    res = (
-                        ab.commutator(gens[c])
-                        + gens[b].commutator(gens[c]).commutator(gens[a])
-                        + gens[c].commutator(gens[a]).commutator(gens[b])
-                    )
-                    if not res.is_zero():
-                        bad.append((names[a], names[b], names[c], res))
+                    out: dict = {}
+                    for inner, outer in ((table[a][b], c), (table[b][c], a), (table[c][a], b)):
+                        for w, k in inner.terms.items():
+                            if w:  # a central term commutes with everything
+                                for w2, k2 in table[w[0][1]][outer].terms.items():
+                                    _bump(out, w2, k * k2)
+                    out = _strip(out)
+                    if out:
+                        bad.append((names[a], names[b], names[c], NCPoly(self, 1, out)))
         return bad
 
     def bracket(self, name_a: str, name_b: str) -> "NCPoly":
@@ -211,7 +226,14 @@ def _leg_tag(i: int, nlegs: int) -> int:
 
 
 class NCPoly:
-    """Linear combination of PBW words over a shared rewrite system."""
+    """Linear combination of PBW words over a shared rewrite system.
+
+    ``terms`` never holds a zero coefficient, and each coefficient's ``data``
+    holds only nonzero h-coefficients, so ``lowest_order()`` of a stored
+    coefficient is its true valuation.  The product relies on this to skip
+    pairs whose valuations sum past the truncation order; a zero coefficient
+    (empty ``data``), should one be passed in, is skipped.
+    """
 
     __slots__ = ("rs", "nlegs", "terms")
 
@@ -303,14 +325,28 @@ class NCPoly:
         ):
             return self.scale(other)
         self._compat(other)
+        order = self.rs.order
+        # c1 * c2 vanishes exactly when the lowest h-orders of c1 and c2 sum
+        # past the order (Q(i) has no zero divisors), so the right factor's
+        # terms are bucketed by lowest order and such pairs are never formed
+        buckets = [[] for _ in range(order + 1)]
+        for w2, c2 in other.terms.items():
+            v2 = c2.lowest_order()
+            if v2 is not None:
+                buckets[v2].append((w2, c2))
+        normalize = self.rs.normalize_word
         out: dict = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                c = c1 * c2
-                if c.is_zero():
-                    continue
-                for w, k in self.rs.normalize_word(w1 + w2).items():
-                    _bump(out, w, c * k)
+            v1 = c1.lowest_order()
+            if v1 is None:
+                continue
+            for bucket in buckets[: order + 1 - v1]:
+                for w2, c2 in bucket:
+                    c = c1 * c2
+                    if c.is_zero():
+                        continue
+                    for w, k in normalize(w1 + w2).items():
+                        _bump(out, w, c * k)
         return NCPoly(self.rs, self.nlegs, _strip(out))
 
     def __rmul__(self, other):
@@ -368,7 +404,7 @@ class NCPoly:
         mapping = dict(zip(src, legs))
         out = {}
         for w, c in self.terms.items():
-            nw = tuple(sorted(((mapping[l], r) for l, r in w), key=lambda p: p[0]))
+            nw = tuple(sorted(((mapping[l], r) for l, r in w), key=_leg))
             _bump(out, nw, c)
         return NCPoly(self.rs, nlegs, _strip(out))
 
@@ -433,11 +469,6 @@ class NCPoly:
                 word = " (x) ".join(legs)
             parts.append(f"({c})*{word}")
         return " + ".join(parts)
-
-
-def normal_form(word, rs: RewriteSystem) -> NCPoly:
-    """PBW normal form of a word of generator names."""
-    return NCPoly.from_word(rs, word)
 
 
 def leg_word(word, leg) -> tuple:

@@ -337,14 +337,14 @@ def test_twisted_construction_with_trivial_twist_degenerates(igl2, bd_plain):
 def test_twisted_coproduct_of_pure_elements_matches_hopf_level(igl2, bd_twisted):
     # independent construction: conjugate the primitive coproduct at the
     # Hopf level, then shift legs into the tensor square
-    from smashtwist.hopf import twisted_coproduct
+    from smashtwist.hopf import CoproductMap
     from smashtwist.algebroid import shift_two_leg
 
     alg = igl2.smash
     rs = alg.rs
     for name in ("P0", "P1", "L01", "L11"):
         J = NCPoly.gen(rs, name)
-        want = shift_two_leg(bd_twisted, twisted_coproduct(igl2.bialg, igl2.twist, J))
+        want = shift_two_leg(bd_twisted, CoproductMap(igl2.bialg, igl2.twist)(J))
         assert bd_twisted.coproduct(alg.h_elem(J)) == want
 
 

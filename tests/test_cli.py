@@ -1,6 +1,7 @@
 """Driver behavior: configs, reports, exit codes, expressions."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,7 @@ from smashtwist.cli import (
     EXIT_PASS,
     EXIT_RESIDUAL,
     _ExprParser,
+    build_parser,
     cmd_commutator,
     config_to_preset,
     main,
@@ -61,6 +63,85 @@ def test_schema_violation_exits_2(tmp_path, igl2_config, capsys):
     path = write_config(tmp_path, cfg)
     assert main(["check-twist", "--config", path]) == EXIT_INPUT
     assert "representation" in capsys.readouterr().err
+
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
+
+
+def _schema_path(error):
+    """A jsonschema error's instance path in this validator's notation."""
+    text = ""
+    for part in error.absolute_path:
+        text += f"[{part}]" if isinstance(part, int) else f".{part}"
+    return text.lstrip(".")
+
+
+def _add_key(key, value, *where):
+    def mutate(cfg):
+        obj = cfg
+        for part in where:
+            obj = obj[part]
+        obj[key] = value
+    return mutate
+
+
+def _add_generator(name):
+    def mutate(cfg):
+        cfg["algebra"]["generators"].append({"name": name, "sort": "coordinate"})
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, path", [
+    pytest.param(_add_key("degre", 2), "degre", id="unknown-root-key"),
+    pytest.param(_add_key("brackets_", [], "algebra"), "algebra.brackets_",
+                 id="unknown-algebra-key"),
+    pytest.param(_add_key("comment", "x", "algebra", "generators", 0),
+                 "algebra.generators[0].comment", id="unknown-generator-key"),
+    pytest.param(_add_key("weight", 1, "algebra", "brackets", 0, "terms", 0),
+                 "algebra.brackets[0].terms[0].weight", id="unknown-term-key"),
+    pytest.param(_add_key("dim", 2, "representation"), "representation.dim",
+                 id="unknown-representation-key"),
+    pytest.param(_add_key("inverse", [], "twist"), "twist.inverse", id="unknown-twist-key"),
+    pytest.param(_add_key("order", 1, "twist", "exponent", 0), "twist.exponent[0].order",
+                 id="unknown-exponent-key"),
+    pytest.param(_add_generator("P 1"), "algebra.generators[6].name", id="name-with-space"),
+    pytest.param(_add_generator("1X"), "algebra.generators[6].name", id="name-with-digit-first"),
+    pytest.param(_add_generator(""), "algebra.generators[6].name", id="empty-name"),
+    pytest.param(_add_key("order", True), "order", id="order-true"),
+    pytest.param(_add_key("order", False), "order", id="order-false"),
+    pytest.param(_add_key("degree", True), "degree", id="degree-true"),
+])
+def test_schema_holes_exit_2_like_jsonschema(tmp_path, igl2_config, capsys, mutate, path):
+    # jsonschema is a test-time cross-check only; the package never imports it
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
+    cfg = json.loads(json.dumps(igl2_config))
+    assert not list(validator.iter_errors(cfg))
+    mutate(cfg)
+    schema_paths = [_schema_path(e) for e in validator.iter_errors(cfg)]
+    assert schema_paths, "jsonschema accepts the mutated config"
+    assert any(path.startswith(p) for p in schema_paths), schema_paths
+
+    assert main(["check-twist", "--config", write_config(tmp_path, cfg)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"  {path}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["check-twist"], ["twist-inverse (right)", "triangularity", "classical limit"]),
+    (["smash-verify"], ["undeformed product", "deformed product", "phi bijectivity"]),
+    (["algebroid-verify", "--side", "xu-twisted"],
+     ["shifted R closed forms", "twistor inverse", "twistor cocycle", "twistor normalization"]),
+])
+def test_rows_are_charged_their_own_time(argv, rows):
+    args = build_parser().parse_args(
+        argv + ["--preset", "igl2-abelian", "--order", "1", "--degree", "1"]
+    )
+    report = args.fn(args)
+    wall = {rec["name"]: rec["wall_ms"] for rec in report.records}
+    for row in rows:
+        assert wall[row] > 0, row
 
 
 def test_bad_json_exits_2(tmp_path, capsys):

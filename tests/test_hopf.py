@@ -15,7 +15,6 @@ from smashtwist.hopf import (
     r_matrix_from_twist,
     trivial_twist,
     twist_from_exponent,
-    twisted_coproduct,
 )
 from smashtwist.ncpoly import NCPoly
 from smashtwist.registry import materialize, preset, twist_exponent
@@ -145,11 +144,11 @@ def test_twisted_coproduct_examples(igl2):
     rs = b.rs
     triv = trivial_twist(b)
     p = NCPoly.from_word(rs, ["L01", "P1"])
-    assert twisted_coproduct(b, triv, p) == b.coproduct(p)
-    assert twisted_coproduct(b, tw, NCPoly.one(rs)) == NCPoly.one(rs, 2)
+    assert CoproductMap(b, triv)(p) == b.coproduct(p)
+    assert CoproductMap(b, tw)(NCPoly.one(rs)) == NCPoly.one(rs, 2)
     # P0 commutes with both twist legs, so its coproduct is unchanged
     p0 = NCPoly.gen(rs, "P0")
-    assert twisted_coproduct(b, tw, p0) == b.coproduct(p0)
+    assert CoproductMap(b, tw)(p0) == b.coproduct(p0)
 
 
 def test_twisted_coproduct_p1_closed_form(igl2):
@@ -157,7 +156,7 @@ def test_twisted_coproduct_p1_closed_form(igl2):
     # Delta_F(P1) = P1(x)1 + sum_k (i h)^k/k! P0^k (x) P1
     b, tw = igl2.bialg, igl2.twist
     rs = b.rs
-    got = twisted_coproduct(b, tw, NCPoly.gen(rs, "P1"))
+    got = CoproductMap(b, tw)(NCPoly.gen(rs, "P1"))
     want = NCPoly.gen(rs, "P1", leg=1, nlegs=2)
     coeff = GaussRational(1)
     for k in range(rs.order + 1):
