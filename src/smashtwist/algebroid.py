@@ -22,7 +22,7 @@ from .hopf import CoproductMap, InvalidTwistError, Twist, inv_unipotent, \
     r_matrix_from_twist
 from .modalg import PolyCoord, coaction, monomials_up_to, \
     check_braided_commutativity
-from .ncpoly import NCPoly, _strip, leg_word
+from .ncpoly import NCPoly, _bump, _strip, leg_word
 from .reporting import ResidualReport
 from .scalars import TruncSeries
 from .smash import SmashAlgebra, SmashElem, SmashProduct, linear_on_basis, phi, \
@@ -99,12 +99,12 @@ class Bialgebroid:
                 base_c = cr if c is None else c * cr
                 if not any(er):
                     for (el, wl), cl in l.terms.items():
-                        _acc(out, (el, wl, wr), base_c * cl)
+                        _bump(out, (el, wl, wr), base_c * cl)
                     continue
                 for apoly, wj, cs in self.right_split(er, wr):
                     moved = self.total(self.target(apoly), l)
                     for (el, wl), cl in moved.terms.items():
-                        _acc(out, (el, wl, wj), base_c * cs * cl)
+                        _bump(out, (el, wl, wj), base_c * cs * cl)
         return TensorOverA(self, _strip(out))
 
     def tensor_from_triples(self, triples) -> "Tensor3OverA":
@@ -125,21 +125,17 @@ class Bialgebroid:
             for (em, wm), cm in m.terms.items():
                 if not any(em):
                     for (el, wl), cl in l.terms.items():
-                        _acc(out, (el, wl, wm, wr), c * cm * cl)
+                        _bump(out, (el, wl, wm, wr), c * cm * cl)
                     continue
                 for apoly, wj, cs in self.right_split(em, wm):
                     moved = self.total(self.target(apoly), l)
                     for (el, wl), cl in moved.terms.items():
-                        _acc(out, (el, wl, wj, wr), c * cm * cs * cl)
+                        _bump(out, (el, wl, wj, wr), c * cm * cs * cl)
         return Tensor3OverA(self, _strip(out))
 
     def tensor_unit(self) -> "TensorOverA":
         one = TruncSeries.one(self.smash.order)
         return TensorOverA(self, {(self._zero_exp, (), ()): one})
-
-    def tensor3_unit(self) -> "Tensor3OverA":
-        one = TruncSeries.one(self.smash.order)
-        return Tensor3OverA(self, {(self._zero_exp, (), (), ()): one})
 
     # -- structure maps ----------------------------------------------------
 
@@ -149,7 +145,7 @@ class Bialgebroid:
         out: dict = {}
         for (e, w), c in m.terms.items():
             for left, right, cd in self.hdelta.word_splits(w):
-                _acc(out, (e, left, right), c * cd)
+                _bump(out, (e, left, right), c * cd)
         return TensorOverA(self, _strip(out))
 
     def anchor(self, m: SmashElem, a: PolyCoord) -> PolyCoord:
@@ -191,14 +187,14 @@ class TensorOverA:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _acc(out, k, c)
+            _bump(out, k, c)
         return TensorOverA(self.bd, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _acc(out, k, -c)
+            _bump(out, k, -c)
         return TensorOverA(self.bd, out)
 
     def __neg__(self):
@@ -247,7 +243,7 @@ class TensorOverA:
                 continue
             a = PolyCoord.monomial(bd.smash.dim, bd.smash.order, e)
             for k, v in bd.total(bd.source(a), bd.pure(wr)).terms.items():
-                _acc(out, k, v * c)
+                _bump(out, k, v * c)
         return bd.smash.from_terms(out)
 
     def counit_right(self) -> SmashElem:
@@ -297,7 +293,7 @@ class Tensor3OverA:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _acc(out, k, -c)
+            _bump(out, k, -c)
         return Tensor3OverA(self.bd, out)
 
     def mul(self, other: "Tensor3OverA") -> "Tensor3OverA":
@@ -331,7 +327,7 @@ def _two_leg_to_tensor3(bd: Bialgebroid, p: NCPoly, legs) -> Tensor3OverA:
         words = [(), (), ()]
         for pos, src in slots.items():
             words[pos - 1] = leg_word(word, src)
-        _acc(out, (zero_exp, words[0], words[1], words[2]), c)
+        _bump(out, (zero_exp, words[0], words[1], words[2]), c)
     return Tensor3OverA(bd, _strip(out))
 
 
@@ -341,7 +337,7 @@ def delta_left(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
     for (e, wl, wr), c in T.terms.items():
         inner = bd.coproduct(bd.smash.basis_elem(e, wl))
         for (e2, w2, r2), c2 in inner.terms.items():
-            _acc(out, (e2, w2, r2, wr), c * c2)
+            _bump(out, (e2, w2, r2, wr), c * c2)
     return Tensor3OverA(bd, _strip(out))
 
 
@@ -354,18 +350,6 @@ def delta_right(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
         for (e2, w2, r2), c2 in inner.terms.items():
             triples.append((left, bd.smash.basis_elem(e2, w2), bd.pure(r2), c * c2))
     return bd.tensor_from_triples(triples)
-
-
-def _acc(d, key, value):
-    prev = d.get(key)
-    if prev is None:
-        d[key] = value
-    else:
-        s = prev + value
-        if s.is_zero():
-            del d[key]
-        else:
-            d[key] = s
 
 
 # -- the smash-product bialgebroid --------------------------------------
@@ -458,7 +442,7 @@ def shift_two_leg(bd: Bialgebroid, p: NCPoly) -> TensorOverA:
     out: dict = {}
     zero_exp = bd._zero_exp
     for word, c in p.terms.items():
-        _acc(out, (zero_exp, leg_word(word, 1), leg_word(word, 2)), c)
+        _bump(out, (zero_exp, leg_word(word, 1), leg_word(word, 2)), c)
     return TensorOverA(bd, _strip(out))
 
 
@@ -514,7 +498,7 @@ def shifted_twist_residuals(bd: Bialgebroid, shifted: ShiftedTwist) -> dict:
 def _tensor3_embed_12(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
     out = {}
     for (e, wl, wr), c in T.terms.items():
-        _acc(out, (e, wl, wr, ()), c)
+        _bump(out, (e, wl, wr, ()), c)
     return Tensor3OverA(bd, _strip(out))
 
 
@@ -590,7 +574,7 @@ def _qt2_closed_lhs(bd: Bialgebroid, R: NCPoly, m: SmashElem) -> TensorOverA:
                 coeff = c * cd * cr
                 for (e2, c2) in apoly.terms.items():
                     for hw, ch in hier.items():
-                        _acc(out, (e2, w2, tuple(r for _, r in hw)), coeff * c2 * ch)
+                        _bump(out, (e2, w2, tuple(r for _, r in hw)), coeff * c2 * ch)
     return TensorOverA(bd, _strip(out))
 
 
@@ -610,7 +594,7 @@ def _qt2_closed_rhs(bd: Bialgebroid, R: NCPoly, m: SmashElem) -> TensorOverA:
                 coeff = c * cd * cr
                 for (e2, c2) in apoly.terms.items():
                     for hw, ch in hier.items():
-                        _acc(out, (e2, tuple(r for _, r in hw), w1), coeff * c2 * ch)
+                        _bump(out, (e2, tuple(r for _, r in hw), w1), coeff * c2 * ch)
     return TensorOverA(bd, _strip(out))
 
 
@@ -646,7 +630,7 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
         out: dict = {}
         for exp, c in a.terms.items():
             for k, v in anchor_mono(e, wl, exp).terms.items():
-                _acc(out, k, v * c)
+                _bump(out, k, v * c)
         return PolyCoord(smash.dim, smash.order, _strip(out))
 
     zero_exp = (0,) * smash.dim
@@ -661,7 +645,7 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
             if rb.is_zero():
                 continue
             for k, v in bd.base(la, rb).terms.items():
-                _acc(out, k, v * c)
+                _bump(out, k, v * c)
         return PolyCoord(smash.dim, smash.order, _strip(out))
 
     # source, target and coproduct are linear: each is computed once per
@@ -674,7 +658,7 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
             if la.is_zero():
                 continue
             for k, v in bd.total(bd.source(la), bd.pure(wr)).terms.items():
-                _acc(out, k, v * c)
+                _bump(out, k, v * c)
         return _strip(out)
 
     def target_on_monomial(exp) -> dict:
@@ -684,7 +668,7 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
             if ra.is_zero():
                 continue
             for k, v in bd.total(bd.target(ra), smash.basis_elem(e, wl)).terms.items():
-                _acc(out, k, v * c)
+                _bump(out, k, v * c)
         return _strip(out)
 
     source_terms = linear_on_basis(source_on_monomial, {})
@@ -833,9 +817,9 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2, seed: int = 20259
                 l = smash.basis_elem(e, wl)
                 r = bd.pure(wr)
                 for k, v in bd.total(bd.source(bd.counit(l)), r).terms.items():
-                    _acc(left, k, v * c)
+                    _bump(left, k, v * c)
                 for k, v in bd.total(bd.target(bd.counit(r)), l).terms.items():
-                    _acc(right, k, v * c)
+                    _bump(right, k, v * c)
             res = smash.from_terms(left) - m
             counit_laws.record(f"s(eps(m1))m2 on {m!r}", not res.is_zero(), res)
             res = smash.from_terms(right) - m

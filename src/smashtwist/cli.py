@@ -196,7 +196,10 @@ def validate_config(cfg) -> list:
                     expect(name not in declared, f"{path}.name: duplicate {name!r}")
                     declared.add(name)
                     sorts[name] = g.get("sort")
-        for k, b in enumerate(algebra.get("brackets", [])):
+        brackets = algebra.get("brackets", [])
+        if not expect(isinstance(brackets, list), "algebra.brackets: must be a list"):
+            brackets = []
+        for k, b in enumerate(brackets):
             path = f"algebra.brackets[{k}]"
             if not expect(isinstance(b, dict), f"{path}: must be an object"):
                 continue
@@ -235,8 +238,11 @@ def validate_config(cfg) -> list:
                        f"{path}: {name!r} is not a declared symmetry generator")
                 if expect(isinstance(rows, list) and len(rows) == dim, f"{path}: needs {dim} rows"):
                     for rk, row in enumerate(rows):
-                        expect(isinstance(row, list) and len(row) == dim,
-                               f"{path}[{rk}]: needs {dim} entries")
+                        if expect(isinstance(row, list) and len(row) == dim,
+                                  f"{path}[{rk}]: needs {dim} entries"):
+                            for ck, entry in enumerate(row):
+                                expect(isinstance(entry, str),
+                                       f"{path}[{rk}][{ck}]: must be a string")
             for name, sort in sorts.items():
                 if sort == SYMMETRY:
                     expect(name in matrices, f"representation.matrices: missing {name!r}")

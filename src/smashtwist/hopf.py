@@ -188,9 +188,6 @@ class CoproductMap:
             return prim
         return self.twist.F * prim * self.twist.F_inv
 
-    def opposite(self, p: NCPoly) -> NCPoly:
-        return self(p).swap_legs()
-
     def on_leg(self, p: NCPoly, src: int, dests, n_out: int, other_map) -> NCPoly:
         prim = self.bialg.coproduct_on_leg(p, src, dests, n_out, other_map)
         if self.twist is None:
@@ -226,11 +223,6 @@ def _word_poly(rs: RewriteSystem, ranks) -> NCPoly:
 def r_matrix_from_twist(bialg: BialgebraPresentation, twist: Twist) -> NCPoly:
     """R = F_21 F^{-1}, the triangular R-matrix generated by the twist."""
     return twist.swap() * twist.F_inv
-
-
-def inverse_r_matrix(twist: Twist) -> NCPoly:
-    """(F_21 F^{-1})^{-1} = F (F^{-1})_21, exact at the truncation order."""
-    return twist.F * twist.F_inv.swap_legs()
 
 
 def inv_unipotent(p: NCPoly) -> NCPoly:

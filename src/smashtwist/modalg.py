@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ncpoly import MOMENTUM, SYMMETRY, NCPoly, RewriteSystem, _strip, leg_word
+from .ncpoly import MOMENTUM, SYMMETRY, NCPoly, RewriteSystem, _bump, _strip, leg_word
 from .scalars import GaussRational, TruncSeries, parse_gauss_literal
 from .reporting import ResidualReport
 
@@ -57,14 +57,14 @@ class PolyCoord:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            _acc(out, e, c)
+            _bump(out, e, c)
         return PolyCoord(self.dim, self.order, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            _acc(out, e, -c)
+            _bump(out, e, -c)
         return PolyCoord(self.dim, self.order, out)
 
     def __neg__(self):
@@ -80,7 +80,7 @@ class PolyCoord:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                _acc(out, e, c1 * c2)
+                _bump(out, e, c1 * c2)
         return PolyCoord(self.dim, self.order, out)
 
     __rmul__ = __mul__
@@ -117,18 +117,6 @@ class PolyCoord:
             )
             parts.append(f"({c})*{mono or '1'}")
         return " + ".join(parts)
-
-
-def _acc(d, key, value):
-    prev = d.get(key)
-    if prev is None:
-        d[key] = value
-    else:
-        s = prev + value
-        if s.is_zero():
-            del d[key]
-        else:
-            d[key] = s
 
 
 class RepData:
@@ -192,7 +180,7 @@ class RepData:
             for e, c in a.terms.items():
                 if e[nu]:
                     e2 = e[:nu] + (e[nu] - 1,) + e[nu + 1 :]
-                    _acc(out, e2, c * e[nu])
+                    _bump(out, e2, c * e[nu])
         elif g.sort == SYMMETRY:
             mat = self.matrices[g.name]
             for e, c in a.terms.items():
@@ -206,7 +194,7 @@ class RepData:
                         e2 = list(e)
                         e2[beta] -= 1
                         e2[alpha] += 1
-                        _acc(out, tuple(e2), c * (-entry * e[beta]))
+                        _bump(out, tuple(e2), c * (-entry * e[beta]))
         else:
             raise ValueError(f"{g.name!r} does not act on the coordinate algebra")
         return PolyCoord(self.dim, a.order, out)
@@ -312,7 +300,7 @@ def act(rep: RepData, h_elem: NCPoly, a: PolyCoord) -> PolyCoord:
                 continue
             cc = c * ce
             for e2, c2 in part.terms.items():
-                _acc(out, e2, c2 * cc)
+                _bump(out, e2, c2 * cc)
     return PolyCoord(rep.dim, rep.rs.order, _strip(out))
 
 
@@ -337,7 +325,7 @@ class StarProduct:
             for eb, cb in b.terms.items():
                 c = ca * cb
                 for e, cm in self._mono(ea, eb).terms.items():
-                    _acc(out, e, cm * c)
+                    _bump(out, e, cm * c)
         return PolyCoord(self.rep.dim, self.rep.rs.order, _strip(out))
 
     def _mono(self, ea, eb) -> PolyCoord:
@@ -355,7 +343,7 @@ class StarProduct:
             if right.is_zero():
                 continue
             for e, cp in (left * right).terms.items():
-                _acc(out, e, cp * c)
+                _bump(out, e, cp * c)
         out = PolyCoord(rep.dim, rep.rs.order, _strip(out))
         self._mono_cache[key] = out
         return out
@@ -464,5 +452,5 @@ def coaction(smash_algebra, R: NCPoly, a: PolyCoord):
         for e, ce in a.terms.items():
             part = rep.act_word(leg_word(word, 2), e)
             for e2, c2 in part.terms.items():
-                _acc(terms, (e2, w1), c * ce * c2)
+                _bump(terms, (e2, w1), c * ce * c2)
     return smash_algebra.from_terms(terms)

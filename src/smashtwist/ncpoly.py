@@ -14,6 +14,7 @@ to TruncSeries coefficients and never stores a zero coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from operator import itemgetter
 
 from .scalars import GaussRational, TruncSeries, parse_scalar_literal
@@ -126,7 +127,9 @@ class RewriteSystem:
         self._corr = {k: v for k, v in self._corr.items()
                       if any(not c.is_zero() for _, c in v)}
 
+        self.unit = TruncSeries.one(order)
         self._nf_cache: dict = {}
+        self._leg_cache: dict = {}
         if validate:
             bad = self.jacobi_residuals()
             if bad:
@@ -152,36 +155,71 @@ class RewriteSystem:
     def normalize_word(self, word) -> dict:
         """PBW normal form of a word as a dict {word: TruncSeries}.
 
-        Letters of distinct legs commute exactly, so the word is first
-        stable-sorted by leg (each leg keeps its letter order) and only
-        descents within one leg are rewritten.  The returned dict is cached
-        under the word as given, and shared; callers must not mutate it.
+        Letters of distinct legs commute exactly, so the normal form of a
+        word is the product of the normal forms of its legs, each unique by
+        the diamond lemma.  A miss on the word as given is looked up again
+        under its leg-sorted form; a miss there too is assembled from
+        per-leg forms cached by rank tuple (``_leg_form``), dropping
+        cross-leg coefficient products that truncate to zero.  Every unit
+        coefficient is ``self.unit``.  The returned dict is cached and
+        shared; callers must not mutate it.
         """
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        out: dict = {}
-        stack = [(tuple(sorted(word, key=_leg)), TruncSeries.one(self.order))]
-        while stack:
-            w, c = stack.pop()
-            idx = -1
-            for i in range(len(w) - 1):
-                if w[i] > w[i + 1]:
-                    idx = i
-                    break
-            if idx < 0:
-                prev = out.get(w)
-                out[w] = c if prev is None else prev + c
-                continue
-            # legs stay sorted, so the descent lies within one leg
-            (leg, r1), (_, r2) = w[idx], w[idx + 1]
-            stack.append((w[:idx] + (w[idx + 1], w[idx]) + w[idx + 2 :], c))
-            for cw, cc in self._corr.get((r1, r2), ()):
-                nw = w[:idx] + tuple((leg, r) for r in cw) + w[idx + 2 :]
-                stack.append((nw, c * cc))
-        out = {w: c for w, c in out.items() if not c.is_zero()}
+        key = tuple(sorted(word, key=_leg))
+        out = self._nf_cache.get(key)
+        if out is None:
+            unit = self.unit
+            out = {(): unit}
+            for leg, letters in groupby(key, _leg):
+                form = self._leg_form(tuple(r for _, r in letters))
+                grown = {}
+                for w, c in out.items():
+                    for ranks, k in form.items():
+                        if c is unit:
+                            v = k
+                        elif k is unit:
+                            v = c
+                        else:
+                            v = c * k
+                            if v.is_zero():
+                                continue
+                            if v == unit:
+                                v = unit
+                        grown[w + tuple((leg, r) for r in ranks)] = v
+                out = grown
+            self._nf_cache[key] = out
         self._nf_cache[word] = out
         return out
+
+    def _leg_form(self, ranks) -> dict:
+        """Normal form {ranks: TruncSeries} of one leg's rank tuple, cached."""
+        form = self._leg_cache.get(ranks)
+        if form is not None:
+            return form
+        unit = self.unit
+        if all(a <= b for a, b in zip(ranks, ranks[1:])):
+            form = {ranks: unit}
+        else:
+            # rewrite the leftmost descent until none is left
+            form = {}
+            stack = [(ranks, unit)]
+            while stack:
+                w, c = stack.pop()
+                for i in range(len(w) - 1):
+                    if w[i] > w[i + 1]:
+                        break
+                else:
+                    prev = form.get(w)
+                    form[w] = c if prev is None else prev + c
+                    continue
+                stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2 :], c))
+                for cw, cc in self._corr.get((w[i], w[i + 1]), ()):
+                    stack.append((w[:i] + cw + w[i + 2 :], cc if c is unit else c * cc))
+            form = {w: unit if c == unit else c for w, c in form.items() if not c.is_zero()}
+        self._leg_cache[ranks] = form
+        return form
 
     def jacobi_residuals(self):
         """Nonzero Jacobi residuals [(name_a, name_b, name_c, NCPoly)].
@@ -335,6 +373,7 @@ class NCPoly:
             if v2 is not None:
                 buckets[v2].append((w2, c2))
         normalize = self.rs.normalize_word
+        unit = self.rs.unit
         out: dict = {}
         for w1, c1 in self.terms.items():
             v1 = c1.lowest_order()
@@ -346,7 +385,7 @@ class NCPoly:
                     if c.is_zero():
                         continue
                     for w, k in normalize(w1 + w2).items():
-                        _bump(out, w, c * k)
+                        _bump(out, w, c if k is unit else c * k)
         return NCPoly(self.rs, self.nlegs, _strip(out))
 
     def __rmul__(self, other):
@@ -439,9 +478,6 @@ class NCPoly:
             if not v.is_zero():
                 out[w] = TruncSeries.const(v, self.rs.order)
         return NCPoly(self.rs, self.nlegs, out)
-
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):

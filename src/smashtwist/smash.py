@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .hopf import BialgebraPresentation, CoproductMap, Twist
 from .modalg import PolyCoord, RepData, StarProduct, monomials_up_to
-from .ncpoly import NCPoly, _strip, leg_word
+from .ncpoly import NCPoly, _bump, _strip, leg_word
 from .reporting import ResidualReport
 from .scalars import GaussRational, TruncSeries
 
@@ -77,15 +77,12 @@ class SmashAlgebra:
         out: dict = {}
         for (e, _w), ca in left.terms.items():
             for w, cp in p.terms.items():
-                _acc(out, (e, tuple(r for _, r in w)), ca * cp)
+                _bump(out, (e, tuple(r for _, r in w)), ca * cp)
         return self.from_terms(out)
 
     def basis_elem(self, exp, ranks, coeff=1) -> "SmashElem":
         c = TruncSeries.coerce(coeff, self.order)
         return self.from_terms({(tuple(exp), tuple(ranks)): c})
-
-    def gen_name(self, rank: int) -> str:
-        return self.rs.generators[rank].name
 
     # -- spanning sets for verification sweeps ---------------------------
 
@@ -119,14 +116,14 @@ class SmashElem:
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _acc(out, k, c)
+            _bump(out, k, c)
         return SmashElem(self.algebra, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            _acc(out, k, -c)
+            _bump(out, k, -c)
         return SmashElem(self.algebra, out)
 
     def __neg__(self):
@@ -151,16 +148,6 @@ class SmashElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coord_part(self) -> PolyCoord:
-        """The A-component, defined when every word is empty."""
-        alg = self.algebra
-        out = {}
-        for (e, w), c in self.terms.items():
-            if w:
-                raise ValueError("element has a nontrivial Hopf factor")
-            out[e] = c
-        return PolyCoord(alg.dim, alg.order, out)
-
     def __eq__(self, other):
         if not isinstance(other, SmashElem):
             return NotImplemented
@@ -181,18 +168,6 @@ class SmashElem:
         return " + ".join(parts)
 
 
-def _acc(d, key, value):
-    prev = d.get(key)
-    if prev is None:
-        d[key] = value
-    else:
-        s = prev + value
-        if s.is_zero():
-            del d[key]
-        else:
-            d[key] = s
-
-
 def linear_on_basis(f, cache: dict):
     """Extend a map given on basis elements linearly to term dicts.
 
@@ -210,7 +185,7 @@ def linear_on_basis(f, cache: dict):
             if image is None:
                 image = cache[key] = f(key)
             for k2, c2 in image.items():
-                _acc(out, k2, c * c2)
+                _bump(out, k2, c * c2)
         return _strip(out)
     return apply
 
@@ -240,7 +215,7 @@ class SmashProduct:
             for kv, cb in v.terms.items():
                 c = ca * cb
                 for key, cp in self._pair(ku, kv).items():
-                    _acc(out, key, c * cp)
+                    _bump(out, key, c * cp)
         return alg.from_terms(out)
 
     def _pair(self, ku, kv) -> dict:
@@ -265,7 +240,7 @@ class SmashProduct:
             for e2, c2 in apart.terms.items():
                 cc = cd * c2
                 for hw, ch in hpart.items():
-                    _acc(out, (e2, tuple(r for _, r in hw)), cc * ch)
+                    _bump(out, (e2, tuple(r for _, r in hw)), cc * ch)
         self._pair_cache[(ku, kv)] = out
         return out
 
@@ -278,13 +253,13 @@ class SmashProduct:
             acted: dict = {}
             for eb, cb in b.terms.items():
                 for e2, c2 in alg.rep.act_word(w, eb).terms.items():
-                    _acc(acted, e2, c2 * cb)
+                    _bump(acted, e2, c2 * cb)
             acted = PolyCoord(alg.dim, alg.order, _strip(acted))
             if acted.is_zero():
                 continue
             part = self.star(PolyCoord.monomial(alg.dim, alg.order, e), acted)
             for e2, c2 in part.terms.items():
-                _acc(out, e2, c2 * c)
+                _bump(out, e2, c2 * c)
         return PolyCoord(alg.dim, alg.order, _strip(out))
 
 
@@ -321,7 +296,7 @@ def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, key) -> dict:
         for e2, c2 in apart.terms.items():
             cc = cf * c2
             for hw, ch in hpart.items():
-                _acc(out, (e2, tuple(r for _, r in hw)), cc * ch)
+                _bump(out, (e2, tuple(r for _, r in hw)), cc * ch)
     return _strip(out)
 
 

@@ -110,6 +110,10 @@ def _add_generator(name):
     pytest.param(_add_key("order", True), "order", id="order-true"),
     pytest.param(_add_key("order", False), "order", id="order-false"),
     pytest.param(_add_key("degree", True), "degree", id="degree-true"),
+    pytest.param(_add_key(0, 1, "representation", "matrices", "L00", 0),
+                 "representation.matrices.L00[0][0]", id="integer-matrix-entry"),
+    pytest.param(_add_key("brackets", {}, "algebra"), "algebra.brackets",
+                 id="brackets-object"),
 ])
 def test_schema_holes_exit_2_like_jsonschema(tmp_path, igl2_config, capsys, mutate, path):
     # jsonschema is a test-time cross-check only; the package never imports it

@@ -1,8 +1,9 @@
 """Differential properties: the PBW kernel against its all-pairs oracle.
 
 The production product buckets the right factor by lowest h-order and never
-forms a pair whose orders sum past the truncation order; the rewrite sorts a
-word by leg before it rewrites; the Jacobi check reads double commutators off
+forms a pair whose orders sum past the truncation order; the rewrite builds a
+normal form leg by leg from cached per-leg forms, with one shared unit
+coefficient per rewrite system; the Jacobi check reads double commutators off
 a table of generator brackets.  tests/ncpoly_oracle.py keeps the loops these
 replaced, and every result here must agree with it exactly: the same terms,
 the same coefficients, the same string form.  Polynomials have one, two or
@@ -111,6 +112,19 @@ def test_zero_coefficient_contributes_nothing():
     assert (zero * x) == x.scale(TruncSeries.h_power(1, 3))
 
 
+def interleave(draw, per_leg):
+    """The letters of ``per_leg`` (one list per leg) merged in a random order
+    that keeps each leg's own letter order."""
+    heads = [0] * len(per_leg)
+    word = []
+    while len(word) < sum(map(len, per_leg)):
+        live = [i for i, leg in enumerate(per_leg) if heads[i] < len(leg)]
+        i = draw(st.sampled_from(live))
+        word.append(per_leg[i][heads[i]])
+        heads[i] += 1
+    return tuple(word)
+
+
 @st.composite
 def shuffled_words(draw):
     """A multi-leg word with its legs interleaved at random.
@@ -125,14 +139,16 @@ def shuffled_words(draw):
         [(leg, r) for r in draw(st.lists(rank, max_size=4))] for leg in leg_tags(nlegs)
     ]
     sorted_word = tuple(letter for leg in per_leg for letter in leg)
-    heads = [0] * len(per_leg)
-    word = []
-    while len(word) < len(sorted_word):
-        live = [i for i, leg in enumerate(per_leg) if heads[i] < len(leg)]
-        i = draw(st.sampled_from(live))
-        word.append(per_leg[i][heads[i]])
-        heads[i] += 1
-    return rs, tuple(word), sorted_word
+    return rs, interleave(draw, per_leg), sorted_word
+
+
+def assert_normal_form(rs, got, word):
+    """``got`` is the oracle's normal form of ``word``, stores no zero
+    coefficient, and every unit coefficient in it is the system's own unit."""
+    assert got == ref.normalize_word(rs, word)
+    assert all(not c.is_zero() for c in got.values())
+    one = TruncSeries.one(rs.order)
+    assert all(c is rs.unit for c in got.values() if c == one)
 
 
 @kernel_settings
@@ -140,9 +156,87 @@ def shuffled_words(draw):
 def test_normalize_word_of_shuffled_legs_matches_unsorted_rewrite(case):
     rs, word, sorted_word = case
     got = rs.normalize_word(word)
-    assert got == ref.normalize_word(rs, word)
+    assert_normal_form(rs, got, word)
     assert got == rs.normalize_word(sorted_word)
-    assert all(not c.is_zero() for c in got.values())
+
+
+@st.composite
+def descending_legs(draw, rs, nlegs):
+    """One list of letters per leg of a 2- or 3-leg word, each leg with a
+    descent; one leg word sits in at least two legs."""
+    rank = st.integers(0, len(rs.generators) - 1)
+
+    def with_descent():
+        hi, lo = sorted(draw(st.lists(rank, min_size=2, max_size=2, unique=True)))[::-1]
+        return [hi] + draw(st.lists(rank, max_size=2)) + [lo]
+
+    tags = leg_tags(nlegs)
+    repeated = with_descent()
+    twice = draw(st.lists(st.sampled_from(tags), min_size=2, max_size=nlegs, unique=True))
+    return [[(leg, r) for r in (repeated if leg in twice else with_descent())]
+            for leg in tags]
+
+
+@st.composite
+def repeated_leg_words(draw):
+    names = tuple(n for n in PRESET_NAMES if preset(n).brackets)
+    rs = preset_rs(draw(st.sampled_from(names)), draw(orders))
+    nlegs = draw(st.sampled_from((2, 3)))
+    return rs, interleave(draw, draw(descending_legs(rs, nlegs)))
+
+
+@kernel_settings
+@given(repeated_leg_words())
+def test_leg_factored_normal_form_of_repeated_leg_words(case):
+    rs, word = case
+    assert_normal_form(rs, rs.normalize_word(word), word)
+
+
+h_literals = st.sampled_from(("1", "-1", "i", "h", "-2*h", "i*h", "h^2", "1/2*h^2", "3*i*h^2"))
+
+
+@st.composite
+def h_bracket_systems(draw):
+    """An unvalidated preset alphabet whose brackets are replaced by terms
+    carrying h^k, at orders 0-2, so that products of per-leg coefficients
+    often truncate to zero."""
+    pre = preset(draw(st.sampled_from(("igl2-abelian", "pw-jordanian"))))
+    names = [name for name, _ in pre.generators]
+    brackets = {}
+    for a, b in draw(st.lists(
+        st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True),
+        min_size=1, max_size=6,
+    )):
+        brackets.pop((b, a), None)
+        brackets[(a, b)] = tuple(
+            (draw(h_literals), draw(st.one_of(st.none(), st.sampled_from(names))))
+            for _ in range(draw(st.integers(1, 2)))
+        )
+    return RewriteSystem(draw(st.integers(0, 2)), pre.generators, brackets, validate=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h_bracket_systems(), st.data())
+def test_leg_factored_normal_form_of_h_bracket_systems(rs, data):
+    nlegs = data.draw(st.sampled_from((2, 3)))
+    for _ in range(3):
+        word = interleave(data.draw, data.draw(descending_legs(rs, nlegs)))
+        assert_normal_form(rs, rs.normalize_word(word), word)
+    p, q = data.draw(polys(rs, nlegs)), data.draw(polys(rs, nlegs))
+    assert_same_poly(p * q, ref.mul(p, q))
+
+
+def test_truncating_cross_leg_product_is_dropped():
+    # B A = A B - h, so (B A) (x) (B A) = AB (x) AB - h AB (x) 1 - h 1 (x) AB
+    # + h^2, and at order 1 the h^2 term of the empty word truncates
+    gens = (("A", "symmetry"), ("B", "symmetry"))
+    rs = RewriteSystem(1, gens, {("A", "B"): (("h", None),)})
+    a, b = rs.rank_of["A"], rs.rank_of["B"]
+    word = ((1, b), (2, b), (1, a), (2, a))
+    got = rs.normalize_word(word)
+    assert_normal_form(rs, got, word)
+    assert () not in got
+    assert got[((1, a), (1, b), (2, a), (2, b))] is rs.unit
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
