@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from .hopf import CoproductMap, InvalidTwistError, Twist, inv_unipotent, \
     r_matrix_from_twist
-from .modalg import PolyCoord, coaction, monomials_up_to, \
+from .modalg import PolyCoord, coaction, monomial_str, monomials_up_to, \
     check_braided_commutativity
-from .ncpoly import NCPoly, _bump, _strip, leg_word
+from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word
 from .reporting import ResidualReport
 from .scalars import TruncSeries
 from .smash import SmashAlgebra, SmashElem, SmashProduct, linear_on_basis, phi, \
@@ -167,7 +167,7 @@ def anchor_action(bd: Bialgebroid, m: SmashElem, a: PolyCoord) -> PolyCoord:
     return via_source
 
 
-class TensorOverA:
+class TensorOverA(LinearCombination):
     """Canonical-form element of the tensor square of the total algebra over
     the base: {(left exponent, left word, pure right word): coefficient}."""
 
@@ -177,36 +177,14 @@ class TensorOverA:
         self.bd = bd
         self.terms = terms
 
-    def _check(self, other):
-        if not isinstance(other, TensorOverA):
-            raise TypeError(f"expected TensorOverA, got {type(other).__name__}")
-        if self.bd is not other.bd:
-            raise ValueError("tensors over different bialgebroids")
+    def _space(self):
+        return (self.bd,)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(out, k, c)
-        return TensorOverA(self.bd, out)
+    def _order(self):
+        return self.bd.smash.order
 
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(out, k, -c)
-        return TensorOverA(self.bd, out)
-
-    def __neg__(self):
-        return TensorOverA(self.bd, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, c) -> "TensorOverA":
-        out = {}
-        for k, v in self.terms.items():
-            s = v * c
-            if not s.is_zero():
-                out[k] = s
-        return TensorOverA(self.bd, out)
+    def _mismatch(self, other):
+        return "tensors over different bialgebroids"
 
     def mul(self, other: "TensorOverA") -> "TensorOverA":
         """Component-wise product, recanonicalized.
@@ -252,31 +230,19 @@ class TensorOverA:
             {(e, wl): c for (e, wl, wr), c in self.terms.items() if not wr}
         )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorOverA):
-            return NotImplemented
-        return self.bd is other.bd and self.terms == other.terms
-
     def __repr__(self):
         if not self.terms:
             return "0"
         names = [g.name for g in self.bd.smash.rs.generators]
         parts = []
         for e, wl, wr in sorted(self.terms):
-            c = self.terms[(e, wl, wr)]
-            mono = " ".join(
-                f"x{k}" if p == 1 else f"x{k}^{p}" for k, p in enumerate(e) if p
-            ) or "1"
             left = " ".join(names[r] for r in wl) or "1"
             right = " ".join(names[r] for r in wr) or "1"
-            parts.append(f"({c})*{mono}#{left} (x)A 1#{right}")
+            parts.append(f"({self.terms[(e, wl, wr)]})*{monomial_str(e)}#{left} (x)A 1#{right}")
         return " + ".join(parts)
 
 
-class Tensor3OverA:
+class Tensor3OverA(LinearCombination):
     """Canonical threefold tensor: middle and right factors are pure."""
 
     __slots__ = ("bd", "terms")
@@ -285,16 +251,9 @@ class Tensor3OverA:
         self.bd = bd
         self.terms = terms
 
-    def _check(self, other):
-        if self.bd is not other.bd:
-            raise ValueError("tensors over different bialgebroids")
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(out, k, -c)
-        return Tensor3OverA(self.bd, out)
+    _space = TensorOverA._space
+    _order = TensorOverA._order
+    _mismatch = TensorOverA._mismatch
 
     def mul(self, other: "Tensor3OverA") -> "Tensor3OverA":
         self._check(other)
@@ -308,14 +267,6 @@ class Tensor3OverA:
                 r = bd.total(bd.pure(r1), bd.pure(r2))
                 triples.append((l, m, r, c1 * c2))
         return bd.tensor_from_triples(triples)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor3OverA):
-            return NotImplemented
-        return self.bd is other.bd and self.terms == other.terms
 
 
 def _two_leg_to_tensor3(bd: Bialgebroid, p: NCPoly, legs) -> Tensor3OverA:

@@ -177,6 +177,11 @@ def validate_config(cfg) -> list:
     algebra = cfg.get("algebra")
     declared = set()
     sorts = {}
+
+    def is_declared(name):
+        # a list or an object is unhashable, so the type is checked first
+        return isinstance(name, str) and name in declared
+
     if expect(isinstance(algebra, dict), "algebra: required object"):
         known_keys(algebra, "algebra.", ("generators", "brackets"))
         gens = algebra.get("generators")
@@ -205,7 +210,7 @@ def validate_config(cfg) -> list:
                 continue
             known_keys(b, f"{path}.", ("left", "right", "terms"))
             for side in ("left", "right"):
-                expect(b.get(side) in declared,
+                expect(is_declared(b.get(side)),
                        f"{path}.{side}: undeclared generator {b.get(side)!r}")
             terms = b.get("terms")
             if expect(isinstance(terms, list), f"{path}.terms: required list"):
@@ -216,7 +221,7 @@ def validate_config(cfg) -> list:
                     known_keys(t, f"{tp}.", ("coeff", "gen"))
                     expect(isinstance(t.get("coeff"), str), f"{tp}.coeff: required string")
                     gen = t.get("gen")
-                    expect(gen is None or gen in declared,
+                    expect(gen is None or is_declared(gen),
                            f"{tp}.gen: undeclared generator {gen!r}")
 
     rep = cfg.get("representation")
@@ -228,7 +233,7 @@ def validate_config(cfg) -> list:
                   "representation.momenta: required non-empty list"):
             dim = len(momenta)
             for k, name in enumerate(momenta):
-                expect(name in declared and sorts.get(name) == MOMENTUM,
+                expect(is_declared(name) and sorts.get(name) == MOMENTUM,
                        f"representation.momenta[{k}]: {name!r} is not a declared momentum")
         matrices = rep.get("matrices", {})
         if expect(isinstance(matrices, dict), "representation.matrices: must be an object"):
@@ -261,15 +266,16 @@ def validate_config(cfg) -> list:
                 for side in ("left", "right"):
                     words = term.get(side)
                     if expect(isinstance(words, list), f"{path}.{side}: required list"):
-                        for name in words:
-                            expect(name in declared,
-                                   f"{path}.{side}: undeclared generator {name!r}")
+                        for j, name in enumerate(words):
+                            expect(is_declared(name),
+                                   f"{path}.{side}[{j}]: undeclared generator {name!r}")
 
     if "checks" in cfg:
         checks = cfg["checks"]
         if expect(isinstance(checks, list), "checks: must be a list"):
             for k, c in enumerate(checks):
-                expect(c in SUITE_CHECKS, f"checks[{k}]: unknown check {c!r}")
+                expect(isinstance(c, str) and c in SUITE_CHECKS,
+                       f"checks[{k}]: unknown check {c!r}")
     return errors
 
 

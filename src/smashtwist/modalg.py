@@ -10,14 +10,13 @@ the expansion of the inverse twist.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .ncpoly import MOMENTUM, SYMMETRY, NCPoly, RewriteSystem, _bump, _strip, leg_word
+from .ncpoly import MOMENTUM, SCALARS, SYMMETRY, LinearCombination, NCPoly, RewriteSystem, \
+    _bump, _strip, leg_word
 from .scalars import GaussRational, TruncSeries, parse_gauss_literal
 from .reporting import ResidualReport
 
 
-class PolyCoord:
+class PolyCoord(LinearCombination):
     """Commutative polynomial in the coordinates, exponent-vector keyed."""
 
     __slots__ = ("dim", "order", "terms")
@@ -47,33 +46,17 @@ class PolyCoord:
         c = TruncSeries.coerce(coeff, order)
         return PolyCoord(dim, order, {} if c.is_zero() else {tuple(exp): c})
 
-    def _check(self, other):
-        if not isinstance(other, PolyCoord):
-            raise TypeError(f"expected PolyCoord, got {type(other).__name__}")
-        if self.dim != other.dim or self.order != other.order:
-            raise ValueError("coordinate algebra mismatch")
+    def _space(self):
+        return (self.dim, self.order)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _bump(out, e, c)
-        return PolyCoord(self.dim, self.order, out)
+    def _order(self):
+        return self.order
 
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _bump(out, e, -c)
-        return PolyCoord(self.dim, self.order, out)
-
-    def __neg__(self):
-        return PolyCoord(self.dim, self.order, {e: -c for e, c in self.terms.items()})
+    def _mismatch(self, other):
+        return "coordinate algebra mismatch"
 
     def __mul__(self, other):
-        if other.__class__ is not PolyCoord and isinstance(
-            other, (TruncSeries, int, Fraction, GaussRational)
-        ):
+        if other.__class__ is not PolyCoord and isinstance(other, SCALARS):
             return self.scale(other)
         self._check(other)
         out: dict = {}
@@ -83,40 +66,18 @@ class PolyCoord:
                 _bump(out, e, c1 * c2)
         return PolyCoord(self.dim, self.order, out)
 
-    __rmul__ = __mul__
-
-    def scale(self, value) -> "PolyCoord":
-        c = value if isinstance(value, TruncSeries) else TruncSeries.coerce(value, self.order)
-        out = {}
-        for e, k in self.terms.items():
-            v = k * c
-            if not v.is_zero():
-                out[e] = v
-        return PolyCoord(self.dim, self.order, out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyCoord):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
         for e in sorted(self.terms):
-            c = self.terms[e]
-            mono = " ".join(
-                f"x{k}" if p == 1 else f"x{k}^{p}" for k, p in enumerate(e) if p
-            )
-            parts.append(f"({c})*{mono or '1'}")
+            parts.append(f"({self.terms[e]})*{monomial_str(e)}")
         return " + ".join(parts)
+
+
+def monomial_str(exp) -> str:
+    """An exponent vector as ``x0 x1^2``; the empty monomial is ``1``."""
+    return " ".join(f"x{k}" if p == 1 else f"x{k}^{p}" for k, p in enumerate(exp) if p) or "1"
 
 
 class RepData:

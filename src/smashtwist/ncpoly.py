@@ -258,12 +258,97 @@ class RewriteSystem:
         return NCPoly.gen(self, name_a).commutator(NCPoly.gen(self, name_b))
 
 
+def _bump(d: dict, key, value):
+    prev = d.get(key)
+    if prev is None:
+        d[key] = value
+    else:
+        s = prev + value
+        if s.is_zero():
+            del d[key]
+        else:
+            d[key] = s
+
+
+def _strip(d: dict) -> dict:
+    return {k: v for k, v in d.items() if not v.is_zero()}
+
+
+SCALARS = (TruncSeries, int, Fraction, GaussRational)
+
+
+class LinearCombination:
+    """Sparse linear combination {key: TruncSeries} with no zero coefficient.
+
+    The vector-space structure of every element class lives here.  A subclass
+    keeps ``terms`` and its own products, constructors and ``repr``, and
+    supplies three methods: ``_space()``, the constructor arguments before
+    ``terms``, which two elements must share to be combined; ``_order()``,
+    the truncation order a scalar is coerced to; ``_mismatch(other)``, the
+    message of the ``ValueError`` raised when the spaces differ.
+    """
+
+    __slots__ = ()
+
+    def _like(self, terms: dict):
+        return self.__class__(*self._space(), terms)
+
+    def _check(self, other):
+        if not isinstance(other, self.__class__):
+            raise TypeError(f"expected {self.__class__.__name__}, got {type(other).__name__}")
+        if self._space() != other._space():
+            raise ValueError(self._mismatch(other))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _bump(out, k, c)
+        return self._like(out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            _bump(out, k, -c)
+        return self._like(out)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, value):
+        c = value if isinstance(value, TruncSeries) else TruncSeries.coerce(value, self._order())
+        if c.is_zero():
+            return self._like({})
+        out = {}
+        for k, v in self.terms.items():
+            s = v * c
+            if not s.is_zero():
+                out[k] = s
+        return self._like(out)
+
+    def __mul__(self, other):
+        if isinstance(other, SCALARS):
+            return self.scale(other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if not isinstance(other, self.__class__):
+            return NotImplemented
+        return self._space() == other._space() and self.terms == other.terms
+
+
 def _leg_tag(i: int, nlegs: int) -> int:
     # single-leg elements use leg 0, tensor factors are numbered from 1
     return 0 if nlegs == 1 else i
 
 
-class NCPoly:
+class NCPoly(LinearCombination):
     """Linear combination of PBW words over a shared rewrite system.
 
     ``terms`` never holds a zero coefficient, and each coefficient's ``data``
@@ -318,51 +403,21 @@ class NCPoly:
 
     # -- ring structure ---------------------------------------------------
 
-    def _compat(self, other: "NCPoly"):
-        if not isinstance(other, NCPoly):
-            raise TypeError(f"expected NCPoly, got {type(other).__name__}")
+    def _space(self):
+        return (self.rs, self.nlegs)
+
+    def _order(self):
+        return self.rs.order
+
+    def _mismatch(self, other):
         if self.rs is not other.rs:
-            raise ValueError("alphabet mismatch between polynomials")
-        if self.nlegs != other.nlegs:
-            raise ValueError(f"leg count mismatch: {self.nlegs} vs {other.nlegs}")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _bump(out, w, c)
-        return NCPoly(self.rs, self.nlegs, out)
-
-    def __sub__(self, other):
-        self._compat(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _bump(out, w, -c)
-        return NCPoly(self.rs, self.nlegs, out)
-
-    def __neg__(self):
-        return NCPoly(self.rs, self.nlegs, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, value) -> "NCPoly":
-        if isinstance(value, TruncSeries):
-            c = value
-        else:
-            c = TruncSeries.coerce(value, self.rs.order)
-        if c.is_zero():
-            return NCPoly.zero(self.rs, self.nlegs)
-        out = {}
-        for w, k in self.terms.items():
-            v = k * c
-            if not v.is_zero():
-                out[w] = v
-        return NCPoly(self.rs, self.nlegs, out)
+            return "alphabet mismatch between polynomials"
+        return f"leg count mismatch: {self.nlegs} vs {other.nlegs}"
 
     def __mul__(self, other):
-        if other.__class__ is not NCPoly and isinstance(
-            other, (TruncSeries, int, Fraction, GaussRational)
-        ):
+        if other.__class__ is not NCPoly and isinstance(other, SCALARS):
             return self.scale(other)
-        self._compat(other)
+        self._check(other)
         order = self.rs.order
         # c1 * c2 vanishes exactly when the lowest h-orders of c1 and c2 sum
         # past the order (Q(i) has no zero divisors), so the right factor's
@@ -387,11 +442,6 @@ class NCPoly:
                     for w, k in normalize(w1 + w2).items():
                         _bump(out, w, c if k is unit else c * k)
         return NCPoly(self.rs, self.nlegs, _strip(out))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational, TruncSeries)):
-            return self.scale(other)
-        return NotImplemented
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self
@@ -461,9 +511,6 @@ class NCPoly:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def has_no_constant_order(self) -> bool:
         return all(c.coefficient(0).is_zero() for c in self.terms.values())
 
@@ -478,15 +525,6 @@ class NCPoly:
             if not v.is_zero():
                 out[w] = TruncSeries.const(v, self.rs.order)
         return NCPoly(self.rs, self.nlegs, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return (
-            self.rs is other.rs
-            and self.nlegs == other.nlegs
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         if not self.terms:
@@ -511,18 +549,3 @@ def leg_word(word, leg) -> tuple:
     """Ranks of the letters sitting in one leg of a multi-leg word."""
     return tuple(r for l, r in word if l == leg)
 
-
-def _bump(d: dict, key, value):
-    prev = d.get(key)
-    if prev is None:
-        d[key] = value
-    else:
-        s = prev + value
-        if s.is_zero():
-            del d[key]
-        else:
-            d[key] = s
-
-
-def _strip(d: dict) -> dict:
-    return {k: v for k, v in d.items() if not v.is_zero()}

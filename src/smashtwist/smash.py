@@ -10,13 +10,11 @@ map phi built from the inverse twist intertwines the two products.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .hopf import BialgebraPresentation, CoproductMap, Twist
-from .modalg import PolyCoord, RepData, StarProduct, monomials_up_to
-from .ncpoly import NCPoly, _bump, _strip, leg_word
+from .modalg import PolyCoord, RepData, StarProduct, monomial_str, monomials_up_to
+from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word
 from .reporting import ResidualReport
-from .scalars import GaussRational, TruncSeries
+from .scalars import TruncSeries
 
 
 class SmashAlgebra:
@@ -97,7 +95,7 @@ class SmashAlgebra:
         ]
 
 
-class SmashElem:
+class SmashElem(LinearCombination):
     """Element of the smash carrier: {(exponent vector, PBW word): coeff}."""
 
     __slots__ = ("algebra", "terms")
@@ -106,52 +104,14 @@ class SmashElem:
         self.algebra = algebra
         self.terms = terms
 
-    def _check(self, other):
-        if not isinstance(other, SmashElem):
-            raise TypeError(f"expected SmashElem, got {type(other).__name__}")
-        if self.algebra is not other.algebra:
-            raise ValueError("elements from different smash algebras")
+    def _space(self):
+        return (self.algebra,)
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(out, k, c)
-        return SmashElem(self.algebra, out)
+    def _order(self):
+        return self.algebra.order
 
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(out, k, -c)
-        return SmashElem(self.algebra, out)
-
-    def __neg__(self):
-        return SmashElem(self.algebra, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, value) -> "SmashElem":
-        c = value if isinstance(value, TruncSeries) else TruncSeries.coerce(value, self.algebra.order)
-        out = {}
-        for k, v in self.terms.items():
-            s = v * c
-            if not s.is_zero():
-                out[k] = s
-        return SmashElem(self.algebra, out)
-
-    def __mul__(self, other):
-        if other.__class__ is TruncSeries or isinstance(other, (int, Fraction, GaussRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, SmashElem):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+    def _mismatch(self, other):
+        return "elements from different smash algebras"
 
     def __repr__(self):
         if not self.terms:
@@ -159,12 +119,8 @@ class SmashElem:
         names = [g.name for g in self.algebra.rs.generators]
         parts = []
         for e, w in sorted(self.terms):
-            c = self.terms[(e, w)]
-            mono = " ".join(
-                f"x{k}" if p == 1 else f"x{k}^{p}" for k, p in enumerate(e) if p
-            ) or "1"
             word = " ".join(names[r] for r in w) or "1"
-            parts.append(f"({c})*{mono}#{word}")
+            parts.append(f"({self.terms[(e, w)]})*{monomial_str(e)}#{word}")
         return " + ".join(parts)
 
 
@@ -236,11 +192,7 @@ class SmashProduct:
             apart = self.star(a_mono, acted)
             if apart.is_zero():
                 continue
-            hpart = rs.normalize_word(tuple((0, r) for r in right + wb))
-            for e2, c2 in apart.terms.items():
-                cc = cd * c2
-                for hw, ch in hpart.items():
-                    _bump(out, (e2, tuple(r for _, r in hw)), cc * ch)
+            _bump_smash(out, rs, cd, apart, right + wb)
         self._pair_cache[(ku, kv)] = out
         return out
 
@@ -292,12 +244,18 @@ def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, key) -> dict:
         apart = algebra.rep.act_word(leg_word(fword, 1), e)
         if apart.is_zero():
             continue
-        hpart = rs.normalize_word(tuple((0, r) for r in leg_word(fword, 2) + w))
-        for e2, c2 in apart.terms.items():
-            cc = cf * c2
-            for hw, ch in hpart.items():
-                _bump(out, (e2, tuple(r for _, r in hw)), cc * ch)
+        _bump_smash(out, rs, cf, apart, leg_word(fword, 2) + w)
     return _strip(out)
+
+
+def _bump_smash(out: dict, rs, c, apart: PolyCoord, ranks):
+    """Add c * (apart (x) normal form of the Hopf word ``ranks``) to a smash
+    term dict, one coefficient product per coordinate term and one per word."""
+    hpart = rs.normalize_word(tuple((0, r) for r in ranks))
+    for e2, c2 in apart.terms.items():
+        cc = c * c2
+        for hw, ch in hpart.items():
+            _bump(out, (e2, tuple(r for _, r in hw)), cc * ch)
 
 
 def spanning_words(rs, max_len: int):

@@ -114,6 +114,15 @@ def _add_generator(name):
                  "representation.matrices.L00[0][0]", id="integer-matrix-entry"),
     pytest.param(_add_key("brackets", {}, "algebra"), "algebra.brackets",
                  id="brackets-object"),
+    pytest.param(_add_key("left", ["L00"], "algebra", "brackets", 0),
+                 "algebra.brackets[0].left", id="list-bracket-left"),
+    pytest.param(_add_key("gen", {"x": 1}, "algebra", "brackets", 0, "terms", 0),
+                 "algebra.brackets[0].terms[0].gen", id="object-term-gen"),
+    pytest.param(_add_key(0, ["P0"], "representation", "momenta"),
+                 "representation.momenta[0]", id="list-momentum"),
+    pytest.param(_add_key(0, ["P0"], "twist", "exponent", 0, "left"),
+                 "twist.exponent[0].left[0]", id="list-exponent-letter"),
+    pytest.param(_add_key("checks", [["twist"]]), "checks[0]", id="list-check"),
 ])
 def test_schema_holes_exit_2_like_jsonschema(tmp_path, igl2_config, capsys, mutate, path):
     # jsonschema is a test-time cross-check only; the package never imports it
