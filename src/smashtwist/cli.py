@@ -52,7 +52,7 @@ from .registry import (
 )
 from .reporting import ResidualReport
 from .scalars import TruncSeries, parse_scalar_literal
-from .smash import phi, phi_inv, verify_phi_homomorphism
+from .smash import phi, phi_inv
 
 EXIT_PASS = 0
 EXIT_RESIDUAL = 1
@@ -496,7 +496,7 @@ def cmd_smash_verify(args, loaded=None) -> Report:
     if not report.add_residual_report("phi bijectivity", "phi-invertibility", bij) and args.fail_fast:
         return report
 
-    hom, ms = _timed(verify_phi_homomorphism, alg, prob.twist, prob.degree)
+    hom, ms = _timed(alg.phi_report, prob.twist, prob.degree)
     report.add_residual_report("phi homomorphism", "phi-intertwines-products", hom, ms)
     return report
 

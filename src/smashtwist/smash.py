@@ -30,15 +30,23 @@ class SmashAlgebra:
         self.order = bialg.order
         self._products: dict = {}
         self._transports: dict = {}
+        self._phi_reports: dict = {}
 
     def product(self, twist: Twist | None = None) -> "SmashProduct":
-        """Memoized multiplication object; caches survive across sweeps."""
-        key = id(twist)
-        entry = self._products.get(key)
-        if entry is None:
-            entry = (twist, SmashProduct(self, twist))
-            self._products[key] = entry
-        return entry[1]
+        """Memoized multiplication object; caches survive across sweeps.  Each
+        entry here and in ``phi_report`` keeps the twist alive, so its id
+        stays unique."""
+        if id(twist) not in self._products:
+            self._products[id(twist)] = (twist, SmashProduct(self, twist))
+        return self._products[id(twist)][1]
+
+    def phi_report(self, twist: Twist, degree: int) -> ResidualReport:
+        """Memoized ``verify_phi_homomorphism``: smash-verify and theorem share
+        one sweep per twist and degree."""
+        key = (id(twist), degree)
+        if key not in self._phi_reports:
+            self._phi_reports[key] = (twist, verify_phi_homomorphism(self, twist, degree))
+        return self._phi_reports[key][1]
 
     # -- element constructors -------------------------------------------
 
@@ -163,9 +171,10 @@ class SmashProduct:
 
     def __call__(self, u: SmashElem, v: SmashElem) -> SmashElem:
         alg = self.algebra
-        u._check(v)
-        if u.algebra is not alg:
-            raise ValueError("elements do not belong to this product's algebra")
+        if not (u.__class__ is v.__class__ is SmashElem and u.algebra is v.algebra is alg):
+            u._check(v)
+            if u.algebra is not alg:
+                raise ValueError("elements do not belong to this product's algebra")
         out: dict = {}
         for ku, ca in u.terms.items():
             for kv, cb in v.terms.items():
@@ -174,8 +183,14 @@ class SmashProduct:
                     _bump(out, key, c * cp)
         return alg.from_terms(out)
 
+    def on_basis(self, ku, kv) -> SmashElem:
+        """Product of the basis elements with keys ``ku`` and ``kv``.  Its
+        terms are the cached pair dict, shared and read-only."""
+        return SmashElem(self.algebra, self._pair(ku, kv))
+
     def _pair(self, ku, kv) -> dict:
-        """Product of two basis elements as a term dict (cached)."""
+        """Product of two basis elements as a term dict (cached, no zero
+        coefficient)."""
         cached = self._pair_cache.get((ku, kv))
         if cached is not None:
             return cached
@@ -193,7 +208,7 @@ class SmashProduct:
             if apart.is_zero():
                 continue
             _bump_smash(out, rs, cd, apart, right + wb)
-        self._pair_cache[(ku, kv)] = out
+        out = self._pair_cache[(ku, kv)] = _strip(out)
         return out
 
     def action_on_base(self, u: SmashElem, b: PolyCoord) -> PolyCoord:

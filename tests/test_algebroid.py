@@ -7,6 +7,7 @@ import pytest
 from smashtwist.algebroid import (
     BrokenAnchorError,
     Bialgebroid,
+    TensorOverA,
     bm_bialgebroid,
     bm_bialgebroid_twisted,
     anchor_action,
@@ -25,7 +26,7 @@ from smashtwist.modalg import PolyCoord, act, monomials_up_to
 from smashtwist.ncpoly import NCPoly, leg_word
 from smashtwist.registry import materialize
 from smashtwist.scalars import GaussRational, TruncSeries
-from smashtwist.smash import phi
+from smashtwist.smash import _bump_smash, phi, spanning_words
 
 
 @pytest.fixture(scope="module")
@@ -456,3 +457,151 @@ def test_axiom_and_theorem_reports_are_each_timed():
     assert len(reports) == 12
     for rep in reports:
         assert rep.wall_ms > 0, rep.name
+
+
+# -- key-level products against the element-level formula --------------------
+
+
+def _old_total(bd, ku, kv):
+    """Product of two basis keys formed as the tensor layer used to: wrap
+    both keys as carrier elements and multiply them.  The oracle for
+    ``SmashProduct.on_basis``."""
+    return bd.total(bd.smash.basis_elem(*ku), bd.smash.basis_elem(*kv))
+
+
+def _old_mul(S, T):
+    bd, z = S.bd, S.bd._zero_exp
+    return bd.tensor_from_pairs([
+        (_old_total(bd, (e1, w1), (e2, w2)), _old_total(bd, (z, r1), (z, r2)), c1 * c2)
+        for (e1, w1, r1), c1 in S.terms.items()
+        for (e2, w2, r2), c2 in T.terms.items()
+    ])
+
+
+def _old_mul3(S, T):
+    bd, z = S.bd, S.bd._zero_exp
+    return bd.tensor_from_triples([
+        (_old_total(bd, (e1, w1), (e2, w2)), _old_total(bd, (z, m1), (z, m2)),
+         _old_total(bd, (z, r1), (z, r2)), c1 * c2)
+        for (e1, w1, m1, r1), c1 in S.terms.items()
+        for (e2, w2, m2, r2), c2 in T.terms.items()
+    ])
+
+
+def _old_xu_coproduct(bd0, shifted, new_bd, m):
+    z = bd0._zero_exp
+    pairs = []
+    for (e, wl, wr), c in _old_mul(bd0.coproduct(m), shifted.inverse).terms.items():
+        for (ef, flw, frw), cf in shifted.forward.terms.items():
+            pairs.append((_old_total(bd0, (ef, flw), (e, wl)),
+                          _old_total(bd0, (z, frw), (z, wr)), c * cf))
+    return new_bd.tensor_from_pairs(pairs)
+
+
+def _old_right_split(bd0, shifted, exp, word):
+    smash, z = bd0.smash, bd0._zero_exp
+    a = PolyCoord.monomial(smash.dim, smash.order, exp)
+    items = []
+    for (e, wl, wr), c in shifted.forward.terms.items():
+        apoly = bd0.anchor(smash.basis_elem(e, wl), a)
+        if apoly.is_zero():
+            continue
+        for (_, wr2), cr2 in _old_total(bd0, (z, wr), (z, word)).terms.items():
+            items.append((apoly, wr2, c * cr2))
+    return items
+
+
+def _assert_same(new, old):
+    assert new.terms == old.terms
+    assert list(new.terms) == list(old.terms)  # same term order, so same bytes
+
+
+def _assert_pair_caches_stripped(smash):
+    for _twist, product in smash._products.values():
+        for terms in product._pair_cache.values():
+            assert all(not c.is_zero() for c in terms.values())
+
+
+@pytest.fixture(scope="module", params=[
+    "trivial", "heisenberg", "igl2-abelian", "igl4-abelian", "pw-jordanian",
+])
+def key_case(request):
+    prob = materialize(request.param, order=2, degree=1)
+    smash = prob.smash
+    bd0 = bm_bialgebroid(smash, check_degree=1)
+    shifted = shift_twist(bd0, prob.twist, validate=False)
+    bds = (bd0, bm_bialgebroid_twisted(smash, prob.twist, check_degree=1),
+           xu_twist(bd0, shifted))
+    span = smash.spanning(1)
+    sample = span[::max(1, len(span) // 6)] + [span[-1]]
+    return prob, bd0, shifted, bds, sample
+
+
+def test_tensor_mul_by_key_matches_element_products(key_case):
+    prob, bd0, shifted, bds, sample = key_case
+    for bd in bds:
+        images = [bd.coproduct(m) for m in sample]
+        if bd is bd0:
+            images += [shifted.forward, shifted.inverse]
+        for S in images:
+            for T in images:
+                _assert_same(S.mul(T), _old_mul(S, T))
+    _assert_pair_caches_stripped(prob.smash)
+
+
+def test_tensor3_mul_by_key_matches_element_products(key_case):
+    prob, bd0, shifted, bds, sample = key_case
+    for bd in bds:
+        images = [bd.coproduct(m) for m in sample[:3]]
+        triples = [delta_left(bd, T) for T in images] + [delta_right(bd, images[-1])]
+        for S in triples:
+            for T in triples:
+                _assert_same(S.mul(T), _old_mul3(S, T))
+    _assert_pair_caches_stripped(prob.smash)
+
+
+def test_xu_coproduct_and_right_split_by_key_match_element_products(key_case):
+    prob, bd0, shifted, bds, sample = key_case
+    bd_xu = bds[2]
+    smash = prob.smash
+    for m in smash.spanning(1):
+        _assert_same(bd_xu.coproduct(m), _old_xu_coproduct(bd0, shifted, bd_xu, m))
+    for exp in monomials_up_to(smash.dim, 1):
+        for word in spanning_words(smash.rs, 1):
+            got = [(a.terms, w, c) for a, w, c in bd_xu.right_split(exp, word)]
+            want = [(a.terms, w, c) for a, w, c in _old_right_split(bd0, shifted, exp, word)]
+            assert got == want, (exp, word)
+            assert all(not c.is_zero() for _, _, c in got)
+    _assert_pair_caches_stripped(smash)
+
+
+def _unstripped_pair(product, ku, kv):
+    """The pair product's term dict before zero coefficients are dropped."""
+    alg = product.algebra
+    a = PolyCoord.monomial(alg.dim, alg.order, ku[0])
+    out: dict = {}
+    for left, right, cd in product.delta.word_splits(ku[1]):
+        acted = alg.rep.act_word(left, kv[0])
+        if not acted.is_zero():
+            _bump_smash(out, alg.rs, cd, product.star(a, acted), right + kv[1])
+    return out
+
+
+def test_key_product_drops_coefficients_that_truncate(pw):
+    # on pw-jordanian at N=2, x1 # D times x0 # 1 under the twisted product
+    # has a coefficient whose h-orders sum past N
+    smash = pw.smash
+    product = smash.product(pw.twist)
+    rs = smash.rs
+    ku, kv = ((0, 1), (rs.rank_of["D"],)), ((1, 0), ())
+    raw = _unstripped_pair(product, ku, kv)
+    assert any(c.is_zero() for c in raw.values())
+    got = product.on_basis(ku, kv)
+    want = product(smash.basis_elem(*ku), smash.basis_elem(*kv))
+    _assert_same(got, want)
+    assert got.terms == {k: c for k, c in raw.items() if not c.is_zero()}
+    bd = bm_bialgebroid_twisted(smash, pw.twist, check_degree=1)
+    S = TensorOverA(bd, {(ku[0], ku[1], ()): TruncSeries.one(smash.order)})
+    T = TensorOverA(bd, {(kv[0], kv[1], ()): TruncSeries.one(smash.order)})
+    _assert_same(S.mul(T), _old_mul(S, T))
+    _assert_pair_caches_stripped(smash)

@@ -162,6 +162,33 @@ def test_phi_homomorphism_small(pw):
     assert report.checked == 60 * 60
 
 
+def test_phi_report_is_shared_by_theorem(monkeypatch):
+    import smashtwist.smash as smash_module
+    from smashtwist.algebroid import verify_theorem
+
+    prob = materialize("heisenberg", order=1)
+    alg = prob.smash
+    rep = alg.phi_report(prob.twist, 1)
+    assert alg.phi_report(prob.twist, 1) is rep
+    monkeypatch.setattr(smash_module, "verify_phi_homomorphism",
+                        lambda *a: pytest.fail("phi sweep recomputed"))
+    total = verify_theorem(alg, prob.twist, degree=1, check_degree=1)["total-products"]
+    assert (total.name, total.checked, total.failures) == (rep.name, rep.checked, rep.failures)
+    assert 0 < total.wall_ms < rep.wall_ms  # charged the lookup, not the sweep
+
+
+def test_product_rejects_foreign_elements(igl2):
+    other = materialize("igl2-abelian", order=3).smash
+    mul = igl2.smash.product(None)
+    u, v = igl2.smash.one(), other.one()
+    with pytest.raises(ValueError, match="elements from different smash algebras"):
+        mul(u, v)
+    with pytest.raises(ValueError, match="elements do not belong to this product's algebra"):
+        mul(v, v)
+    with pytest.raises(TypeError, match="expected SmashElem, got int"):
+        mul(u, 1)
+
+
 def test_phi_corruption_detected(igl2):
     # dropping the Hopf-side twist factor (keeping only the coordinate
     # action of the inverse twist) breaks the homomorphism law
