@@ -1,17 +1,18 @@
 """Command-line driver: load a problem, run check suites, emit reports.
 
 Problems come either from a named preset or from a JSON config file following
-the schema in docs/config.schema.json.  Every command produces a table of
-check records, one per verified identity, and optionally a machine-readable
-JSON report whose content is deterministic for a given input.  Exit status:
-0 all requested checks have zero residual, 1 some residual is nonzero,
-2 malformed input.
+the schema in src/smashtwist/config.schema.json, which this module interprets.
+Every command produces a table of check records, one per verified identity,
+and optionally a machine-readable JSON report whose content is deterministic
+for a given input.  Exit status: 0 all requested checks have zero residual,
+1 some residual is nonzero, 2 malformed input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -46,12 +47,13 @@ from .ncpoly import COORDINATE, MOMENTUM, NCPoly, SYMMETRY
 from .registry import (
     ExamplePreset,
     PRESET_NAMES,
+    jacobi_report,
     materialize,
     preset,
     preset_to_config,
 )
 from .reporting import ResidualReport
-from .scalars import TruncSeries, parse_scalar_literal
+from .scalars import TruncSeries, parse_gauss_literal, parse_scalar_literal
 from .smash import phi, phi_inv
 
 EXIT_PASS = 0
@@ -141,141 +143,148 @@ class Report:
 
 # -- config handling -------------------------------------------------------
 
-_SORTS = (SYMMETRY, MOMENTUM, COORDINATE)
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# JSON types by their schema names; a bool is no integer, and 2.0 is none either
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "number": (int, float), "boolean": bool, "null": type(None)}
+_KEYWORDS = {"type", "properties", "additionalProperties", "required", "items", "minItems",
+             "minimum", "enum", "pattern", "$schema", "title", "description", "default"}
+# ECMA-262's '$' matches only at the very end, Python's also before a final
+# newline; escapes and character classes are copied unchanged
+_ECMA_END = re.compile(r"(\\.|\[(?:\\.|[^\]])*\])|\$")
 
 
-def _non_negative_int(x) -> bool:
-    # JSON true/false are not integers, though bool subclasses int
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+def _has_type(value, type_name: str) -> bool:
+    return (isinstance(value, _TYPES[type_name])
+            and isinstance(value, bool) == (type_name == "boolean"))
+
+
+def schema_errors(schema: dict, value, path: str = "") -> list:
+    """Errors of ``value`` against a draft-07 schema, as ``path: message`` lines.
+
+    Interprets the keywords in ``_KEYWORDS`` and raises ValueError on any
+    other, so the schema cannot outgrow this function unnoticed.
+    """
+    if set(schema) - _KEYWORDS:
+        raise ValueError(f"unsupported schema keywords {sorted(set(schema) - _KEYWORDS)}")
+    at = path or "config"
+    types = schema.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_has_type(value, t) for t in types):
+        return [f"{at}: must be {' or '.join(types)}"]
+    errors = []
+    if "enum" in schema and value not in schema["enum"]:
+        errors.append(f"{at}: {value!r} is not one of {', '.join(map(str, schema['enum']))}")
+    pattern = schema.get("pattern")
+    if isinstance(value, str) and pattern is not None and not re.search(
+            _ECMA_END.sub(lambda m: m[1] or r"\Z", pattern), value):
+        errors.append(f"{at}: {value!r} does not match {pattern}")
+    if "minimum" in schema and _has_type(value, "number") and value < schema["minimum"]:
+        errors.append(f"{at}: must be >= {schema['minimum']}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            errors.append(f"{at}: needs at least {schema['minItems']} item(s)")
+        for k, item in enumerate(value if "items" in schema else ()):
+            errors += schema_errors(schema["items"], item, f"{path}[{k}]")
+    if isinstance(value, dict):
+        prefix = f"{path}." if path else ""
+        errors += [f"{prefix}{key}: required key missing"
+                   for key in schema.get("required", ()) if key not in value]
+        for key, item in value.items():
+            sub = schema.get("properties", {}).get(key, schema.get("additionalProperties", True))
+            if sub is False:
+                errors.append(f"{prefix}{key}: unknown key")
+            elif sub is not True:
+                errors += schema_errors(sub, item, f"{prefix}{key}")
+    return errors
+
+
+def _get(obj, key, kind):
+    """``obj[key]`` if obj is an object holding a ``kind`` there, else ``kind()``."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    return value if isinstance(value, kind) else kind()
 
 
 def validate_config(cfg) -> list:
-    """Structural validation; returns a list of error messages."""
-    errors = []
-    if not isinstance(cfg, dict):
-        return ["config root must be an object"]
+    """Schema errors plus the rules the schema cannot state, as ``path: message``.
 
-    def expect(cond, msg):
-        if not cond:
-            errors.append(msg)
-        return cond
-
-    def known_keys(obj, path, allowed):
-        # every object of the schema sets additionalProperties: false
-        for key in obj:
-            expect(key in allowed, f"{path}{key}: unknown key")
-
-    known_keys(cfg, "", ("name", "order", "degree", "algebra", "representation",
-                         "twist", "checks"))
-    if "name" in cfg:
-        expect(isinstance(cfg["name"], str), "name: must be a string")
-    expect(_non_negative_int(cfg.get("order")), "order: required non-negative integer")
-    if "degree" in cfg:
-        expect(_non_negative_int(cfg["degree"]), "degree: must be a non-negative integer")
-
-    algebra = cfg.get("algebra")
-    declared = set()
+    The second pass reads only values of the right type, so it runs on any
+    JSON value and reports bad names next to unrelated schema errors.
+    """
+    with open(os.path.join(os.path.dirname(__file__), "config.schema.json")) as fh:
+        errors = schema_errors(json.load(fh), cfg)
+    algebra = _get(cfg, "algebra", dict)
     sorts = {}
+    for k, g in enumerate(_get(algebra, "generators", list)):
+        name = _get(g, "name", str)
+        if name in sorts:
+            errors.append(f"algebra.generators[{k}].name: duplicate {name!r}")
+        elif name:
+            sorts[name] = g.get("sort")
 
-    def is_declared(name):
-        # a list or an object is unhashable, so the type is checked first
-        return isinstance(name, str) and name in declared
+    def declared(path, name):
+        # coordinates are not letters of U(g); a list or an object is
+        # unhashable, so the type is checked first
+        if not (isinstance(name, str) and sorts.get(name, COORDINATE) != COORDINATE):
+            errors.append(f"{path}: {name!r} is not a declared symmetry or momentum generator")
 
-    if expect(isinstance(algebra, dict), "algebra: required object"):
-        known_keys(algebra, "algebra.", ("generators", "brackets"))
-        gens = algebra.get("generators")
-        if expect(isinstance(gens, list) and gens, "algebra.generators: required non-empty list"):
-            for k, g in enumerate(gens):
-                path = f"algebra.generators[{k}]"
-                if not expect(isinstance(g, dict), f"{path}: must be an object"):
-                    continue
-                known_keys(g, f"{path}.", ("name", "sort"))
-                name = g.get("name")
-                if expect(isinstance(name, str), f"{path}.name: required string"):
-                    expect(_NAME.fullmatch(name) is not None,
-                           f"{path}.name: {name!r} does not match {_NAME.pattern}")
-                expect(g.get("sort") in _SORTS,
-                       f"{path}.sort: must be one of {', '.join(_SORTS)}")
-                if isinstance(name, str):
-                    expect(name not in declared, f"{path}.name: duplicate {name!r}")
-                    declared.add(name)
-                    sorts[name] = g.get("sort")
-        brackets = algebra.get("brackets", [])
-        if not expect(isinstance(brackets, list), "algebra.brackets: must be a list"):
-            brackets = []
-        for k, b in enumerate(brackets):
-            path = f"algebra.brackets[{k}]"
-            if not expect(isinstance(b, dict), f"{path}: must be an object"):
-                continue
-            known_keys(b, f"{path}.", ("left", "right", "terms"))
-            for side in ("left", "right"):
-                expect(is_declared(b.get(side)),
-                       f"{path}.{side}: undeclared generator {b.get(side)!r}")
-            terms = b.get("terms")
-            if expect(isinstance(terms, list), f"{path}.terms: required list"):
-                for j, t in enumerate(terms):
-                    tp = f"{path}.terms[{j}]"
-                    if not expect(isinstance(t, dict), f"{tp}: must be an object"):
-                        continue
-                    known_keys(t, f"{tp}.", ("coeff", "gen"))
-                    expect(isinstance(t.get("coeff"), str), f"{tp}.coeff: required string")
-                    gen = t.get("gen")
-                    expect(gen is None or is_declared(gen),
-                           f"{tp}.gen: undeclared generator {gen!r}")
+    def literal(path, text, parse, *args):
+        try:
+            if isinstance(text, str):
+                parse(text, *args)
+        except ValueError as exc:
+            errors.append(f"{path}: {exc}")
 
-    rep = cfg.get("representation")
-    if expect(isinstance(rep, dict), "representation: required object"):
-        known_keys(rep, "representation.", ("momenta", "matrices"))
-        momenta = rep.get("momenta")
-        dim = 0
-        if expect(isinstance(momenta, list) and momenta,
-                  "representation.momenta: required non-empty list"):
-            dim = len(momenta)
-            for k, name in enumerate(momenta):
-                expect(is_declared(name) and sorts.get(name) == MOMENTUM,
-                       f"representation.momenta[{k}]: {name!r} is not a declared momentum")
-        matrices = rep.get("matrices", {})
-        if expect(isinstance(matrices, dict), "representation.matrices: must be an object"):
-            for name, rows in matrices.items():
-                path = f"representation.matrices.{name}"
-                expect(name in declared and sorts.get(name) == SYMMETRY,
-                       f"{path}: {name!r} is not a declared symmetry generator")
-                if expect(isinstance(rows, list) and len(rows) == dim, f"{path}: needs {dim} rows"):
-                    for rk, row in enumerate(rows):
-                        if expect(isinstance(row, list) and len(row) == dim,
-                                  f"{path}[{rk}]: needs {dim} entries"):
-                            for ck, entry in enumerate(row):
-                                expect(isinstance(entry, str),
-                                       f"{path}[{rk}][{ck}]: must be a string")
-            for name, sort in sorts.items():
-                if sort == SYMMETRY:
-                    expect(name in matrices, f"representation.matrices: missing {name!r}")
+    first_at = {}
+    for k, b in enumerate(_get(algebra, "brackets", list)):
+        path = f"algebra.brackets[{k}]"
+        b = b if isinstance(b, dict) else {}
+        for side in ("left", "right"):
+            if side in b:
+                declared(f"{path}.{side}", b[side])
+        left, right = _get(b, "left", str), _get(b, "right", str)
+        if left and left == right:
+            errors.append(f"{path}: bracket of {left!r} with itself")
+        elif left and right:
+            first = first_at.setdefault(frozenset((left, right)), k)
+            if first != k:
+                errors.append(f"{path}: duplicate bracket for ({left}, {right}), "
+                              f"first at algebra.brackets[{first}]")
+        for j, t in enumerate(_get(b, "terms", list)):
+            if isinstance(t, dict) and t.get("gen") is not None:
+                declared(f"{path}.terms[{j}].gen", t["gen"])
+            literal(f"{path}.terms[{j}].coeff", _get(t, "coeff", str), parse_scalar_literal, 0)
 
-    twist = cfg.get("twist", {"exponent": []})
-    if expect(isinstance(twist, dict), "twist: must be an object"):
-        known_keys(twist, "twist.", ("exponent",))
-        exponent = twist.get("exponent", [])
-        if expect(isinstance(exponent, list), "twist.exponent: must be a list"):
-            for k, term in enumerate(exponent):
-                path = f"twist.exponent[{k}]"
-                if not expect(isinstance(term, dict), f"{path}: must be an object"):
-                    continue
-                known_keys(term, f"{path}.", ("coeff", "left", "right"))
-                expect(isinstance(term.get("coeff"), str), f"{path}.coeff: required string")
-                for side in ("left", "right"):
-                    words = term.get(side)
-                    if expect(isinstance(words, list), f"{path}.{side}: required list"):
-                        for j, name in enumerate(words):
-                            expect(is_declared(name),
-                                   f"{path}.{side}[{j}]: undeclared generator {name!r}")
+    rep = _get(cfg, "representation", dict)
+    momenta = _get(rep, "momenta", list)
+    for k, name in enumerate(momenta):
+        if not (isinstance(name, str) and sorts.get(name) == MOMENTUM) or name in momenta[:k]:
+            errors.append(f"representation.momenta[{k}]: {name!r} is not a declared momentum listed once")
+    dim = len(momenta)
+    matrices = _get(rep, "matrices", dict)
+    for name, rows in matrices.items():
+        path = f"representation.matrices.{name}"
+        if sorts.get(name) != SYMMETRY:
+            errors.append(f"{path}: {name!r} is not a declared symmetry generator")
+        if not isinstance(rows, list):
+            continue
+        if len(rows) != dim:
+            errors.append(f"{path}: needs {dim} rows")
+        for rk, row in enumerate(rows):
+            if isinstance(row, list) and len(row) != dim:
+                errors.append(f"{path}[{rk}]: needs {dim} entries")
+            for ck, entry in enumerate(row if isinstance(row, list) else ()):
+                literal(f"{path}[{rk}][{ck}]", entry, parse_gauss_literal)
+    for name, sort in sorts.items():
+        if sort == SYMMETRY and name not in matrices:
+            errors.append(f"representation.matrices: missing {name!r}")
+        if sort == MOMENTUM and name not in momenta:
+            errors.append(f"representation.momenta: missing {name!r}")
 
-    if "checks" in cfg:
-        checks = cfg["checks"]
-        if expect(isinstance(checks, list), "checks: must be a list"):
-            for k, c in enumerate(checks):
-                expect(isinstance(c, str) and c in SUITE_CHECKS,
-                       f"checks[{k}]: unknown check {c!r}")
+    for k, term in enumerate(_get(_get(cfg, "twist", dict), "exponent", list)):
+        literal(f"twist.exponent[{k}].coeff", _get(term, "coeff", str), parse_scalar_literal, 0)
+        for side in ("left", "right"):
+            for j, name in enumerate(_get(term, side, list)):
+                declared(f"twist.exponent[{k}].{side}[{j}]", name)
     return errors
 
 
@@ -286,11 +295,10 @@ def config_to_preset(cfg: dict) -> ExamplePreset:
         for g in cfg["algebra"]["generators"]
         if g["sort"] != COORDINATE
     )
-    brackets = {}
-    for b in cfg["algebra"].get("brackets", []):
-        brackets[(b["left"], b["right"])] = tuple(
-            (t["coeff"], t.get("gen")) for t in b["terms"]
-        )
+    brackets = {
+        (b["left"], b["right"]): tuple((t["coeff"], t.get("gen")) for t in b["terms"])
+        for b in cfg["algebra"].get("brackets", [])
+    }
     exponent = tuple(
         (t["coeff"], tuple(t["left"]), tuple(t["right"]))
         for t in cfg.get("twist", {}).get("exponent", [])
@@ -318,7 +326,7 @@ def load_problem(args):
                 cfg = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         errors = validate_config(cfg)
         if errors:
@@ -362,17 +370,8 @@ def _poly_record(report, name, identity, residual, wall_ms=0.0):
 
 def run_foundation_checks(report: Report, prob, fail_fast=False) -> bool:
     """Jacobi, representation and twist-validity records shared by commands."""
-    rs = prob.bialg.rs
-    t0 = time.perf_counter()
-    jac = ResidualReport("jacobi")
-    for na, nb, nc, res in rs.jacobi_residuals():
-        jac.record(f"({na}, {nb}, {nc})", True, res)
-    if jac.checked == 0:
-        jac.record("all triples", False)
-    ok = report.add_residual_report(
-        "structure-constants", "jacobi-identity", jac,
-        (time.perf_counter() - t0) * 1000.0,
-    )
+    jac, ms = _timed(jacobi_report, prob.bialg.rs)
+    ok = report.add_residual_report("structure-constants", "jacobi-identity", jac, ms)
     if fail_fast and not ok:
         return False
     rep_res, ms = _timed(prob.rep.representation_residuals)
@@ -381,44 +380,40 @@ def run_foundation_checks(report: Report, prob, fail_fast=False) -> bool:
 
 
 def run_twist_checks(report: Report, prob, fail_fast=False) -> bool:
+    """Twist-inverse, normalization, cocycle and R-matrix records."""
+    return all(ok or not fail_fast for ok in _twist_records(report, prob))
+
+
+def _twist_records(report: Report, prob):
+    # yields after each record whether it passed, so fail_fast stops here
     bialg, twist = prob.bialg, prob.twist
     one2 = NCPoly.one(bialg.rs, 2)
     one1 = NCPoly.one(bialg.rs, 1)
-
-    res, ms = _timed(lambda: twist.F * twist.F_inv - one2)
-    if not _poly_record(report, "twist-inverse (left)", "two-sided-inverse", res, ms) and fail_fast:
-        return False
-    res, ms = _timed(lambda: twist.F_inv * twist.F - one2)
-    if not _poly_record(report, "twist-inverse (right)", "two-sided-inverse", res, ms) and fail_fast:
-        return False
+    yield _poly_record(report, "twist-inverse (left)", "two-sided-inverse",
+                       *_timed(lambda: twist.F * twist.F_inv - one2))
+    yield _poly_record(report, "twist-inverse (right)", "two-sided-inverse",
+                       *_timed(lambda: twist.F_inv * twist.F - one2))
     for leg, tag in ((1, "left"), (2, "right")):
-        res, ms = _timed(lambda: bialg.counit_on_leg(twist.F, leg) - one1)
-        if not _poly_record(report, f"normalization ({tag})", "counit-normalization", res, ms) and fail_fast:
-            return False
-        res, ms = _timed(lambda: bialg.counit_on_leg(twist.F_inv, leg) - one1)
-        if not _poly_record(report, f"inverse normalization ({tag})", "counit-normalization", res, ms) and fail_fast:
-            return False
+        yield _poly_record(report, f"normalization ({tag})", "counit-normalization",
+                           *_timed(lambda: bialg.counit_on_leg(twist.F, leg) - one1))
+        yield _poly_record(report, f"inverse normalization ({tag})", "counit-normalization",
+                           *_timed(lambda: bialg.counit_on_leg(twist.F_inv, leg) - one1))
 
     coc, ms = _timed(check_cocycle, bialg, twist)
-    if not _poly_record(report, "cocycle", "twist-cocycle", coc["cocycle"], ms) and fail_fast:
-        return False
-    if not _poly_record(report, "inverse cocycle", "inverse-twist-cocycle", coc["inverse-cocycle"]) and fail_fast:
-        return False
+    yield _poly_record(report, "cocycle", "twist-cocycle", coc["cocycle"], ms)
+    yield _poly_record(report, "inverse cocycle", "inverse-twist-cocycle", coc["inverse-cocycle"])
 
     R = r_matrix_from_twist(bialg, twist)
-    delta = CoproductMap(bialg, twist)
-    qt, ms = _timed(check_quasitriangular, bialg, R, delta)
+    qt, ms = _timed(check_quasitriangular, bialg, R, CoproductMap(bialg, twist))
     worst = ResidualReport("quasitriangular")
     for label, res in qt.items():
         worst.record(label, not res.is_zero(), res)
-    if not report.add_residual_report("r-matrix laws", "quasi-triangularity", worst, ms) and fail_fast:
-        return False
+    yield report.add_residual_report("r-matrix laws", "quasi-triangularity", worst, ms)
 
     (_, cybe), cybe_ms = _timed(classical_r_extract, R)
-    triang, ms = _timed(lambda: R * R.swap_legs() - one2)
-    if not _poly_record(report, "triangularity", "r-matrix-triangularity", triang, ms) and fail_fast:
-        return False
-    return _poly_record(report, "classical limit", "classical-yang-baxter", cybe, cybe_ms) or not fail_fast
+    yield _poly_record(report, "triangularity", "r-matrix-triangularity",
+                       *_timed(lambda: R * R.swap_legs() - one2))
+    yield _poly_record(report, "classical limit", "classical-yang-baxter", cybe, cybe_ms)
 
 
 # -- commands ---------------------------------------------------------------

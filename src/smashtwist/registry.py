@@ -283,6 +283,16 @@ def materialize(pre: ExamplePreset | str, order: int | None = None,
     return Problem(pre, order, degree, bialg, rep, smash, twist)
 
 
+def jacobi_report(rs: RewriteSystem) -> ResidualReport:
+    """One failure per triple with a nonzero Jacobi residual, or one passing case."""
+    report = ResidualReport("jacobi")
+    for na, nb, nc, res in rs.jacobi_residuals():
+        report.record(f"({na}, {nb}, {nc})", True, res)
+    if report.checked == 0:
+        report.record("all triples", False)
+    return report
+
+
 def validate(pre: ExamplePreset | str, order: int | None = None) -> dict:
     """Re-derive every preset guarantee and report the residuals.
 
@@ -293,13 +303,7 @@ def validate(pre: ExamplePreset | str, order: int | None = None) -> dict:
         pre = preset(pre)
     order = pre.order if order is None else order
     rs = RewriteSystem(order, pre.generators, pre.brackets, validate=False)
-
-    jacobi = ResidualReport("jacobi")
-    for na, nb, nc, res in rs.jacobi_residuals():
-        jacobi.record(f"({na}, {nb}, {nc})", True, res)
-    if jacobi.checked == 0:
-        jacobi.record("all triples", False)
-
+    jacobi = jacobi_report(rs)
     rep_data = RepData(rs, pre.matrices, pre.momenta, validate=False)
     representation = rep_data.representation_residuals()
 

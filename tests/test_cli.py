@@ -4,19 +4,23 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smashtwist.cli import (
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_RESIDUAL,
+    SUITE_CHECKS,
     _ExprParser,
     build_parser,
     cmd_commutator,
     config_to_preset,
     main,
+    schema_errors,
     validate_config,
 )
-from smashtwist.registry import materialize, preset_to_config
+from smashtwist.registry import PRESET_NAMES, materialize, preset_to_config
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +69,7 @@ def test_schema_violation_exits_2(tmp_path, igl2_config, capsys):
     assert "representation" in capsys.readouterr().err
 
 
-SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
+SCHEMA = Path(__file__).resolve().parents[1] / "src" / "smashtwist" / "config.schema.json"
 
 
 def _schema_path(error):
@@ -141,6 +145,159 @@ def test_schema_holes_exit_2_like_jsonschema(tmp_path, igl2_config, capsys, muta
     assert "Traceback" not in err
 
 
+# scalars a mutation may put anywhere; no integral float and no string with
+# a final newline, where this validator is stricter than draft-07 on purpose
+_WORDS = ["", "NOPE", "P 1", "1X", "h", "-1/2*i*h", "abc", "1/0", "h^-1", "twist",
+          "symmetry", "momentum", "coordinate", "name", "order", "algebra",
+          "generators", "brackets", "left", "right", "terms", "coeff", "gen", "sort",
+          "representation", "momenta", "matrices", "exponent", "checks"]
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                     st.sampled_from([0.5, -1.5]), st.sampled_from(_WORDS))
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(_WORDS), inner, max_size=3),
+), max_leaves=6)
+
+
+def _nodes(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _at_path(obj, path):
+    for part in path:
+        obj = obj[part]
+    return obj
+
+
+@st.composite
+def mutated_exports(draw):
+    """A preset export with one node replaced, removed or added to."""
+    cfg = preset_to_config(draw(st.sampled_from(PRESET_NAMES)), order=1)
+    paths = list(_nodes(cfg))
+    path = draw(st.sampled_from(paths))
+    names = [g["name"] for g in cfg["algebra"]["generators"]]
+    value = draw(st.one_of(_JSON, st.sampled_from(names), st.sampled_from(paths).map(
+        lambda p: json.loads(json.dumps(_at_path(cfg, p))))))
+    node = _at_path(cfg, path)
+    op = draw(st.sampled_from(["replace", "remove", "add"]))
+    if op == "replace" and path:
+        _at_path(cfg, path[:-1])[path[-1]] = value
+    elif op == "remove" and path:
+        del _at_path(cfg, path[:-1])[path[-1]]
+    elif isinstance(node, dict):
+        node[draw(st.sampled_from(_WORDS + names))] = value
+    elif isinstance(node, list):
+        node.insert(draw(st.integers(0, len(node))), value)
+    else:
+        cfg = value
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def draft7():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=mutated_exports())
+def test_fuzzed_configs_fail_the_schema_like_jsonschema(draft7, cfg):
+    assert bool(schema_errors(draft7.schema, cfg)) == (not draft7.is_valid(cfg))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=mutated_exports())
+def test_fuzzed_configs_never_crash(tmp_path, capsys, cfg):
+    errors = validate_config(cfg)
+    code = main(["check-twist", "--config", write_config(tmp_path, cfg), "--order", "1"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if errors:
+        assert code == EXIT_INPUT
+        assert all(f"  {e}" in err for e in errors)
+
+
+@pytest.mark.parametrize("mutate, path", [
+    pytest.param(_add_key("order", 2.0), "order", id="integral-float-order"),
+    pytest.param(_add_key("name", "Q\n", "algebra", "generators", 0),
+                 "algebra.generators[0].name", id="name-with-final-newline"),
+])
+def test_stricter_than_draft7(tmp_path, igl2_config, capsys, mutate, path):
+    # JSON's integers and ECMA-262's '$', as the hand-written validator had them
+    cfg = json.loads(json.dumps(igl2_config))
+    mutate(cfg)
+    assert any(e.startswith(f"{path}: ") for e in validate_config(cfg))
+    assert main(["check-twist", "--config", write_config(tmp_path, cfg)]) == EXIT_INPUT
+    assert f"  {path}: " in capsys.readouterr().err
+    # the deviation itself: draft-07 as jsonschema implements it accepts both
+    jsonschema = pytest.importorskip("jsonschema")
+    assert jsonschema.Draft7Validator(json.loads(SCHEMA.read_text())).is_valid(cfg)
+
+
+def test_schema_interpreter_refuses_unknown_keywords():
+    assert schema_errors({"type": "array", "minItems": 1}, [1, 2]) == []
+    with pytest.raises(ValueError, match="maxItems"):
+        schema_errors({"type": "array", "maxItems": 1}, [1, 2])
+
+
+def test_schema_checks_match_the_suite():
+    checks = json.loads(SCHEMA.read_text())["properties"]["checks"]["items"]["enum"]
+    assert checks == list(SUITE_CHECKS)
+    assert checks == preset_to_config("trivial")["checks"]
+
+
+def _bracket_twice(reverse):
+    def mutate(cfg):
+        first = cfg["algebra"]["brackets"][0]
+        left, right = (first["right"], first["left"]) if reverse else (first["left"], first["right"])
+        cfg["algebra"]["brackets"].append({"left": left, "right": right, "terms": []})
+    return mutate
+
+
+def _coordinate_in_twist(cfg):
+    cfg["algebra"]["generators"].append({"name": "y0", "sort": "coordinate"})
+    cfg["twist"]["exponent"][0]["left"] = ["y0"]
+
+
+@pytest.mark.parametrize("mutate, line", [
+    pytest.param(_bracket_twice(False),
+                 "algebra.brackets[9]: duplicate bracket for (L00, L01), "
+                 "first at algebra.brackets[0]", id="same-order"),
+    pytest.param(_bracket_twice(True),
+                 "algebra.brackets[9]: duplicate bracket for (L01, L00), "
+                 "first at algebra.brackets[0]", id="reversed"),
+    pytest.param(_add_key("coeff", "abc", "algebra", "brackets", 0, "terms", 0),
+                 "algebra.brackets[0].terms[0].coeff: bad factor 'abc'", id="bad-coeff"),
+    pytest.param(_add_key("coeff", "1/0", "twist", "exponent", 0),
+                 "twist.exponent[0].coeff: bad factor '1/0'", id="zero-denominator"),
+    pytest.param(_add_key(0, "x", "representation", "matrices", "L00", 0),
+                 "representation.matrices.L00[0][0]: bad factor 'x'", id="bad-entry"),
+    pytest.param(_add_key(0, "h", "representation", "matrices", "L00", 0),
+                 "representation.matrices.L00[0][0]: literal 'h' must not involve h",
+                 id="entry-with-h"),
+    pytest.param(_add_key("right", "L00", "algebra", "brackets", 0),
+                 "algebra.brackets[0]: bracket of 'L00' with itself", id="self-bracket"),
+    pytest.param(lambda cfg: cfg["representation"]["momenta"].pop(),
+                 "representation.momenta: missing 'P1'", id="missing-momentum"),
+    pytest.param(lambda cfg: cfg["representation"]["momenta"].append("P0"),
+                 "representation.momenta[2]: 'P0' is not a declared momentum listed once",
+                 id="repeated-momentum"),
+    pytest.param(_coordinate_in_twist,
+                 "twist.exponent[0].left[0]: 'y0' is not a declared symmetry or momentum",
+                 id="coordinate-in-twist"),
+])
+def test_semantic_errors_exit_2_with_path(tmp_path, igl2_config, capsys, mutate, line):
+    cfg = json.loads(json.dumps(igl2_config))
+    mutate(cfg)
+    assert main(["check-twist", "--config", write_config(tmp_path, cfg)]) == EXIT_INPUT
+    assert f"  {line}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, rows", [
     (["check-twist"], ["twist-inverse (right)", "triangularity", "classical limit"]),
     (["smash-verify"], ["undeformed product", "deformed product", "phi bijectivity"]),
@@ -161,6 +318,13 @@ def test_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["check-twist", "--config", str(path)]) == EXIT_INPUT
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check-twist", "--config", str(path)]) == EXIT_INPUT
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def test_math_failure_exits_1(tmp_path, igl2_config):
