@@ -44,13 +44,13 @@ from .algebroid import (
     Bialgebroid,
     BrokenAnchorError,
     ShiftedTwist,
-    Tensor3OverA,
     TensorOverA,
     anchor_action,
     bm_bialgebroid,
     bm_bialgebroid_twisted,
     check_bialgebroid_axioms,
     check_qt_shifted,
+    shift_legs,
     shift_twist,
     verify_theorem,
     xu_twist,

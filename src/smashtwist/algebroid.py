@@ -84,58 +84,46 @@ class Bialgebroid:
             self._pure_cache[word] = elem
         return elem
 
-    def tensor_from_pairs(self, pairs) -> "TensorOverA":
-        """Canonicalize a raw sum of left/right carrier pairs.
+    def tensor_from_pairs(self, items, nlegs: int = 2) -> "TensorOverA":
+        """Canonicalize a raw sum of n-fold products of carrier elements.
 
-        Every right factor is split as sum s(a_i) (1 (x) J_i) and the a_i are
-        moved left through the target map, so canonical right factors carry
-        no coordinates.
+        An item is ``(f_1, ..., f_n)`` or ``(f_1, ..., f_n, c)``.  Working
+        from the right, every factor is split as sum s(a_i) (1 (x) J_i) and
+        the a_i are moved into the factor on its left through the target map,
+        so every factor but the first ends up pure.
         """
+        total, target, split = self.total, self.target, self.right_split
+        staged = [(item[:nlegs], (), item[nlegs] if len(item) > nlegs else None)
+                  for item in items]
+        for k in range(nlegs - 1, 1, -1):
+            reduced = []
+            for fs, tail, c in staged:
+                for (er, wr), cr in fs[k].terms.items():
+                    base_c = cr if c is None else c * cr
+                    if not any(er):
+                        reduced.append((fs[:k], (wr,) + tail, base_c))
+                        continue
+                    for apoly, wj, cs in split(er, wr):
+                        moved = total(target(apoly), fs[k - 1])
+                        reduced.append((fs[:k - 1] + (moved,), (wj,) + tail, base_c * cs))
+            staged = reduced
         out: dict = {}
-        for item in pairs:
-            l, r = item[0], item[1]
-            c = item[2] if len(item) > 2 else None
+        for (l, r), tail, c in staged:
             for (er, wr), cr in r.terms.items():
                 base_c = cr if c is None else c * cr
                 if not any(er):
                     for (el, wl), cl in l.terms.items():
-                        _bump(out, (el, wl, wr), base_c * cl)
+                        _bump(out, (el, wl, wr) + tail, base_c * cl)
                     continue
-                for apoly, wj, cs in self.right_split(er, wr):
-                    moved = self.total(self.target(apoly), l)
+                for apoly, wj, cs in split(er, wr):
+                    moved = total(target(apoly), l)
                     for (el, wl), cl in moved.terms.items():
-                        _bump(out, (el, wl, wj), base_c * cs * cl)
-        return TensorOverA(self, _strip(out))
-
-    def tensor_from_triples(self, triples) -> "Tensor3OverA":
-        """Canonical form in the threefold tensor over the base."""
-        staged = []
-        for item in triples:
-            l, m, r = item[0], item[1], item[2]
-            c = item[3] if len(item) > 3 else None
-            for (er, wr), cr in r.terms.items():
-                base_c = cr if c is None else c * cr
-                if not any(er):
-                    staged.append((l, m, wr, base_c))
-                    continue
-                for apoly, wj, cs in self.right_split(er, wr):
-                    staged.append((l, self.total(self.target(apoly), m), wj, base_c * cs))
-        out: dict = {}
-        for l, m, wr, c in staged:
-            for (em, wm), cm in m.terms.items():
-                if not any(em):
-                    for (el, wl), cl in l.terms.items():
-                        _bump(out, (el, wl, wm, wr), c * cm * cl)
-                    continue
-                for apoly, wj, cs in self.right_split(em, wm):
-                    moved = self.total(self.target(apoly), l)
-                    for (el, wl), cl in moved.terms.items():
-                        _bump(out, (el, wl, wj, wr), c * cm * cs * cl)
-        return Tensor3OverA(self, _strip(out))
+                        _bump(out, (el, wl, wj) + tail, base_c * cs * cl)
+        return TensorOverA(self, nlegs, _strip(out))
 
     def tensor_unit(self) -> "TensorOverA":
         one = TruncSeries.one(self.smash.order)
-        return TensorOverA(self, {(self._zero_exp, (), ()): one})
+        return TensorOverA(self, 2, {(self._zero_exp, (), ()): one})
 
     # -- structure maps ----------------------------------------------------
 
@@ -146,7 +134,7 @@ class Bialgebroid:
         for (e, w), c in m.terms.items():
             for left, right, cd in self.hdelta.word_splits(w):
                 _bump(out, (e, left, right), c * cd)
-        return TensorOverA(self, _strip(out))
+        return TensorOverA(self, 2, _strip(out))
 
     def anchor(self, m: SmashElem, a: PolyCoord) -> PolyCoord:
         """The action of the total algebra on the base via the counit."""
@@ -168,23 +156,27 @@ def anchor_action(bd: Bialgebroid, m: SmashElem, a: PolyCoord) -> PolyCoord:
 
 
 class TensorOverA(LinearCombination):
-    """Canonical-form element of the tensor square of the total algebra over
-    the base: {(left exponent, left word, pure right word): coefficient}."""
+    """Canonical-form element of the n-fold tensor power of the total algebra
+    over the base: {(left exponent, left word, pure word 2, ..., pure word n):
+    coefficient}."""
 
-    __slots__ = ("bd", "terms")
+    __slots__ = ("bd", "nlegs", "terms")
 
-    def __init__(self, bd: Bialgebroid, terms: dict):
+    def __init__(self, bd: Bialgebroid, nlegs: int, terms: dict):
         self.bd = bd
+        self.nlegs = nlegs
         self.terms = terms
 
     def _space(self):
-        return (self.bd,)
+        return (self.bd, self.nlegs)
 
     def _order(self):
         return self.bd.smash.order
 
     def _mismatch(self, other):
-        return "tensors over different bialgebroids"
+        if self.bd is not other.bd:
+            return "tensors over different bialgebroids"
+        return f"leg count mismatch: {self.nlegs} vs {other.nlegs}"
 
     def mul(self, other: "TensorOverA") -> "TensorOverA":
         """Component-wise product, recanonicalized.
@@ -195,14 +187,18 @@ class TensorOverA(LinearCombination):
         self._check(other)
         bd = self.bd
         prod, z = bd.total.on_basis, bd._zero_exp
-        pairs = []
-        for (e1, w1, r1), c1 in self.terms.items():
-            for (e2, w2, r2), c2 in other.terms.items():
-                pairs.append((prod((e1, w1), (e2, w2)), prod((z, r1), (z, r2)), c1 * c2))
-        return bd.tensor_from_pairs(pairs)
+
+        def split_keys(T):
+            return [(k[:2], [(z, w) for w in k[2:]], c) for k, c in T.terms.items()]
+
+        rights = split_keys(other)
+        return bd.tensor_from_pairs([
+            (prod(l1, l2), *map(prod, p1, p2), c1 * c2)
+            for l1, p1, c1 in split_keys(self) for l2, p2, c2 in rights
+        ], self.nlegs)
 
     def flip(self) -> "TensorOverA":
-        """The opposite tensor: swap legs and recanonicalize."""
+        """The opposite of a two-leg tensor: swap legs and recanonicalize."""
         bd = self.bd
         pairs = []
         for (e, wl, wr), c in self.terms.items():
@@ -232,70 +228,41 @@ class TensorOverA(LinearCombination):
             return "0"
         names = [g.name for g in self.bd.smash.rs.generators]
         parts = []
-        for e, wl, wr in sorted(self.terms):
-            left = " ".join(names[r] for r in wl) or "1"
-            right = " ".join(names[r] for r in wr) or "1"
-            parts.append(f"({self.terms[(e, wl, wr)]})*{monomial_str(e)}#{left} (x)A 1#{right}")
+        for key in sorted(self.terms):
+            legs = " (x)A 1#".join(" ".join(names[r] for r in w) or "1" for w in key[1:])
+            parts.append(f"({self.terms[key]})*{monomial_str(key[0])}#{legs}")
         return " + ".join(parts)
 
 
-class Tensor3OverA(LinearCombination):
-    """Canonical threefold tensor: middle and right factors are pure."""
-
-    __slots__ = ("bd", "terms")
-
-    def __init__(self, bd: Bialgebroid, terms: dict):
-        self.bd = bd
-        self.terms = terms
-
-    _space = TensorOverA._space
-    _order = TensorOverA._order
-    _mismatch = TensorOverA._mismatch
-
-    def mul(self, other: "Tensor3OverA") -> "Tensor3OverA":
-        self._check(other)
-        bd = self.bd
-        prod, z = bd.total.on_basis, bd._zero_exp
-        triples = []
-        for (e1, w1, m1, r1), c1 in self.terms.items():
-            for (e2, w2, m2, r2), c2 in other.terms.items():
-                triples.append((prod((e1, w1), (e2, w2)), prod((z, m1), (z, m2)),
-                                prod((z, r1), (z, r2)), c1 * c2))
-        return bd.tensor_from_triples(triples)
+def shift_legs(bd: Bialgebroid, p: NCPoly, legs=(1, 2), nlegs: int = 2) -> TensorOverA:
+    """A Hopf element placed as pure factors of the n-fold tensor: leg i of
+    ``p`` becomes factor ``legs[i - 1]`` and the other factors are 1."""
+    zero_exp, factors = bd._zero_exp, range(1, nlegs + 1)
+    return TensorOverA(bd, nlegs, {
+        (zero_exp,) + tuple(leg_word(word, leg) for leg in factors): c
+        for word, c in p.place_legs(legs, nlegs).terms.items()
+    })
 
 
-def _two_leg_to_tensor3(bd: Bialgebroid, p: NCPoly, legs) -> Tensor3OverA:
-    """Shift a two-leg Hopf element into two slots of the threefold tensor."""
-    out: dict = {}
-    zero_exp = bd._zero_exp
-    slots = {legs[0]: 1, legs[1]: 2}
-    for word, c in p.terms.items():
-        words = [(), (), ()]
-        for pos, src in slots.items():
-            words[pos - 1] = leg_word(word, src)
-        _bump(out, (zero_exp, words[0], words[1], words[2]), c)
-    return Tensor3OverA(bd, _strip(out))
-
-
-def delta_left(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
-    """(coproduct (x) id) on a canonical tensor."""
+def delta_left(bd: Bialgebroid, T: TensorOverA) -> TensorOverA:
+    """(coproduct (x) id) on a canonical two-leg tensor."""
     out: dict = {}
     for (e, wl, wr), c in T.terms.items():
         inner = bd.coproduct(bd.smash.basis_elem(e, wl))
         for (e2, w2, r2), c2 in inner.terms.items():
             _bump(out, (e2, w2, r2, wr), c * c2)
-    return Tensor3OverA(bd, _strip(out))
+    return TensorOverA(bd, 3, _strip(out))
 
 
-def delta_right(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
-    """(id (x) coproduct) on a canonical tensor."""
+def delta_right(bd: Bialgebroid, T: TensorOverA) -> TensorOverA:
+    """(id (x) coproduct) on a canonical two-leg tensor."""
     triples = []
     for (e, wl, wr), c in T.terms.items():
         left = bd.smash.basis_elem(e, wl)
         inner = bd.coproduct(bd.pure(wr))
         for (e2, w2, r2), c2 in inner.terms.items():
             triples.append((left, bd.smash.basis_elem(e2, w2), bd.pure(r2), c * c2))
-    return bd.tensor_from_triples(triples)
+    return bd.tensor_from_pairs(triples, 3)
 
 
 # -- the smash-product bialgebroid --------------------------------------
@@ -376,27 +343,16 @@ class ShiftedTwist:
     """A Hopf twist transported to the tensor square over the base."""
 
     def __init__(self, bd: Bialgebroid, forward: TensorOverA, inverse: TensorOverA,
-                 hopf_twist: Twist | None = None):
+                 hopf_twist: Twist):
         self.bd = bd
         self.forward = forward
         self.inverse = inverse
         self.hopf_twist = hopf_twist
 
 
-def shift_two_leg(bd: Bialgebroid, p: NCPoly) -> TensorOverA:
-    """(1 (x) p_1) (x)_A (1 (x) p_2) for a two-leg Hopf element."""
-    out: dict = {}
-    zero_exp = bd._zero_exp
-    for word, c in p.terms.items():
-        _bump(out, (zero_exp, leg_word(word, 1), leg_word(word, 2)), c)
-    return TensorOverA(bd, _strip(out))
-
-
 def shift_twist(bd: Bialgebroid, twist: Twist, validate: bool = True) -> ShiftedTwist:
     """Transport a twist to the bialgebroid level and re-verify its laws."""
-    forward = shift_two_leg(bd, twist.F)
-    inverse = shift_two_leg(bd, twist.F_inv)
-    shifted = ShiftedTwist(bd, forward, inverse, twist)
+    shifted = ShiftedTwist(bd, shift_legs(bd, twist.F), shift_legs(bd, twist.F_inv), twist)
     if validate:
         report = shifted_twist_residuals(bd, shifted)
         for name, rep in report.items():
@@ -411,48 +367,26 @@ def shifted_twist_residuals(bd: Bialgebroid, shifted: ShiftedTwist) -> dict:
     inv = ResidualReport("shifted-inverse")
     with inv.timed():
         unit2 = bd.tensor_unit()
-        r1 = F.mul(Fi) - unit2
-        inv.record("F Finv", not r1.is_zero(), r1)
-        r2 = Fi.mul(F) - unit2
-        inv.record("Finv F", not r2.is_zero(), r2)
+        inv.check("F Finv", F.mul(Fi) - unit2)
+        inv.check("Finv F", Fi.mul(F) - unit2)
 
     coc = ResidualReport("shifted-cocycle")
     with coc.timed():
-        f12 = _tensor3_embed_12(bd, F)
-        f23 = _tensor3_embed_23(bd, F)
-        lhs = f12.mul(delta_left(bd, F))
-        rhs = f23.mul(delta_right(bd, F))
-        res = lhs - rhs
-        coc.record("cocycle", not res.is_zero(), res)
-        fi12 = _tensor3_embed_12(bd, Fi)
-        fi23 = _tensor3_embed_23(bd, Fi)
-        ires = delta_left(bd, Fi).mul(fi12) - delta_right(bd, Fi).mul(fi23)
-        coc.record("inverse-cocycle", not ires.is_zero(), ires)
+        twist = shifted.hopf_twist
+        f12, f23, fi12, fi23 = (shift_legs(bd, p, legs, 3) for p in (twist.F, twist.F_inv)
+                                for legs in ((1, 2), (2, 3)))
+        coc.check("cocycle", f12.mul(delta_left(bd, F)) - f23.mul(delta_right(bd, F)))
+        coc.check("inverse-cocycle",
+                  delta_left(bd, Fi).mul(fi12) - delta_right(bd, Fi).mul(fi23))
 
     nor = ResidualReport("shifted-normalization")
     with nor.timed():
         unit = bd.unit()
         for label, elem in (("twist", F), ("inverse", Fi)):
-            le = elem.counit_left() - unit
-            nor.record(f"{label} left counit", not le.is_zero(), le)
-            re = elem.counit_right() - unit
-            nor.record(f"{label} right counit", not re.is_zero(), re)
+            nor.check(f"{label} left counit", elem.counit_left() - unit)
+            nor.check(f"{label} right counit", elem.counit_right() - unit)
 
     return {"inverse": inv, "cocycle": coc, "normalization": nor}
-
-
-def _tensor3_embed_12(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
-    out = {}
-    for (e, wl, wr), c in T.terms.items():
-        _bump(out, (e, wl, wr, ()), c)
-    return Tensor3OverA(bd, _strip(out))
-
-
-def _tensor3_embed_23(bd: Bialgebroid, T: TensorOverA) -> Tensor3OverA:
-    triples = []
-    for (e, wl, wr), c in T.terms.items():
-        triples.append((bd.unit(), bd.smash.basis_elem(e, wl), bd.pure(wr), c))
-    return bd.tensor_from_triples(triples)
 
 
 def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
@@ -467,26 +401,20 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
     smash = bd.smash
     preserved = ResidualReport("shifted-qt-preserved")
     with preserved.timed():
-        Rt = shift_two_leg(bd, R)
-        r13 = _two_leg_to_tensor3(bd, R, (1, 3))
-        r23 = _two_leg_to_tensor3(bd, R, (2, 3))
-        r12 = _two_leg_to_tensor3(bd, R, (1, 2))
-        res = delta_left(bd, Rt) - r13.mul(r23)
-        preserved.record("hexagon-left", not res.is_zero(), res)
-        res = delta_right(bd, Rt) - r13.mul(r12)
-        preserved.record("hexagon-right", not res.is_zero(), res)
+        Rt = shift_legs(bd, R)
+        r13, r23, r12 = (shift_legs(bd, R, legs, 3) for legs in ((1, 3), (2, 3), (1, 2)))
+        preserved.check("hexagon-left", delta_left(bd, Rt) - r13.mul(r23))
+        preserved.check("hexagon-right", delta_right(bd, Rt) - r13.mul(r12))
         unit = bd.unit()
-        res = Rt.counit_left() - unit
-        preserved.record("counit-left", not res.is_zero(), res)
-        res = Rt.counit_right() - unit
-        preserved.record("counit-right", not res.is_zero(), res)
+        preserved.check("counit-left", Rt.counit_left() - unit)
+        preserved.check("counit-right", Rt.counit_right() - unit)
 
     # the intertwining witness comes out of the same sweep, so its time is
     # charged to the closed forms
     closed = ResidualReport("shifted-qt-closed-forms")
     witness = None
     with closed.timed():
-        Rt_inv = shift_two_leg(bd, inv_unipotent(R))
+        Rt_inv = shift_legs(bd, inv_unipotent(R))
         for elem in smash.spanning(degree):
             label = repr(elem)
             lhs = Rt.mul(bd.coproduct(elem)).mul(Rt_inv)
@@ -494,10 +422,8 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
             if bd.hdelta is not None:
                 lc = _qt2_closed(bd, R, elem, 1, 1)
                 rc = _qt2_closed(bd, R, elem, 2, 2)
-                dl = lhs - lc
-                closed.record(f"lhs {label}", not dl.is_zero(), dl)
-                dr = rhs - rc
-                closed.record(f"rhs {label}", not dr.is_zero(), dr)
+                closed.check(f"lhs {label}", lhs - lc)
+                closed.check(f"rhs {label}", rhs - rc)
             diff = lhs - rhs
             if witness is None and not diff.is_zero():
                 witness = (label, diff)
@@ -529,7 +455,7 @@ def _qt2_closed(bd: Bialgebroid, R: NCPoly, m: SmashElem, r_leg: int,
                         hword = tuple(r for _, r in hw)
                         key = (e2, other, hword) if sweedler_leg == 1 else (e2, hword, other)
                         _bump(out, key, coeff * c2 * ch)
-    return TensorOverA(bd, _strip(out))
+    return TensorOverA(bd, 2, _strip(out))
 
 
 # -- twisting a bialgebroid ----------------------------------------------
@@ -646,7 +572,7 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
     coproduct_terms = linear_on_basis(coproduct_on_basis, {})
 
     def coproduct(m: SmashElem) -> TensorOverA:
-        return TensorOverA(new_bd, coproduct_terms(m.terms))
+        return TensorOverA(new_bd, 2, coproduct_terms(m.terms))
 
     new_bd._right_split = right_split
     new_bd._coproduct = coproduct
@@ -676,24 +602,22 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2, seed: int = 20259
     span = smash.spanning(degree)
 
     maps = ResidualReport("source-target-laws")
+    total, source, target = bd.total, bd.source, bd.target
     with maps.timed():
         for a in monos:
             for b in monos:
-                res = bd.total(bd.source(a), bd.source(b)) - bd.source(bd.base(a, b))
-                maps.record(f"s hom {a!r},{b!r}", not res.is_zero(), res)
-                res = bd.total(bd.target(b), bd.target(a)) - bd.target(bd.base(a, b))
-                maps.record(f"t antihom {a!r},{b!r}", not res.is_zero(), res)
-                res = bd.total(bd.source(a), bd.target(b)) - bd.total(
-                    bd.target(b), bd.source(a)
-                )
-                maps.record(f"s/t commute {a!r},{b!r}", not res.is_zero(), res)
+                maps.check(f"s hom {a!r},{b!r}",
+                           total(source(a), source(b)) - source(bd.base(a, b)))
+                maps.check(f"t antihom {a!r},{b!r}",
+                           total(target(b), target(a)) - target(bd.base(a, b)))
+                maps.check(f"s/t commute {a!r},{b!r}",
+                           total(source(a), target(b)) - total(target(b), source(a)))
 
     coassoc = ResidualReport("coassociativity")
     with coassoc.timed():
         for m in span:
             T = bd.coproduct(m)
-            res = delta_left(bd, T) - delta_right(bd, T)
-            coassoc.record(repr(m), not res.is_zero(), res)
+            coassoc.check(repr(m), delta_left(bd, T) - delta_right(bd, T))
 
     takeuchi = ResidualReport("takeuchi-invariance")
     with takeuchi.timed():
@@ -711,8 +635,8 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2, seed: int = 20259
                     r = bd.pure(wr)
                     left_pairs.append((bd.total(l, ta), r, c))
                     right_pairs.append((l, bd.total(r, sa), c))
-                res = bd.tensor_from_pairs(left_pairs) - bd.tensor_from_pairs(right_pairs)
-                takeuchi.record(f"{m!r} against x{mu}", not res.is_zero(), res)
+                takeuchi.check(f"{m!r} against x{mu}",
+                               bd.tensor_from_pairs(left_pairs) - bd.tensor_from_pairs(right_pairs))
 
     rng = random.Random(seed)
     pairs = [(u, v) for u in span[: smash.dim + 1] for v in span[: smash.dim + 1]]
@@ -725,20 +649,19 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2, seed: int = 20259
     for u, v in pairs:
         with multiplicative.timed():
             uv = bd.total(u, v)
-            res = bd.coproduct(uv) - bd.coproduct(u).mul(bd.coproduct(v))
-            multiplicative.record(f"{u!r} * {v!r}", not res.is_zero(), res)
+            multiplicative.check(f"{u!r} * {v!r}",
+                                 bd.coproduct(uv) - bd.coproduct(u).mul(bd.coproduct(v)))
         with counit_product.timed():
             eps_uv = bd.counit(uv)
             res_s = eps_uv - bd.counit(bd.total(u, bd.source(bd.counit(v))))
-            counit_product.record(f"s-form {u!r},{v!r}", not res_s.is_zero(), res_s)
+            counit_product.check(f"s-form {u!r},{v!r}", res_s)
             res_t = eps_uv - bd.counit(bd.total(u, bd.target(bd.counit(v))))
-            counit_product.record(f"t-form {u!r},{v!r}", not res_t.is_zero(), res_t)
+            counit_product.check(f"t-form {u!r},{v!r}", res_t)
 
     counit_laws = ResidualReport("counit-coproduct-law")
     with counit_laws.timed():
         one_a = PolyCoord.one(smash.dim, order)
-        res = bd.counit(bd.unit()) - one_a
-        counit_laws.record("counit of unit", not res.is_zero(), res)
+        counit_laws.check("counit of unit", bd.counit(bd.unit()) - one_a)
         for m in span:
             T = bd.coproduct(m)
             left: dict = {}
@@ -750,10 +673,8 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2, seed: int = 20259
                     _bump(left, k, v * c)
                 for k, v in bd.total(bd.target(bd.counit(r)), l).terms.items():
                     _bump(right, k, v * c)
-            res = smash.from_terms(left) - m
-            counit_laws.record(f"s(eps(m1))m2 on {m!r}", not res.is_zero(), res)
-            res = smash.from_terms(right) - m
-            counit_laws.record(f"t(eps(m2))m1 on {m!r}", not res.is_zero(), res)
+            counit_laws.check(f"s(eps(m1))m2 on {m!r}", smash.from_terms(left) - m)
+            counit_laws.check(f"t(eps(m2))m1 on {m!r}", smash.from_terms(right) - m)
 
     return {
         "maps": maps,
@@ -791,8 +712,7 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
         rhs = xu_twist(bd0, shifted)
         for a in monos:
             for b in monos:
-                res = lhs.base(a, b) - rhs.base(a, b)
-                base_rep.record(f"{a!r} * {b!r}", not res.is_zero(), res)
+                base_rep.check(f"{a!r} * {b!r}", lhs.base(a, b) - rhs.base(a, b))
 
     # the sweep is shared with smash-verify; this row is charged only the
     # time spent here
@@ -804,28 +724,22 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
     st_rep = ResidualReport("source-target-maps")
     with st_rep.timed():
         for a in monos:
-            res = phi(smash, twist, lhs.source(a)) - rhs.source(a)
-            st_rep.record(f"source {a!r}", not res.is_zero(), res)
-            res = phi(smash, twist, lhs.target(a)) - rhs.target(a)
-            st_rep.record(f"target {a!r}", not res.is_zero(), res)
+            st_rep.check(f"source {a!r}", phi(smash, twist, lhs.source(a)) - rhs.source(a))
+            st_rep.check(f"target {a!r}", phi(smash, twist, lhs.target(a)) - rhs.target(a))
 
     span = smash.spanning(degree)
     counit_rep = ResidualReport("counit-intertwined")
     with counit_rep.timed():
         for u in span:
-            res = rhs.counit(phi(smash, twist, u)) - lhs.counit(u)
-            counit_rep.record(repr(u), not res.is_zero(), res)
+            counit_rep.check(repr(u), rhs.counit(phi(smash, twist, u)) - lhs.counit(u))
 
-    def transported(u: SmashElem) -> TensorOverA:
-        T = lhs.coproduct(u)
-        pairs = []
-        for (e, wl, wr), c in T.terms.items():
-            pairs.append((
-                phi(smash, twist, smash.basis_elem(e, wl)),
-                phi(smash, twist, lhs.pure(wr)),
-                c,
-            ))
-        return rhs.tensor_from_pairs(pairs)
+    def coproduct_residual(u: SmashElem) -> TensorOverA:
+        """Delta_rhs(phi(u)) minus (phi (x) phi)(Delta_lhs(u))."""
+        image = rhs.coproduct(phi(smash, twist, u))
+        return image - rhs.tensor_from_pairs([
+            (phi(smash, twist, smash.basis_elem(e, wl)), phi(smash, twist, lhs.pure(wr)), c)
+            for (e, wl, wr), c in lhs.coproduct(u).terms.items()
+        ])
 
     cases_rep = ResidualReport("coproduct-generator-cases")
     with cases_rep.timed():
@@ -833,18 +747,15 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
             if not w:
                 continue
             u = smash.basis_elem((0,) * smash.dim, w)
-            res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
-            cases_rep.record(f"Hopf generator {u!r}", not res.is_zero(), res)
+            cases_rep.check(f"Hopf generator {u!r}", coproduct_residual(u))
         for e in monomials_up_to(smash.dim, degree):
             u = smash.basis_elem(e, ())
-            res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
-            cases_rep.record(f"coordinate {u!r}", not res.is_zero(), res)
+            cases_rep.check(f"coordinate {u!r}", coproduct_residual(u))
 
     general_rep = ResidualReport("coproduct-general")
     with general_rep.timed():
         for u in span:
-            res = rhs.coproduct(phi(smash, twist, u)) - transported(u)
-            general_rep.record(repr(u), not res.is_zero(), res)
+            general_rep.check(repr(u), coproduct_residual(u))
 
     return {
         "base-products": base_rep,

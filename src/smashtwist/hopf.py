@@ -127,9 +127,6 @@ class Twist:
     def is_trivial(self) -> bool:
         return self.F == NCPoly.one(self.bialg.rs, 2)
 
-    def swap(self) -> NCPoly:
-        return self.F.swap_legs()
-
 
 def twist_from_exponent(bialg: BialgebraPresentation, t: NCPoly) -> Twist:
     """Build the twist exp(t) with inverse exp(-t).
@@ -222,7 +219,7 @@ def _word_poly(rs: RewriteSystem, ranks) -> NCPoly:
 
 def r_matrix_from_twist(bialg: BialgebraPresentation, twist: Twist) -> NCPoly:
     """R = F_21 F^{-1}, the triangular R-matrix generated by the twist."""
-    return twist.swap() * twist.F_inv
+    return twist.F.swap_legs() * twist.F_inv
 
 
 def inv_unipotent(p: NCPoly) -> NCPoly:

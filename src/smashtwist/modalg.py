@@ -203,10 +203,7 @@ class RepData:
                     xmu = PolyCoord.coord(self.dim, self.rs.order, mu)
                     lhs = act(self, pa * pb, xmu)
                     rhs = act(self, pa, act(self, pb, xmu))
-                    res = lhs - rhs
-                    report.record(
-                        f"compose [{na},{nb}] on x{mu}", not res.is_zero(), res
-                    )
+                    report.check(f"compose [{na},{nb}] on x{mu}", lhs - rhs)
         return report
 
 
@@ -355,9 +352,8 @@ def check_module_algebra(rep: RepData, degree: int = 3, max_word: int = 2) -> Re
                 for left, right, mult in splits:
                     part = rep.act_word(left, ea) * rep.act_word(right, eb)
                     rhs = rhs + part.scale(mult)
-                res = lhs - rhs
                 label = f"{'.'.join(rep.rs.generators[r].name for r in ranks)} on {ea}*{eb}"
-                report.record(label, not res.is_zero(), res)
+                report.check(label, lhs - rhs)
     names = rep.rs.names()
     for i, na in enumerate(names):
         pa = NCPoly.gen(rep.rs, na)
@@ -367,8 +363,7 @@ def check_module_algebra(rep: RepData, degree: int = 3, max_word: int = 2) -> Re
                 mono = PolyCoord.monomial(rep.dim, order, ea)
                 lhs = act(rep, prod, mono)
                 rhs = act(rep, pa, rep.act_word((rep.rs._rank(nb),), ea))
-                res = lhs - rhs
-                report.record(f"relations [{na} {nb}] on {ea}", not res.is_zero(), res)
+                report.check(f"relations [{na} {nb}] on {ea}", lhs - rhs)
     return report
 
 
@@ -389,8 +384,7 @@ def check_braided_commutativity(star: StarProduct, R: NCPoly, degree: int = 3) -
                 if rb.is_zero() or ra.is_zero():
                     continue
                 rhs = rhs + star(rb, ra).scale(c)
-            res = star(a, b) - rhs
-            report.record(f"{ea} vs {eb}", not res.is_zero(), res)
+            report.check(f"{ea} vs {eb}", star(a, b) - rhs)
     return report
 
 

@@ -49,9 +49,6 @@ class Generator:
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
 
-    def key(self):
-        return (self.leg, self.rank)
-
     def __repr__(self):
         return f"Generator({self.name!r}, {self.sort!r}, leg={self.leg}, rank={self.rank})"
 
@@ -143,9 +140,6 @@ class RewriteSystem:
             return self.rank_of[name]
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
-
-    def generator(self, name: str) -> Generator:
-        return self.generators[self._rank(name)]
 
     def names(self, sort=None):
         return tuple(g.name for g in self.generators if sort is None or g.sort == sort)

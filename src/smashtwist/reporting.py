@@ -25,6 +25,10 @@ class ResidualReport:
         if failed:
             self.failures.append((label, residual))
 
+    def check(self, label: str, residual):
+        """Record a case that fails iff ``residual`` is nonzero."""
+        self.record(label, not residual.is_zero(), residual)
+
     def merge(self, other: "ResidualReport"):
         self.checked += other.checked
         self.failures.extend(other.failures)

@@ -12,6 +12,7 @@ scalar after construction, which keeps them safe to share and cache.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -414,6 +415,12 @@ class TruncSeries:
         return text
 
 
+# ASCII digits only: int() and Fraction() also take signs, underscores,
+# decimals, exponents and other scripts' digits
+_NATURAL = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
+
+
 def _parse_product(text: str):
     """Shared literal parser: returns (GaussRational value, h-power)."""
     value = GaussRational(1)
@@ -432,12 +439,13 @@ def _parse_product(text: str):
         elif tok == "h":
             h_power += 1
         elif tok.startswith("h^"):
-            try:
-                h_power += int(tok[2:])
-            except ValueError:
-                raise ValueError(f"bad power of h in {text!r}") from None
+            if not _NATURAL.fullmatch(tok[2:]):
+                raise ValueError(f"bad power of h in {text!r}")
+            h_power += int(tok[2:])
         else:
             try:
+                if not _RATIONAL.fullmatch(tok):
+                    raise ValueError
                 value = value * GaussRational(Fraction(tok))
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad factor {tok!r} in scalar literal {text!r}") from None
@@ -448,8 +456,8 @@ def parse_scalar_literal(text: str, order: int) -> TruncSeries:
     """Parse a product literal like "-1/2*i*h^2" into a series.
 
     The grammar is a '*'-separated product of factors: a rational (integer or
-    numerator/denominator), the imaginary unit i, or a power of h.  A leading
-    minus sign may be attached to the first factor.
+    numerator/denominator, in ASCII digits), the imaginary unit i, or a power
+    of h (h or h^k).  A leading minus sign may be attached to the first factor.
     """
     value, h_power = _parse_product(text)
     return TruncSeries.h_power(h_power, order, value)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import algebroid_oracle as ref
 from smashtwist.algebroid import (
     BrokenAnchorError,
     Bialgebroid,
@@ -15,7 +16,7 @@ from smashtwist.algebroid import (
     check_qt_shifted,
     delta_left,
     delta_right,
-    shift_two_leg,
+    shift_legs,
     shift_twist,
     shifted_twist_residuals,
     verify_theorem,
@@ -25,6 +26,7 @@ from smashtwist.hopf import r_matrix_from_twist, trivial_twist
 from smashtwist.modalg import PolyCoord, act, monomials_up_to
 from smashtwist.ncpoly import NCPoly, leg_word
 from smashtwist.registry import materialize
+from smashtwist.reporting import ResidualReport
 from smashtwist.scalars import GaussRational, TruncSeries
 from smashtwist.smash import _bump_smash, phi, spanning_words
 
@@ -163,16 +165,34 @@ def test_shift_twist_validates(igl2, bd_plain):
 
 def test_shift_rmatrix_laws(igl2, bd_twisted):
     R = r_matrix_from_twist(igl2.bialg, igl2.twist)
-    Rt = shift_two_leg(bd_twisted, R)
+    Rt = shift_legs(bd_twisted, R)
     # counit contractions collapse to the unit
     assert Rt.counit_left() == bd_twisted.unit()
     assert Rt.counit_right() == bd_twisted.unit()
     # coproduct laws are preserved (reported by the qt check below as well)
     lhs = delta_left(bd_twisted, Rt)
-    from smashtwist.algebroid import _two_leg_to_tensor3
-    r13 = _two_leg_to_tensor3(bd_twisted, R, (1, 3))
-    r23 = _two_leg_to_tensor3(bd_twisted, R, (2, 3))
+    r13 = shift_legs(bd_twisted, R, (1, 3), 3)
+    r23 = shift_legs(bd_twisted, R, (2, 3), 3)
     assert lhs == r13.mul(r23)
+
+
+def test_report_check_records_a_failure_iff_the_residual_is_nonzero(bd_plain, monkeypatch):
+    calls = []
+    record = ResidualReport.record
+
+    def spy(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        record(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidualReport, "record", spy)
+    rep = ResidualReport("check")
+    unit = bd_plain.tensor_unit()
+    rep.check("zero", unit - unit)
+    rep.check("unit", unit)
+    assert rep.checked == 2
+    assert rep.failures == [("unit", unit)]
+    # positional, as a hook on record reads its arguments
+    assert calls == [(("zero", False, unit - unit), {}), (("unit", True, unit), {})]
 
 
 def test_qt_shifted_trivial_has_no_witness(igl2, bd_plain):
@@ -197,12 +217,11 @@ def test_qt_shifted_twisted_has_witness(igl2, bd_twisted):
 
 def test_qt_shifted_specific_witness(igl2, bd_twisted):
     # the intertwining failure is visible on x0 (x) P0 at order h
-    from smashtwist.algebroid import shift_two_leg
     from smashtwist.hopf import inv_unipotent
     alg = igl2.smash
     R = r_matrix_from_twist(igl2.bialg, igl2.twist)
-    Rt = shift_two_leg(bd_twisted, R)
-    Rt_inv = shift_two_leg(bd_twisted, inv_unipotent(R))
+    Rt = shift_legs(bd_twisted, R)
+    Rt_inv = shift_legs(bd_twisted, inv_unipotent(R))
     m = alg.elem(PolyCoord.coord(2, igl2.order, 0), NCPoly.gen(alg.rs, "P0"))
     lhs = Rt.mul(bd_twisted.coproduct(m)).mul(Rt_inv)
     rhs = bd_twisted.coproduct(m).flip()
@@ -339,13 +358,12 @@ def test_twisted_coproduct_of_pure_elements_matches_hopf_level(igl2, bd_twisted)
     # independent construction: conjugate the primitive coproduct at the
     # Hopf level, then shift legs into the tensor square
     from smashtwist.hopf import CoproductMap
-    from smashtwist.algebroid import shift_two_leg
 
     alg = igl2.smash
     rs = alg.rs
     for name in ("P0", "P1", "L01", "L11"):
         J = NCPoly.gen(rs, name)
-        want = shift_two_leg(bd_twisted, CoproductMap(igl2.bialg, igl2.twist)(J))
+        want = shift_legs(bd_twisted, CoproductMap(igl2.bialg, igl2.twist)(J))
         assert bd_twisted.coproduct(alg.h_elem(J)) == want
 
 
@@ -471,7 +489,7 @@ def _old_total(bd, ku, kv):
 
 def _old_mul(S, T):
     bd, z = S.bd, S.bd._zero_exp
-    return bd.tensor_from_pairs([
+    return ref.tensor_from_pairs(bd, [
         (_old_total(bd, (e1, w1), (e2, w2)), _old_total(bd, (z, r1), (z, r2)), c1 * c2)
         for (e1, w1, r1), c1 in S.terms.items()
         for (e2, w2, r2), c2 in T.terms.items()
@@ -480,7 +498,7 @@ def _old_mul(S, T):
 
 def _old_mul3(S, T):
     bd, z = S.bd, S.bd._zero_exp
-    return bd.tensor_from_triples([
+    return ref.tensor_from_triples(bd, [
         (_old_total(bd, (e1, w1), (e2, w2)), _old_total(bd, (z, m1), (z, m2)),
          _old_total(bd, (z, r1), (z, r2)), c1 * c2)
         for (e1, w1, m1, r1), c1 in S.terms.items()
@@ -495,7 +513,7 @@ def _old_xu_coproduct(bd0, shifted, new_bd, m):
         for (ef, flw, frw), cf in shifted.forward.terms.items():
             pairs.append((_old_total(bd0, (ef, flw), (e, wl)),
                           _old_total(bd0, (z, frw), (z, wr)), c * cf))
-    return new_bd.tensor_from_pairs(pairs)
+    return ref.tensor_from_pairs(new_bd, pairs)
 
 
 def _old_right_split(bd0, shifted, exp, word):
@@ -557,6 +575,7 @@ def test_tensor3_mul_by_key_matches_element_products(key_case):
         for S in triples:
             for T in triples:
                 _assert_same(S.mul(T), _old_mul3(S, T))
+                _assert_same(S.mul(T), ref.mul3(S, T))
     _assert_pair_caches_stripped(prob.smash)
 
 
@@ -601,7 +620,7 @@ def test_key_product_drops_coefficients_that_truncate(pw):
     _assert_same(got, want)
     assert got.terms == {k: c for k, c in raw.items() if not c.is_zero()}
     bd = bm_bialgebroid_twisted(smash, pw.twist, check_degree=1)
-    S = TensorOverA(bd, {(ku[0], ku[1], ()): TruncSeries.one(smash.order)})
-    T = TensorOverA(bd, {(kv[0], kv[1], ()): TruncSeries.one(smash.order)})
+    S = TensorOverA(bd, 2, {(ku[0], ku[1], ()): TruncSeries.one(smash.order)})
+    T = TensorOverA(bd, 2, {(kv[0], kv[1], ()): TruncSeries.one(smash.order)})
     _assert_same(S.mul(T), _old_mul(S, T))
     _assert_pair_caches_stripped(smash)

@@ -290,12 +290,32 @@ def _coordinate_in_twist(cfg):
     pytest.param(_coordinate_in_twist,
                  "twist.exponent[0].left[0]: 'y0' is not a declared symmetry or momentum",
                  id="coordinate-in-twist"),
+    pytest.param(_add_generator("y0"),
+                 "algebra.generators[6].name: coordinates are x0..x1 in momentum order, "
+                 "not 'y0'", id="coordinate-not-named-by-momentum"),
+    pytest.param(_add_generator("x2"),
+                 "algebra.generators[6].name: coordinates are x0..x1 in momentum order, "
+                 "not 'x2'", id="coordinate-past-the-momenta"),
+    *(pytest.param(_add_key("coeff", coeff, "algebra", "brackets", 0, "terms", 0),
+                   f"algebra.brackets[0].terms[0].coeff: bad factor {coeff!r}", id=f"coeff-{coeff}")
+      for coeff in ("1e5", "1.5", "1_000", "1e999999999", "+3", "3/-2")),
+    pytest.param(_add_key("coeff", "h^1_0", "algebra", "brackets", 0, "terms", 0),
+                 "algebra.brackets[0].terms[0].coeff: bad power of h in 'h^1_0'",
+                 id="coeff-h-power-underscore"),
 ])
 def test_semantic_errors_exit_2_with_path(tmp_path, igl2_config, capsys, mutate, line):
     cfg = json.loads(json.dumps(igl2_config))
     mutate(cfg)
     assert main(["check-twist", "--config", write_config(tmp_path, cfg)]) == EXIT_INPUT
     assert f"  {line}" in capsys.readouterr().err
+
+
+def test_coordinates_named_by_momentum_are_accepted(tmp_path, igl2_config):
+    cfg = json.loads(json.dumps(igl2_config))
+    for name in ("x0", "x1"):
+        _add_generator(name)(cfg)
+    assert validate_config(cfg) == []
+    assert main(["check-twist", "--config", write_config(tmp_path, cfg)]) == EXIT_PASS
 
 
 @pytest.mark.parametrize("argv, rows", [

@@ -1,7 +1,7 @@
-"""The linear structure the five element classes share.
+"""The linear structure the four element classes share.
 
-NCPoly, PolyCoord, SmashElem, TensorOverA and Tensor3OverA are sparse
-{key: TruncSeries} combinations.  Addition, subtraction, negation, scaling,
+NCPoly, PolyCoord, SmashElem and TensorOverA (at two and three legs) are
+sparse {key: TruncSeries} combinations.  Addition, subtraction, negation, scaling,
 equality and the zero test are written once for all of them; these cases pin
 that behaviour, the errors for mixed spaces and the string forms residual
 reports are built from.
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from smashtwist.algebroid import Tensor3OverA, TensorOverA, bm_bialgebroid
+from smashtwist.algebroid import TensorOverA, bm_bialgebroid
 from smashtwist.modalg import PolyCoord
 from smashtwist.ncpoly import NCPoly
 from smashtwist.registry import materialize
@@ -38,8 +38,8 @@ BUILD = {
     "ncpoly-2leg": lambda ctx, terms: NCPoly(ctx["rs"], 2, terms),
     "polycoord": lambda ctx, terms: PolyCoord(2, ORDER, terms),
     "smash": lambda ctx, terms: SmashElem(ctx["smash"], terms),
-    "tensor": lambda ctx, terms: TensorOverA(ctx["bd"], terms),
-    "tensor3": lambda ctx, terms: Tensor3OverA(ctx["bd"], terms),
+    "tensor": lambda ctx, terms: TensorOverA(ctx["bd"], 2, terms),
+    "tensor3": lambda ctx, terms: TensorOverA(ctx["bd"], 3, terms),
 }
 
 # the classes that had the whole linear structure before it was shared
@@ -114,10 +114,12 @@ MISMATCH = [
     ("polycoord", lambda own, other: PolyCoord(3, ORDER, {}), "coordinate algebra mismatch"),
     ("smash", lambda own, other: SmashElem(other["smash"], {}),
      "elements from different smash algebras"),
-    ("tensor", lambda own, other: TensorOverA(other["bd"], {}),
+    ("tensor", lambda own, other: TensorOverA(other["bd"], 2, {}),
      "tensors over different bialgebroids"),
-    ("tensor3", lambda own, other: Tensor3OverA(other["bd"], {}),
+    ("tensor3", lambda own, other: TensorOverA(other["bd"], 3, {}),
      "tensors over different bialgebroids"),
+    ("tensor", lambda own, other: TensorOverA(own["bd"], 3, {}), "leg count mismatch: 2 vs 3"),
+    ("tensor3", lambda own, other: TensorOverA(own["bd"], 2, {}), "leg count mismatch: 3 vs 2"),
 ]
 
 
@@ -156,6 +158,8 @@ PINNED = {
     "polycoord": "(1)*1 + (-1/2*h^2)*x1^2 + (i*h)*x0",
     "smash": "(1)*1#1 + (-1/2*h^2)*x1^2#L00 P1 + (i*h)*x0#P0",
     "tensor": "(1)*1#1 (x)A 1#1 + (-1/2*h^2)*x1#1 (x)A 1#P1 + (i*h)*x0#P0 (x)A 1#1",
+    "tensor3": "(1)*1#1 (x)A 1#1 (x)A 1#1 + (-1/2*h^2)*x1#1 (x)A 1#L11 (x)A 1#1"
+               " + (i*h)*x0#P0 (x)A 1#1 (x)A 1#P1",
 }
 
 
@@ -167,7 +171,7 @@ def test_repr_is_pinned(contexts, kind):
 
 
 def test_tensors_gain_the_shared_structure(contexts):
-    # the tensor classes had no scalar product, and Tensor3OverA had no sum,
+    # the tensors had no scalar product, and three-leg tensors had no sum,
     # negation or scale, before the linear structure was shared
     x, y = pair("tensor3", contexts[0])
     assert (x + (-x)).is_zero()
@@ -179,7 +183,7 @@ def test_tensors_gain_the_shared_structure(contexts):
         assert 2 * x == x * 2 == x.scale(2)
 
 
-@pytest.mark.parametrize("cls", [NCPoly, PolyCoord, SmashElem, TensorOverA, Tensor3OverA])
+@pytest.mark.parametrize("cls", [NCPoly, PolyCoord, SmashElem, TensorOverA])
 def test_linear_structure_is_not_redefined(cls):
     own = set(vars(cls))
     for name in ("__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__"):
