@@ -56,13 +56,11 @@ from .algebroid import (
     xu_twist,
 )
 from .registry import (
-    ExamplePreset,
     InvalidPresetError,
     PRESET_NAMES,
     Problem,
     materialize,
     preset,
-    preset_to_config,
     validate,
 )
 

@@ -1,7 +1,8 @@
 """Command-line driver: load a problem, run check suites, emit reports.
 
-Problems come either from a named preset or from a JSON config file following
-the schema in src/smashtwist/config.schema.json, which this module interprets.
+Problems come either from a named preset, which the registry builds as a
+config, or from a JSON config file; both follow the schema in
+src/smashtwist/config.schema.json, which this module interprets.
 Every command produces a table of check records, one per verified identity,
 and optionally a machine-readable JSON report whose content is deterministic
 for a given input.  Exit status: 0 all requested checks have zero residual,
@@ -44,14 +45,7 @@ from .modalg import (
     star_commutator_table,
 )
 from .ncpoly import COORDINATE, MOMENTUM, NCPoly, SYMMETRY
-from .registry import (
-    ExamplePreset,
-    PRESET_NAMES,
-    jacobi_report,
-    materialize,
-    preset,
-    preset_to_config,
-)
+from .registry import PRESET_NAMES, jacobi_report, materialize, preset
 from .reporting import ResidualReport
 from .scalars import TruncSeries, parse_gauss_literal, parse_scalar_literal
 from .smash import phi, phi_inv
@@ -294,36 +288,13 @@ def validate_config(cfg) -> list:
     return errors
 
 
-def config_to_preset(cfg: dict) -> ExamplePreset:
-    """Turn a validated config into the internal preset form."""
-    gens = tuple(
-        (g["name"], g["sort"])
-        for g in cfg["algebra"]["generators"]
-        if g["sort"] != COORDINATE
-    )
-    brackets = {
-        (b["left"], b["right"]): tuple((t["coeff"], t.get("gen")) for t in b["terms"])
-        for b in cfg["algebra"].get("brackets", [])
-    }
-    exponent = tuple(
-        (t["coeff"], tuple(t["left"]), tuple(t["right"]))
-        for t in cfg.get("twist", {}).get("exponent", [])
-    )
-    return ExamplePreset(
-        name=cfg.get("name", "config"),
-        description="user config",
-        order=cfg["order"],
-        degree=cfg.get("degree", 2),
-        generators=gens,
-        brackets=brackets,
-        matrices=cfg["representation"].get("matrices", {}),
-        momenta=tuple(cfg["representation"]["momenta"]),
-        exponent=exponent,
-    )
-
-
 def load_problem(args):
-    """Build the working objects from --preset or --config."""
+    """Build the working objects from --preset or --config.
+
+    A preset is built as a config at the requested order, so both sources
+    pass the same validate_config and materialize.
+    """
+    order, degree = getattr(args, "order", None), getattr(args, "degree", None)
     if getattr(args, "preset", None) and getattr(args, "config", None):
         raise ConfigError("give either --preset or --config, not both")
     if getattr(args, "config", None):
@@ -334,29 +305,24 @@ def load_problem(args):
             raise ConfigError(f"cannot read config: {exc}") from None
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        errors = validate_config(cfg)
-        if errors:
-            raise ConfigError("config violates the schema:\n  " + "\n  ".join(errors))
-        pre = config_to_preset(cfg)
         source = f"config:{args.config}"
-        checks = cfg.get("checks")
     else:
         name = getattr(args, "preset", None) or "igl2-abelian"
         try:
-            pre = preset(name)
+            cfg = preset(name, order)
         except KeyError as exc:
             raise ConfigError(str(exc)) from None
         source = f"preset:{name}"
-        checks = None
-    order = args.order if getattr(args, "order", None) is not None else pre.order
-    degree = args.degree if getattr(args, "degree", None) is not None else pre.degree
+    errors = validate_config(cfg)
+    if errors:
+        raise ConfigError("config violates the schema:\n  " + "\n  ".join(errors))
     try:
-        prob = materialize(pre, order=order, degree=degree, validate=False)
+        prob = materialize(cfg, order=order, degree=degree, validate=False)
     except (KeyError, ValueError) as exc:
         if isinstance(exc, InvalidTwistError):
             raise
         raise ConfigError(f"cannot build the problem: {exc}") from None
-    return prob, source, checks
+    return prob, source, cfg.get("checks")
 
 
 # -- shared check fragments -------------------------------------------------
@@ -708,7 +674,7 @@ def cmd_commutator(args) -> Report:
 
 def cmd_export_preset(args) -> Report:
     name = args.preset or "igl2-abelian"
-    cfg = preset_to_config(name, order=args.order)
+    cfg = preset(name, args.order)
     text = json.dumps(cfg, indent=2, sort_keys=True)
     if args.json:
         with open(args.json, "w") as fh:

@@ -1,23 +1,28 @@
-"""Built-in example presentations: algebras, representations and twists.
+"""Built-in example problems, and the one way a problem config is materialized.
 
-Each preset bundles structure constants, representation matrices and a twist
-exponent that together pass every validity check shipped with the package:
-Jacobi closure, the representation property, and the cocycle condition at the
-recommended truncation order.  The exact exponents are engineering choices
-tuned so that the deformed coordinate commutators come out in the standard
-normalization [x^0, x^i] = i h x^i; validate() re-derives all of this rather
-than trusting the table.
+A preset is a config: ``preset(name, order)`` returns the dict that
+``config.schema.json`` describes, the same a user writes in a config file and
+the one ``export-preset`` prints.  Each bundles structure constants,
+representation matrices and a twist exponent written out as literals to h^order.
+The exponents are engineering choices tuned so that the deformed coordinate
+commutators come out in the standard normalization [x^0, x^i] = i h x^i;
+validate() re-derives Jacobi closure, the representation property and the
+cocycle condition rather than trusting the table.
+
+A config's exponent is exact only to h^order, so ``materialize`` refuses a
+higher truncation order; a preset is built at the order it is asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 from .hopf import BialgebraPresentation, Twist, check_cocycle, twist_from_exponent
 from .modalg import RepData
-from .ncpoly import MOMENTUM, NCPoly, RewriteSystem, SYMMETRY
+from .ncpoly import COORDINATE, MOMENTUM, NCPoly, RewriteSystem, SYMMETRY
 from .reporting import ResidualReport
-from .scalars import GaussRational, TruncSeries, parse_scalar_literal, scalar_literals
+from .scalars import parse_scalar_literal
 from .smash import SmashAlgebra
 
 PRESET_NAMES = ("trivial", "heisenberg", "igl2-abelian", "igl4-abelian", "pw-jordanian")
@@ -27,152 +32,98 @@ class InvalidPresetError(ValueError):
     """A preset failed one of its validity checks; the witness says where."""
 
 
-@dataclass(frozen=True)
-class ExamplePreset:
-    name: str
-    description: str
-    order: int                      # recommended truncation order
-    degree: int                     # recommended sampling degree
-    generators: tuple               # ((name, sort), ...)
-    brackets: dict                  # (a, b) -> ((coeff, name-or-None), ...)
-    matrices: dict                  # symmetry name -> matrix rows
-    momenta: tuple                  # momentum names in coordinate order
-    exponent: tuple = field(default=())  # ((coeff, left names, right names), ...)
+def _config(name, order, generators, brackets, matrices, momenta, exponent):
+    return {
+        "name": name,
+        "order": order,
+        "degree": 2,
+        "algebra": {
+            "generators": [{"name": g, "sort": s} for g, s in generators],
+            # sorted by the pair, so an export lists them in a fixed order
+            "brackets": [{"left": a, "right": b,
+                          "terms": [{"coeff": c, "gen": g} for c, g in terms]}
+                         for (a, b), terms in sorted(brackets.items())],
+        },
+        "representation": {"momenta": list(momenta), "matrices": matrices},
+        "twist": {"exponent": [{"coeff": c, "left": list(l), "right": list(r)}
+                               for c, l, r in exponent]},
+        "checks": ["twist", "star-table", "smash", "algebroid-bm", "algebroid-xu", "theorem"],
+    }
 
 
-def _igl_generators(n):
-    gens = [(f"L{mu}{nu}", SYMMETRY) for mu in range(n) for nu in range(n)]
-    gens += [(f"P{mu}", MOMENTUM) for mu in range(n)]
-    return tuple(gens)
-
-
-def _igl_brackets(n):
-    out = {}
+def _igl(n, name, order, twisted=True):
+    symmetries = [(mu, nu) for mu in range(n) for nu in range(n)]
+    generators = [(f"L{mu}{nu}", SYMMETRY) for mu, nu in symmetries]
+    generators += [(f"P{mu}", MOMENTUM) for mu in range(n)]
+    brackets = {}
     # [L^mu_nu, L^alpha_beta] = delta^alpha_nu L^mu_beta - delta^mu_beta L^alpha_nu
-    pairs = [(mu, nu) for mu in range(n) for nu in range(n)]
-    for i, (mu, nu) in enumerate(pairs):
-        for al, be in pairs[i + 1 :]:
-            terms = []
-            if al == nu:
-                terms.append((1, f"L{mu}{be}"))
-            if mu == be:
-                terms.append((-1, f"L{al}{nu}"))
+    for i, (mu, nu) in enumerate(symmetries):
+        for al, be in symmetries[i + 1:]:
+            terms = [("1", f"L{mu}{be}")] if al == nu else []
+            terms += [("-1", f"L{al}{nu}")] if mu == be else []
             if terms:
-                out[(f"L{mu}{nu}", f"L{al}{be}")] = tuple(terms)
-    # [L^mu_nu, P_rho] = delta_{nu rho} P_mu
-    for mu in range(n):
-        for nu in range(n):
-            for rho in range(n):
-                if nu == rho:
-                    out[(f"L{mu}{nu}", f"P{rho}")] = ((1, f"P{mu}"),)
-    return out
-
-
-def _igl_matrices(n):
+                brackets[(f"L{mu}{nu}", f"L{al}{be}")] = terms
+        # [L^mu_nu, P_rho] = delta_{nu rho} P_mu
+        brackets[(f"L{mu}{nu}", f"P{nu}")] = [("1", f"P{mu}")]
     # L^mu_nu acts through the matrix unit with a 1 in row mu, column nu
-    mats = {}
-    for mu in range(n):
-        for nu in range(n):
-            rows = [[0] * n for _ in range(n)]
-            rows[mu][nu] = 1
-            mats[f"L{mu}{nu}"] = tuple(tuple(r) for r in rows)
-    return mats
-
-
-def _igl_preset(n, order, degree):
+    matrices = {f"L{mu}{nu}": [["1" if (r, c) == (mu, nu) else "0" for c in range(n)]
+                               for r in range(n)] for mu, nu in symmetries}
     # abelian twist exponent i*h * P0 (x) (spatial trace of L)
-    trace = tuple(f"L{k}{k}" for k in range(1, n))
-    exponent = tuple(("i*h", ("P0",), (name,)) for name in trace)
-    return ExamplePreset(
-        name=f"igl{n}-abelian",
-        description=f"inhomogeneous gl({n}) with the abelian momentum/trace twist",
-        order=order,
-        degree=degree,
-        generators=_igl_generators(n),
-        brackets=_igl_brackets(n),
-        matrices=_igl_matrices(n),
-        momenta=tuple(f"P{mu}" for mu in range(n)),
-        exponent=exponent,
+    exponent = [("1*i*h", ["P0"], [f"L{k}{k}"]) for k in range(1, n) if twisted]
+    return _config(name, order, generators, brackets, matrices,
+                   [f"P{mu}" for mu in range(n)], exponent)
+
+
+def _pw_jordanian(order):
+    # dilation plus momenta; jordanian exponent D (x) log(1 - i h P0), whose
+    # h^k term is -(i h P0)^k / k
+    exponent = []
+    for k in range(1, order + 1):
+        re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[k % 4]  # i^k
+        hpow = "h" if k == 1 else f"h^{k}"
+        coeff = "*".join([str(Fraction(-(re or im), k))] + ["i"] * abs(im) + [hpow])
+        exponent.append((coeff, ["D"], ["P0"] * k))
+    return _config(
+        "pw-jordanian", order, [("D", SYMMETRY), ("P0", MOMENTUM), ("P1", MOMENTUM)],
+        {("D", "P0"): [("1", "P0")], ("D", "P1"): [("1", "P1")]},
+        {"D": [["1", "0"], ["0", "1"]]}, ["P0", "P1"], exponent,
     )
 
 
-def _pw_preset():
-    # dilation plus momenta; jordanian exponent D (x) log(1 - i h P0)
-    n = 2
-    gens = (("D", SYMMETRY),) + tuple((f"P{mu}", MOMENTUM) for mu in range(n))
-    brackets = {("D", f"P{mu}"): ((1, f"P{mu}"),) for mu in range(n)}
-    identity = tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))
-    return ExamplePreset(
-        name="pw-jordanian",
-        description="dilation-extended momentum algebra with the jordanian twist",
-        order=3,
-        degree=2,
-        generators=gens,
-        brackets=brackets,
-        matrices={"D": identity},
-        momenta=tuple(f"P{mu}" for mu in range(n)),
-        exponent=("jordanian",),
-    )
-
-
-def _heisenberg_preset():
+def _heisenberg(order):
     # no symmetry sector; constant-commutator twist on the momenta
-    n = 2
-    return ExamplePreset(
-        name="heisenberg",
-        description="momenta and coordinates only, constant-commutator twist",
-        order=4,
-        degree=2,
-        generators=tuple((f"P{mu}", MOMENTUM) for mu in range(n)),
-        brackets={},
-        matrices={},
-        momenta=tuple(f"P{mu}" for mu in range(n)),
-        exponent=(
-            ("1/2*i*h", ("P1",), ("P0",)),
-            ("-1/2*i*h", ("P0",), ("P1",)),
-        ),
+    return _config(
+        "heisenberg", order, [("P0", MOMENTUM), ("P1", MOMENTUM)], {}, {}, ["P0", "P1"],
+        [("-1/2*i*h", ["P0"], ["P1"]), ("1/2*i*h", ["P1"], ["P0"])],
     )
 
 
-def _trivial_preset():
-    base = _igl_preset(2, 3, 2)
-    return ExamplePreset(
-        name="trivial",
-        description="inhomogeneous gl(2) with the zero twist exponent",
-        order=base.order,
-        degree=base.degree,
-        generators=base.generators,
-        brackets=base.brackets,
-        matrices=base.matrices,
-        momenta=base.momenta,
-        exponent=(),
-    )
-
-
+# name -> (builder of the config at an order, recommended order)
 _PRESETS = {
-    "trivial": _trivial_preset,
-    "heisenberg": _heisenberg_preset,
-    "igl2-abelian": lambda: _igl_preset(2, 4, 2),
-    "igl4-abelian": lambda: _igl_preset(4, 2, 2),
-    "pw-jordanian": _pw_preset,
+    "trivial": (lambda order: _igl(2, "trivial", order, twisted=False), 3),
+    "heisenberg": (_heisenberg, 4),
+    "igl2-abelian": (lambda order: _igl(2, "igl2-abelian", order), 4),
+    "igl4-abelian": (lambda order: _igl(4, "igl4-abelian", order), 2),
+    "pw-jordanian": (_pw_jordanian, 3),
 }
 
 
-def preset(name: str) -> ExamplePreset:
+def preset(name: str, order: int | None = None) -> dict:
+    """The named preset as a problem config, at ``order`` or its recommended one."""
     try:
-        builder = _PRESETS[name]
+        build, default_order = _PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         ) from None
-    return builder()
+    return build(default_order if order is None else order)
 
 
 @dataclass
 class Problem:
-    """A preset materialized at a concrete truncation order."""
+    """A config materialized at a concrete truncation order."""
 
-    preset: ExamplePreset
+    config: dict
     order: int
     degree: int
     bialg: BialgebraPresentation
@@ -181,106 +132,45 @@ class Problem:
     twist: Twist
 
 
-def _jordanian_exponent(rs: RewriteSystem) -> NCPoly:
-    """D (x) log(1 - i h P0), the log truncated at the working order."""
-    d = NCPoly.gen(rs, "D", leg=1, nlegs=2)
-    p0 = NCPoly.gen(rs, "P0", leg=2, nlegs=2)
-    u = p0.scale(TruncSeries.h_power(1, rs.order, GaussRational(0, -1)))
-    sigma = NCPoly.zero(rs, 2)
-    power = NCPoly.one(rs, 2)
-    for k in range(1, rs.order + 1):
-        power = power * u
-        if power.is_zero():
-            break
-        sign = 1 if k % 2 else -1
-        sigma = sigma + power.scale(GaussRational(sign) / GaussRational(k))
-    return d * sigma
+def presentation(cfg: dict):
+    """The config's alphabet and brackets in the form RewriteSystem takes."""
+    algebra = cfg["algebra"]
+    generators = [(g["name"], g["sort"]) for g in algebra["generators"]
+                  if g["sort"] != COORDINATE]
+    brackets = {(b["left"], b["right"]): [(t["coeff"], t.get("gen")) for t in b["terms"]]
+                for b in algebra.get("brackets", [])}
+    return generators, brackets
 
 
-def twist_exponent(pre: ExamplePreset, rs: RewriteSystem) -> NCPoly:
-    """The preset's twist exponent as a two-leg element at rs's order."""
-    if pre.exponent == ("jordanian",):
-        return _jordanian_exponent(rs)
+def twist_exponent(cfg: dict, rs: RewriteSystem) -> NCPoly:
+    """The config's twist exponent as a two-leg element at rs's order."""
     t = NCPoly.zero(rs, 2)
-    for coeff, left, right in pre.exponent:
-        if isinstance(coeff, str):
-            coeff = parse_scalar_literal(coeff, rs.order)
-        lw = NCPoly.from_word(rs, left, nlegs=2, leg=1)
-        rw = NCPoly.from_word(rs, right, nlegs=2, leg=2)
-        t = t + (lw * rw).scale(coeff)
+    for term in cfg.get("twist", {}).get("exponent", []):
+        lw = NCPoly.from_word(rs, term["left"], nlegs=2, leg=1)
+        rw = NCPoly.from_word(rs, term["right"], nlegs=2, leg=2)
+        t = t + (lw * rw).scale(parse_scalar_literal(term["coeff"], rs.order))
     return t
 
 
-def _entry_literal(v) -> str:
-    g = GaussRational.coerce(v)
-    if g.im == 0:
-        return str(g.re)
-    if g.re == 0:
-        if g.im == 1:
-            return "i"
-        if g.im == -1:
-            return "-i"
-        return f"{g.im}*i"
-    raise ValueError("matrix entries mixing real and imaginary parts are not exportable")
-
-
-def preset_to_config(pre: ExamplePreset | str, order: int | None = None) -> dict:
-    """Export a preset in the problem-config format used by the CLI."""
-    if isinstance(pre, str):
-        pre = preset(pre)
-    order = pre.order if order is None else order
-    rs = RewriteSystem(order, pre.generators, pre.brackets)
-    names = [g.name for g in rs.generators]
-    exponent = []
-    for word, coeff in sorted(twist_exponent(pre, rs).terms.items()):
-        left = [names[r] for l, r in word if l == 1]
-        right = [names[r] for l, r in word if l == 2]
-        for literal in scalar_literals(coeff):
-            exponent.append({"coeff": literal, "left": left, "right": right})
-    brackets = []
-    for (na, nb), terms in sorted(pre.brackets.items()):
-        brackets.append({
-            "left": na,
-            "right": nb,
-            "terms": [
-                {"coeff": str(c), "gen": g} for c, g in terms
-            ],
-        })
-    return {
-        "name": pre.name,
-        "order": order,
-        "degree": pre.degree,
-        "algebra": {
-            "generators": [
-                {"name": g.name, "sort": g.sort} for g in rs.generators
-            ],
-            "brackets": brackets,
-        },
-        "representation": {
-            "momenta": list(pre.momenta),
-            "matrices": {
-                name: [[_entry_literal(v) for v in row] for row in rows]
-                for name, rows in sorted(pre.matrices.items())
-            },
-        },
-        "twist": {"exponent": exponent},
-        "checks": ["twist", "star-table", "smash", "algebroid-bm", "algebroid-xu", "theorem"],
-    }
-
-
-def materialize(pre: ExamplePreset | str, order: int | None = None,
+def materialize(cfg: dict | str, order: int | None = None,
                 degree: int | None = None, validate: bool = True) -> Problem:
-    """Build the working objects for a preset at a chosen truncation order."""
-    if isinstance(pre, str):
-        pre = preset(pre)
-    order = pre.order if order is None else order
-    degree = pre.degree if degree is None else degree
-    rs = RewriteSystem(order, pre.generators, pre.brackets, validate=validate)
+    """Build the working objects of a config, or of the preset so named, at a
+    truncation order no higher than the config's."""
+    if isinstance(cfg, str):
+        cfg = preset(cfg, order)
+    order = cfg["order"] if order is None else order
+    if order > cfg["order"]:
+        raise ValueError(f"order: {order} is above the config's order {cfg['order']}; "
+                         f"its twist exponent is exact only to h^{cfg['order']}")
+    degree = cfg.get("degree", 2) if degree is None else degree
+    rs = RewriteSystem(order, *presentation(cfg), validate=validate)
     bialg = BialgebraPresentation(rs)
-    rep = RepData(rs, pre.matrices, pre.momenta, validate=validate)
+    representation = cfg["representation"]
+    rep = RepData(rs, representation.get("matrices", {}), representation["momenta"],
+                  validate=validate)
     smash = SmashAlgebra(bialg, rep)
-    twist = twist_from_exponent(bialg, twist_exponent(pre, rs))
-    return Problem(pre, order, degree, bialg, rep, smash, twist)
+    twist = twist_from_exponent(bialg, twist_exponent(cfg, rs))
+    return Problem(cfg, order, degree, bialg, rep, smash, twist)
 
 
 def jacobi_report(rs: RewriteSystem) -> ResidualReport:
@@ -293,31 +183,24 @@ def jacobi_report(rs: RewriteSystem) -> ResidualReport:
     return report
 
 
-def validate(pre: ExamplePreset | str, order: int | None = None) -> dict:
-    """Re-derive every preset guarantee and report the residuals.
+def validate(cfg: dict | str, order: int | None = None) -> dict:
+    """Re-derive every guarantee of a config, or of the preset so named, and
+    report the residuals.
 
     Raises InvalidPresetError with the first witness when anything is
     nonzero, so a perturbed preset fails loudly.
     """
-    if isinstance(pre, str):
-        pre = preset(pre)
-    order = pre.order if order is None else order
-    rs = RewriteSystem(order, pre.generators, pre.brackets, validate=False)
-    jacobi = jacobi_report(rs)
-    rep_data = RepData(rs, pre.matrices, pre.momenta, validate=False)
-    representation = rep_data.representation_residuals()
-
-    bialg = BialgebraPresentation(rs)
-    twist = twist_from_exponent(bialg, twist_exponent(pre, rs))
+    prob = materialize(cfg, order, validate=False)
     cocycle = ResidualReport("cocycle")
-    for label, res in check_cocycle(bialg, twist).items():
+    for label, res in check_cocycle(prob.bialg, prob.twist).items():
         cocycle.check(label, res)
-
-    report = {"jacobi": jacobi, "representation": representation, "cocycle": cocycle}
+    report = {"jacobi": jacobi_report(prob.bialg.rs),
+              "representation": prob.rep.representation_residuals(),
+              "cocycle": cocycle}
     for name, rep in report.items():
         if not rep.ok():
             label, res = rep.witness()
             raise InvalidPresetError(
-                f"preset {pre.name!r} fails {name} at {label}: {res!r}"
+                f"preset {prob.config.get('name', 'config')!r} fails {name} at {label}: {res!r}"
             )
     return report

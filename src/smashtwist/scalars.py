@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
@@ -421,8 +422,13 @@ _NATURAL = re.compile(r"[0-9]+")
 _RATIONAL = re.compile(r"[0-9]+(/[0-9]+)?")
 
 
+@lru_cache(maxsize=4096)
 def _parse_product(text: str):
-    """Shared literal parser: returns (GaussRational value, h-power)."""
+    """Shared literal parser: returns (GaussRational value, h-power).
+
+    Memoized by the text: configs repeat a few literals many times, and a
+    GaussRational is never mutated after it is built.
+    """
     value = GaussRational(1)
     h_power = 0
     factors = [f.strip() for f in str(text).split("*")]

@@ -15,17 +15,16 @@ from smashtwist.cli import (
     _ExprParser,
     build_parser,
     cmd_commutator,
-    config_to_preset,
     main,
     schema_errors,
     validate_config,
 )
-from smashtwist.registry import PRESET_NAMES, materialize, preset_to_config
+from smashtwist.registry import PRESET_NAMES, materialize, preset
 
 
 @pytest.fixture(scope="module")
 def igl2_config():
-    return preset_to_config("igl2-abelian", order=2)
+    return preset("igl2-abelian", 2)
 
 
 def write_config(tmp_path, cfg, name="problem.json"):
@@ -175,8 +174,8 @@ def _at_path(obj, path):
 
 @st.composite
 def mutated_exports(draw):
-    """A preset export with one node replaced, removed or added to."""
-    cfg = preset_to_config(draw(st.sampled_from(PRESET_NAMES)), order=1)
+    """A preset, built at order 1 to 4, with one node replaced, removed or added to."""
+    cfg = preset(draw(st.sampled_from(PRESET_NAMES)), draw(st.integers(1, 4)))
     paths = list(_nodes(cfg))
     path = draw(st.sampled_from(paths))
     names = [g["name"] for g in cfg["algebra"]["generators"]]
@@ -201,6 +200,14 @@ def mutated_exports(draw):
 def draft7():
     jsonschema = pytest.importorskip("jsonschema")
     return jsonschema.Draft7Validator(json.loads(SCHEMA.read_text()))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("order", range(1, 7))
+def test_presets_as_built_pass_the_schema(draft7, name, order):
+    cfg = preset(name, order)
+    assert validate_config(cfg) == []
+    assert draft7.is_valid(cfg)
 
 
 @settings(max_examples=300, deadline=None)
@@ -248,7 +255,7 @@ def test_schema_interpreter_refuses_unknown_keywords():
 def test_schema_checks_match_the_suite():
     checks = json.loads(SCHEMA.read_text())["properties"]["checks"]["items"]["enum"]
     assert checks == list(SUITE_CHECKS)
-    assert checks == preset_to_config("trivial")["checks"]
+    assert checks == preset("trivial")["checks"]
 
 
 def _bracket_twice(reverse):
@@ -481,6 +488,32 @@ def test_cli_export_import_cycle(tmp_path, capsys):
     text = capsys.readouterr().out
     cfg = json.loads(text)
     assert validate_config(cfg) == []
-    pre = config_to_preset(cfg)
-    prob = materialize(pre)
+    prob = materialize(cfg)
     assert not prob.twist.is_trivial()
+
+
+# an exported config's twist exponent is exact only to its order: the
+# jordanian log series written at h^3 is not the twist at h^5
+
+
+def test_order_above_an_exported_config_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "cfg.json")
+    assert main(["export-preset", "--preset", "pw-jordanian", "--json", path]) == EXIT_PASS
+    assert json.loads(open(path).read())["order"] == 3
+    assert main(["check-twist", "--config", path, "--order", "5"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "order: 5 is above the config's order 3" in err
+    assert "Traceback" not in err
+
+
+def test_preset_at_a_higher_order_passes():
+    assert main(["check-twist", "--preset", "pw-jordanian", "--order", "5"]) == EXIT_PASS
+
+
+def test_export_at_a_higher_order_round_trips(tmp_path):
+    path = str(tmp_path / "cfg.json")
+    assert main(["export-preset", "--preset", "pw-jordanian", "--order", "5",
+                 "--json", path]) == EXIT_PASS
+    out = str(tmp_path / "report.json")
+    assert main(["check-twist", "--config", path, "--json", out]) == EXIT_PASS
+    assert json.loads(open(out).read())["order"] == 5

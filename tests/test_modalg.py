@@ -87,13 +87,18 @@ def test_degree_bookkeeping(igl2):
                 assert sum(e) == sum(exp) + shift
 
 
+def bad_l01_representation():
+    """igl2-abelian's momenta and matrices, with L01 swapping the coordinates."""
+    representation = preset("igl2-abelian")["representation"]
+    representation["matrices"]["L01"] = [["0", "1"], ["1", "0"]]
+    return representation["momenta"], representation["matrices"]
+
+
 def test_representation_validation_catches_corruption(igl2):
-    pre = preset("igl2-abelian")
-    bad = dict(pre.matrices)
-    bad["L01"] = ((0, 1), (1, 0))  # not the matrix of L01 in this bracket table
+    momenta, bad = bad_l01_representation()  # not the matrix of L01 in this bracket table
     with pytest.raises(ValueError, match="representation"):
-        RepData(igl2.rep.rs, bad, pre.momenta)
-    rep = RepData(igl2.rep.rs, bad, pre.momenta, validate=False)
+        RepData(igl2.rep.rs, bad, momenta)
+    rep = RepData(igl2.rep.rs, bad, momenta, validate=False)
     assert not rep.representation_residuals().ok()
 
 
@@ -106,10 +111,8 @@ def test_module_algebra_residuals(igl2):
 def test_module_algebra_negative_control(igl2):
     # a corrupted matrix keeps the letterwise Leibniz law but breaks the
     # compatibility of the action with the rewriting relations
-    pre = preset("igl2-abelian")
-    bad = dict(pre.matrices)
-    bad["L01"] = ((0, 1), (1, 0))
-    rep = RepData(igl2.rep.rs, bad, pre.momenta, validate=False)
+    momenta, bad = bad_l01_representation()
+    rep = RepData(igl2.rep.rs, bad, momenta, validate=False)
     report = check_module_algebra(rep, degree=2)
     assert not report.ok()
     label, _ = report.witness()

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smashtwist.ncpoly import NCPoly, RewriteSystem, _inversions
-from smashtwist.registry import PRESET_NAMES, preset, twist_exponent
+from smashtwist.registry import PRESET_NAMES, presentation, preset, twist_exponent
 from smashtwist.scalars import TruncSeries
 
 
 def igl2_rs(order=3):
-    pre = preset("igl2-abelian")
-    return RewriteSystem(order, pre.generators, pre.brackets)
+    return RewriteSystem(order, *presentation(preset("igl2-abelian")))
 
 
 def test_generator_order_blocks():
@@ -118,9 +117,8 @@ def test_leg_embed():
 
 
 def test_twist_leg_placements_differ():
-    pre = preset("igl2-abelian")
     rs = igl2_rs()
-    t = twist_exponent(pre, rs)
+    t = twist_exponent(preset("igl2-abelian"), rs)
     f = t.exp_truncated()
     assert f.place_legs((1, 2), 3) != f.place_legs((2, 3), 3)
 
@@ -164,18 +162,16 @@ def test_rewriting_never_raises_length():
 
 
 def test_jacobi_validation():
-    pre = preset("igl2-abelian")
-    bad = dict(pre.brackets)
+    gens, bad = presentation(preset("igl2-abelian"))
     # corrupt one structure constant
     bad[("L00", "L01")] = ((1, "L01"), (1, "P0"))
     with pytest.raises(ValueError, match="Jacobi"):
-        RewriteSystem(2, pre.generators, bad)
-    rs = RewriteSystem(2, pre.generators, bad, validate=False)
+        RewriteSystem(2, gens, bad)
+    rs = RewriteSystem(2, gens, bad, validate=False)
     assert rs.jacobi_residuals()
 
 
 def test_bracket_antisymmetry_storage():
-    pre = preset("igl2-abelian")
     rs = igl2_rs()
     # brackets given in either orientation agree up to sign
     for (na, nb) in (("L01", "L10"), ("L00", "P0")):
@@ -183,11 +179,10 @@ def test_bracket_antisymmetry_storage():
 
 
 def test_duplicate_bracket_rejected():
-    pre = preset("igl2-abelian")
-    bad = dict(pre.brackets)
+    gens, bad = presentation(preset("igl2-abelian"))
     bad[("P0", "L00")] = ((-1, "P0"),)
     with pytest.raises(ValueError, match="twice"):
-        RewriteSystem(2, pre.generators, bad)
+        RewriteSystem(2, gens, bad)
 
 
 def test_unknown_generator_rejected():
@@ -217,8 +212,7 @@ def test_swapping_a_descent_lowers_inversions_by_one(word, data):
 
 @functools.cache
 def _preset_rs(name):
-    pre = preset(name)
-    return RewriteSystem(2, pre.generators, pre.brackets)
+    return RewriteSystem(2, *presentation(preset(name)))
 
 
 @st.composite

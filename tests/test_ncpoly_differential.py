@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import ncpoly_oracle as ref
 from smashtwist.ncpoly import NCPoly, RewriteSystem
-from smashtwist.registry import PRESET_NAMES, preset
+from smashtwist.registry import PRESET_NAMES, presentation, preset
 from smashtwist.scalars import GaussRational, TruncSeries
 
 kernel_settings = settings(max_examples=150, deadline=None)
@@ -35,8 +35,7 @@ nonzero_gauss = st.builds(GaussRational, rationals, rationals).filter(
 
 @functools.cache
 def preset_rs(name, order):
-    pre = preset(name)
-    return RewriteSystem(order, pre.generators, pre.brackets)
+    return RewriteSystem(order, *presentation(preset(name)))
 
 
 def leg_tags(nlegs):
@@ -179,7 +178,7 @@ def descending_legs(draw, rs, nlegs):
 
 @st.composite
 def repeated_leg_words(draw):
-    names = tuple(n for n in PRESET_NAMES if preset(n).brackets)
+    names = tuple(n for n in PRESET_NAMES if preset(n)["algebra"]["brackets"])
     rs = preset_rs(draw(st.sampled_from(names)), draw(orders))
     nlegs = draw(st.sampled_from((2, 3)))
     return rs, interleave(draw, draw(descending_legs(rs, nlegs)))
@@ -200,8 +199,8 @@ def h_bracket_systems(draw):
     """An unvalidated preset alphabet whose brackets are replaced by terms
     carrying h^k, at orders 0-2, so that products of per-leg coefficients
     often truncate to zero."""
-    pre = preset(draw(st.sampled_from(("igl2-abelian", "pw-jordanian"))))
-    names = [name for name, _ in pre.generators]
+    gens, _ = presentation(preset(draw(st.sampled_from(("igl2-abelian", "pw-jordanian")))))
+    names = [name for name, _ in gens]
     brackets = {}
     for a, b in draw(st.lists(
         st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True),
@@ -212,7 +211,7 @@ def h_bracket_systems(draw):
             (draw(h_literals), draw(st.one_of(st.none(), st.sampled_from(names))))
             for _ in range(draw(st.integers(1, 2)))
         )
-    return RewriteSystem(draw(st.integers(0, 2)), pre.generators, brackets, validate=False)
+    return RewriteSystem(draw(st.integers(0, 2)), gens, brackets, validate=False)
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,11 +252,10 @@ def assert_same_residuals(got, want):
 
 
 def test_jacobi_residuals_of_a_broken_system_match():
-    pre = preset("igl2-abelian")
-    bad = dict(pre.brackets)
+    gens, bad = presentation(preset("igl2-abelian"))
     bad[("L00", "L01")] = ((1, "L01"), (1, "P0"))
     bad[("L10", "P1")] = (("h", "P0"), ("1/2*h^2", None), ("i*h", "L11"))
-    rs = RewriteSystem(2, pre.generators, bad, validate=False)
+    rs = RewriteSystem(2, gens, bad, validate=False)
     got = rs.jacobi_residuals()
     assert got
     assert_same_residuals(got, ref.jacobi_residuals(rs))
@@ -269,9 +267,9 @@ literals = st.sampled_from(("1", "-1", "2", "i", "h", "-h", "1/2*h^2", "3*i*h^2"
 @st.composite
 def broken_systems(draw):
     """A preset alphabet with some brackets replaced at random, unvalidated."""
-    pre = preset(draw(st.sampled_from(("heisenberg", "igl2-abelian", "pw-jordanian"))))
-    names = [name for name, _ in pre.generators]
-    brackets = dict(pre.brackets)
+    gens, brackets = presentation(preset(draw(st.sampled_from(
+        ("heisenberg", "igl2-abelian", "pw-jordanian")))))
+    names = [name for name, _ in gens]
     for _ in range(draw(st.integers(1, 3))):
         a, b = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
         brackets.pop((b, a), None)
@@ -279,7 +277,7 @@ def broken_systems(draw):
             (draw(literals), draw(st.one_of(st.none(), st.sampled_from(names))))
             for _ in range(draw(st.integers(0, 2)))
         )
-    return RewriteSystem(draw(st.integers(0, 3)), pre.generators, brackets, validate=False)
+    return RewriteSystem(draw(st.integers(0, 3)), gens, brackets, validate=False)
 
 
 @settings(max_examples=40, deadline=None)

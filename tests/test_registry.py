@@ -1,15 +1,18 @@
 """Shipped presets and their validation."""
 
+import json
+
 import pytest
 
 from smashtwist.modalg import PolyCoord, StarProduct, star_commutator_table
+from smashtwist.ncpoly import NCPoly, RewriteSystem
 from smashtwist.registry import (
-    ExamplePreset,
     InvalidPresetError,
     PRESET_NAMES,
     materialize,
+    presentation,
     preset,
-    preset_to_config,
+    twist_exponent,
     validate,
 )
 from smashtwist.scalars import GaussRational, TruncSeries
@@ -55,28 +58,23 @@ def test_jordanian_matches_abelian_at_first_order():
             assert ca == cj
 
 
+def _bracket(cfg, left, right):
+    return next(b for b in cfg["algebra"]["brackets"]
+                if (b["left"], b["right"]) == (left, right))
+
+
 def test_perturbed_preset_fails_with_witness():
-    pre = preset("igl2-abelian")
-    bad_brackets = dict(pre.brackets)
-    bad_brackets[("L00", "L01")] = ((1, "L01"), (1, "P1"))
-    bad = ExamplePreset(
-        name="bad", description="", order=2, degree=2,
-        generators=pre.generators, brackets=bad_brackets,
-        matrices=pre.matrices, momenta=pre.momenta, exponent=pre.exponent,
-    )
+    bad = preset("igl2-abelian", 2)
+    bad["name"] = "bad"
+    _bracket(bad, "L00", "L01")["terms"].append({"coeff": "1", "gen": "P1"})
     with pytest.raises(InvalidPresetError, match="jacobi"):
         validate(bad)
 
 
 def test_perturbed_matrix_fails():
-    pre = preset("igl2-abelian")
-    bad_m = dict(pre.matrices)
-    bad_m["L00"] = ((0, 1), (0, 0))
-    bad = ExamplePreset(
-        name="bad", description="", order=2, degree=2,
-        generators=pre.generators, brackets=pre.brackets,
-        matrices=bad_m, momenta=pre.momenta, exponent=pre.exponent,
-    )
+    bad = preset("igl2-abelian", 2)
+    bad["name"] = "bad"
+    bad["representation"]["matrices"]["L00"] = [["0", "1"], ["0", "0"]]
     with pytest.raises(InvalidPresetError, match="representation"):
         validate(bad)
 
@@ -94,14 +92,40 @@ def test_igl4_spatial_trace_twist():
 
 
 def test_preset_export_round_trip():
-    from smashtwist.cli import config_to_preset, validate_config
+    from smashtwist.cli import validate_config
 
     for name in ("igl2-abelian", "pw-jordanian", "heisenberg"):
-        cfg = preset_to_config(name)
+        cfg = json.loads(json.dumps(preset(name)))
         assert validate_config(cfg) == []
-        back = config_to_preset(cfg)
         orig = materialize(name)
-        redo = materialize(back)
+        redo = materialize(cfg)
         # fresh context, so compare the coefficient data
         assert redo.twist.F.terms == orig.twist.F.terms
         assert redo.bialg.rs.names() == orig.bialg.rs.names()
+
+
+def _log_series_exponent(rs):
+    """D (x) log(1 - i h P0), the log expanded at rs's order in NCPoly arithmetic."""
+    d = NCPoly.gen(rs, "D", leg=1, nlegs=2)
+    u = NCPoly.gen(rs, "P0", leg=2, nlegs=2).scale(
+        TruncSeries.h_power(1, rs.order, GaussRational(0, -1)))
+    sigma, power = NCPoly.zero(rs, 2), NCPoly.one(rs, 2)
+    for k in range(1, rs.order + 1):
+        power = power * u
+        sigma = sigma + power.scale(GaussRational(1 if k % 2 else -1) / GaussRational(k))
+    return d * sigma
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_jordanian_literals_are_the_log_series(order):
+    cfg = preset("pw-jordanian", order)
+    rs = RewriteSystem(order, *presentation(cfg))
+    assert cfg["order"] == order and len(cfg["twist"]["exponent"]) == order
+    assert twist_exponent(cfg, rs) == _log_series_exponent(rs)
+
+
+def test_order_above_the_config_is_refused():
+    cfg = preset("pw-jordanian", 3)
+    assert materialize(cfg, order=2).order == 2
+    with pytest.raises(ValueError, match=r"^order: 4 is above the config's order 3"):
+        materialize(cfg, order=4)
