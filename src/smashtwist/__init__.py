@@ -1,7 +1,7 @@
 """Exact symbolic engine for twist-deformed smash products, their star
 products, and the two bialgebroid structures they carry."""
 
-from .scalars import GaussRational, NonInvertibleError, TruncSeries
+from .scalars import GaussRational, TruncSeries
 from .ncpoly import (
     COORDINATE,
     Generator,

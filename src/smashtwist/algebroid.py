@@ -18,11 +18,13 @@ comparison.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .hopf import CoproductMap, InvalidTwistError, Twist, inv_unipotent, \
     r_matrix_from_twist
 from .modalg import PolyCoord, coaction, monomial_str, monomials_up_to, \
     check_braided_commutativity
-from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word
+from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word, memoized
 from .reporting import ResidualReport
 from .scalars import TruncSeries
 from .smash import SmashAlgebra, SmashElem, SmashProduct, linear_on_basis, phi, \
@@ -38,15 +40,15 @@ class Bialgebroid:
 
     ``base`` multiplies coordinate polynomials, ``total`` multiplies carrier
     elements, ``source``/``target`` embed the base, ``counit`` projects back.
-    ``right_split_term`` writes a carrier basis element as a combination of
-    source multiples of pure elements; it drives the canonical form of the
-    tensor square.
+    ``right_split`` writes a carrier basis element as a combination of source
+    multiples of pure elements; it drives the canonical form of the tensor
+    square.  Without ``hdelta`` the maker sets ``_right_split`` and
+    ``_coproduct`` itself, as ``xu_twist`` does.
     """
 
     def __init__(self, name, smash: SmashAlgebra, base, total: SmashProduct,
-                 source, target, counit, right_split_term=None,
-                 hdelta: CoproductMap | None = None, rmatrix: NCPoly | None = None,
-                 coproduct=None):
+                 source, target, counit, hdelta: CoproductMap | None = None,
+                 rmatrix: NCPoly | None = None):
         self.name = name
         self.smash = smash
         self.base = base
@@ -56,11 +58,9 @@ class Bialgebroid:
         self.counit = counit
         self.hdelta = hdelta
         self.rmatrix = rmatrix
-        self._coproduct = coproduct
-        self._right_split = right_split_term or self._trivial_split
+        self._coproduct = None
+        self._right_split = self._trivial_split
         self._zero_exp = (0,) * smash.dim
-        self._pure_cache: dict = {}
-        self._split_cache: dict = {}
 
     # -- canonical-form machinery -----------------------------------------
 
@@ -68,21 +68,14 @@ class Bialgebroid:
         a = PolyCoord.monomial(self.smash.dim, self.smash.order, exp)
         return ((a, word, TruncSeries.one(self.smash.order)),)
 
+    @memoized
     def right_split(self, exp, word):
-        key = (exp, word)
-        cached = self._split_cache.get(key)
-        if cached is None:
-            cached = tuple(self._right_split(exp, word))
-            self._split_cache[key] = cached
-        return cached
+        return tuple(self._right_split(exp, word))
 
+    @memoized
     def pure(self, word) -> SmashElem:
         """1 (x) word as a carrier element."""
-        elem = self._pure_cache.get(word)
-        if elem is None:
-            elem = self.smash.basis_elem(self._zero_exp, word)
-            self._pure_cache[word] = elem
-        return elem
+        return self.smash.basis_elem(self._zero_exp, word)
 
     def tensor_from_pairs(self, items, nlegs: int = 2) -> "TensorOverA":
         """Canonicalize a raw sum of n-fold products of carrier elements.
@@ -318,8 +311,7 @@ def _bm_build(name, smash, total, rmatrix, hdelta, check_degree):
         coaction_terms = linear_on_basis(
             lambda e: coaction(
                 smash, rmatrix, PolyCoord.monomial(smash.dim, smash.order, e)
-            ).terms,
-            {},
+            ).terms
         )
 
         def target(a: PolyCoord) -> SmashElem:
@@ -473,18 +465,9 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
     Ft, Fi = shifted.forward, shifted.inverse
     smash = bd.smash
 
-    anchor_cache: dict = {}
-
+    @cache
     def anchor_mono(e, wl, exp) -> PolyCoord:
-        key = (e, wl, exp)
-        cached = anchor_cache.get(key)
-        if cached is None:
-            cached = bd.anchor(
-                smash.basis_elem(e, wl),
-                PolyCoord.monomial(smash.dim, smash.order, exp),
-            )
-            anchor_cache[key] = cached
-        return cached
+        return bd.anchor(smash.basis_elem(e, wl), PolyCoord.monomial(smash.dim, smash.order, exp))
 
     def anchor_poly(e, wl, a: PolyCoord) -> PolyCoord:
         out: dict = {}
@@ -509,7 +492,7 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
         return PolyCoord(smash.dim, smash.order, _strip(out))
 
     # source, target and coproduct are linear: each is computed once per
-    # basis element and extended through a cache held by the new bialgebroid
+    # basis element and extended through a memo held by the new bialgebroid
 
     def source_on_monomial(exp) -> dict:
         out: dict = {}
@@ -531,8 +514,8 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
                 _bump(out, k, v * c)
         return _strip(out)
 
-    source_terms = linear_on_basis(source_on_monomial, {})
-    target_terms = linear_on_basis(target_on_monomial, {})
+    source_terms = linear_on_basis(source_on_monomial)
+    target_terms = linear_on_basis(target_on_monomial)
 
     def source(a: PolyCoord) -> SmashElem:
         return SmashElem(smash, source_terms(a.terms))
@@ -540,10 +523,8 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
     def target(a: PolyCoord) -> SmashElem:
         return SmashElem(smash, target_terms(a.terms))
 
-    new_bd = Bialgebroid(
-        f"{bd.name}-twisted", smash, base, bd.total, source, target, bd.counit,
-        right_split_term=None, hdelta=None, rmatrix=None, coproduct=None,
-    )
+    new_bd = Bialgebroid(f"{bd.name}-twisted", smash, base, bd.total, source, target,
+                         bd.counit)
 
     prod = bd.total.on_basis
 
@@ -569,7 +550,7 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
                               prod((zero_exp, frw), (zero_exp, wr)), c * cf))
         return new_bd.tensor_from_pairs(pairs).terms
 
-    coproduct_terms = linear_on_basis(coproduct_on_basis, {})
+    coproduct_terms = linear_on_basis(coproduct_on_basis)
 
     def coproduct(m: SmashElem) -> TensorOverA:
         return TensorOverA(new_bd, 2, coproduct_terms(m.terms))

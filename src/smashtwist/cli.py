@@ -547,7 +547,7 @@ def cmd_suite(args) -> Report:
     wanted = checks or list(SUITE_CHECKS)
     combined = Report("suite", source, prob.order, prob.degree)
     for name in wanted:
-        # every sub-check runs on the one problem, so its caches stay warm
+        # every sub-check runs on the one problem, so its memos stay warm
         sub = SUITE_CHECKS[name](args, loaded)
         for rec in sub.records:
             rec = dict(rec)
@@ -741,7 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_commutator)
 
     p = sub.add_parser("export-preset", help="print a preset in config format")
-    _add_common(p)
+    p.add_argument("--preset", choices=PRESET_NAMES, help="built-in example")
+    p.add_argument("--order", type=int, help="truncation order of the export")
+    p.add_argument("--json", help="write the config here instead of printing it")
     p.set_defaults(fn=cmd_export_preset)
 
     return parser

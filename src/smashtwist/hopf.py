@@ -12,7 +12,7 @@ nonzero residual pinpoints the failing term and h-order.
 
 from __future__ import annotations
 
-from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, _strip, leg_word
+from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, _strip, leg_word, memoized
 from .scalars import TruncSeries
 
 
@@ -30,7 +30,6 @@ class BialgebraPresentation:
                     "coordinate generators do not belong to the Hopf alphabet"
                 )
         self.rs = rs
-        self._split_cache: dict = {}
 
     @property
     def order(self) -> int:
@@ -38,6 +37,7 @@ class BialgebraPresentation:
 
     # -- coproduct and counit ------------------------------------------
 
+    @memoized
     def word_splits(self, ranks) -> tuple:
         """All two-leg splits of a PBW word with multiplicities.
 
@@ -45,18 +45,13 @@ class BialgebraPresentation:
         expansion of a product of primitive letters; both halves inherit the
         sorted order, so no renormalization is needed.
         """
-        cached = self._split_cache.get(ranks)
-        if cached is not None:
-            return cached
         counts: dict = {}
         n = len(ranks)
         for mask in range(1 << n):
             left = tuple(ranks[i] for i in range(n) if mask >> i & 1)
             right = tuple(ranks[i] for i in range(n) if not mask >> i & 1)
             counts[(left, right)] = counts.get((left, right), 0) + 1
-        out = tuple((l, r, m) for (l, r), m in counts.items())
-        self._split_cache[ranks] = out
-        return out
+        return tuple((l, r, m) for (l, r), m in counts.items())
 
     def coproduct(self, p: NCPoly) -> NCPoly:
         """Algebra-map extension of the primitive coproduct, as a two-leg element."""
@@ -177,7 +172,6 @@ class CoproductMap:
     def __init__(self, bialg: BialgebraPresentation, twist: Twist | None = None):
         self.bialg = bialg
         self.twist = twist
-        self._word_cache: dict = {}
 
     def __call__(self, p: NCPoly) -> NCPoly:
         prim = self.bialg.coproduct(p)
@@ -193,6 +187,7 @@ class CoproductMap:
         fi = self.twist.F_inv.place_legs(dests, n_out)
         return f * prim * fi
 
+    @memoized
     def word_splits(self, ranks) -> tuple:
         """Two-leg Sweedler data of a PBW word: ((left, right, coeff), ...)."""
         if self.twist is None:
@@ -201,15 +196,8 @@ class CoproductMap:
                 (l, r, TruncSeries.const(m, order))
                 for l, r, m in self.bialg.word_splits(ranks)
             )
-        cached = self._word_cache.get(ranks)
-        if cached is not None:
-            return cached
         poly = self(_word_poly(self.bialg.rs, ranks))
-        out = tuple(
-            (leg_word(w, 1), leg_word(w, 2), c) for w, c in poly.terms.items()
-        )
-        self._word_cache[ranks] = out
-        return out
+        return tuple((leg_word(w, 1), leg_word(w, 2), c) for w, c in poly.terms.items())
 
 
 def _word_poly(rs: RewriteSystem, ranks) -> NCPoly:

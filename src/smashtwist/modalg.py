@@ -11,7 +11,7 @@ the expansion of the inverse twist.
 from __future__ import annotations
 
 from .ncpoly import MOMENTUM, SCALARS, SYMMETRY, LinearCombination, NCPoly, RewriteSystem, \
-    _bump, _strip, leg_word
+    _bump, _strip, leg_word, memoized
 from .scalars import GaussRational, TruncSeries, parse_gauss_literal
 from .reporting import ResidualReport
 
@@ -122,7 +122,6 @@ class RepData:
                 for row in rows
             )
 
-        self._mono_cache: dict = {}
         if validate:
             rep = self.representation_residuals()
             if not rep.ok():
@@ -160,18 +159,15 @@ class RepData:
             raise ValueError(f"{g.name!r} does not act on the coordinate algebra")
         return PolyCoord(self.dim, a.order, out)
 
+    @memoized
     def act_word(self, ranks, exp) -> PolyCoord:
-        """A PBW word acting on a coordinate monomial, rightmost letter first."""
-        key = (ranks, tuple(exp))
-        cached = self._mono_cache.get(key)
-        if cached is not None:
-            return cached
+        """A PBW word acting on a coordinate monomial (an exponent tuple),
+        rightmost letter first."""
         cur = PolyCoord.monomial(self.dim, self.rs.order, exp)
         for rank in reversed(ranks):
             cur = self.act_rank(rank, cur)
             if cur.is_zero():
                 break
-        self._mono_cache[key] = cur
         return cur
 
     # -- validation --------------------------------------------------------
@@ -267,13 +263,12 @@ class StarProduct:
 
     With no twist this is the plain commutative product; with a twist F it is
     a *_F b = sum (Fbar_1 acting on a) (Fbar_2 acting on b) over the expansion
-    of the inverse twist.  Monomial products are cached.
+    of the inverse twist.  Monomial products are memoized.
     """
 
     def __init__(self, rep: RepData, twist=None):
         self.rep = rep
         self.twist = twist if twist is not None and not twist.is_trivial() else None
-        self._mono_cache: dict = {}
 
     def __call__(self, a: PolyCoord, b: PolyCoord) -> PolyCoord:
         if self.twist is None:
@@ -286,11 +281,8 @@ class StarProduct:
                     _bump(out, e, cm * c)
         return PolyCoord(self.rep.dim, self.rep.rs.order, _strip(out))
 
+    @memoized
     def _mono(self, ea, eb) -> PolyCoord:
-        key = (ea, eb)
-        cached = self._mono_cache.get(key)
-        if cached is not None:
-            return cached
         rep = self.rep
         out: dict = {}
         for word, c in self.twist.F_inv.terms.items():
@@ -302,9 +294,7 @@ class StarProduct:
                 continue
             for e, cp in (left * right).terms.items():
                 _bump(out, e, cp * c)
-        out = PolyCoord(rep.dim, rep.rs.order, _strip(out))
-        self._mono_cache[key] = out
-        return out
+        return PolyCoord(rep.dim, rep.rs.order, _strip(out))
 
 
 def monomials_up_to(dim: int, degree: int):

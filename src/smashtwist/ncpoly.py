@@ -14,6 +14,7 @@ to TruncSeries coefficients and never stores a zero coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from itertools import groupby
 from operator import itemgetter
 
@@ -67,6 +68,78 @@ def _inversions(word) -> int:
             if wi > word[j]:
                 n += 1
     return n
+
+
+def _bump(d: dict, key, value):
+    prev = d.get(key)
+    if prev is None:
+        d[key] = value
+    else:
+        s = prev + value
+        if s.is_zero():
+            del d[key]
+        else:
+            d[key] = s
+
+
+def _strip(d: dict) -> dict:
+    return {k: v for k, v in d.items() if not v.is_zero()}
+
+
+_MISSING = object()
+
+
+def memoized(method):
+    """Memoize a method of one or two arguments per instance, keyed by its
+    argument or by the pair of them.
+
+    On first use the instance gets one attribute, ``_memos``, a dict of
+    memos by method qualname.  It holds no reference back to the instance,
+    so it dies with it; a result that refers to the instance makes a cycle
+    the collector frees.  Results are shared: callers must not mutate them.
+    ``wraps`` keeps the method's ``__module__`` and ``__qualname__``, by
+    which profilers charge its time.  A lookup costs about what the
+    hand-written ``dict.get`` it replaces did, plus the one subscript that
+    finds the memo: the wrappers have fixed arity, as a ``*args`` call costs
+    more; the memos are an ordinary attribute, as touching ``__dict__`` slows
+    every attribute of the instance; and a miss raises nothing, as a fresh
+    problem misses on almost every call.
+    """
+    name = method.__qualname__
+    nargs = method.__code__.co_argcount - 1
+
+    if nargs == 1:
+        def lookup(self, arg):
+            try:
+                memo = self._memos[name]
+            except (AttributeError, KeyError):
+                memo = _new_memo(self, name)
+            value = memo.get(arg, _MISSING)
+            if value is _MISSING:
+                value = memo[arg] = method(self, arg)
+            return value
+    elif nargs == 2:
+        def lookup(self, a, b):
+            try:
+                memo = self._memos[name]
+            except (AttributeError, KeyError):
+                memo = _new_memo(self, name)
+            value = memo.get((a, b), _MISSING)
+            if value is _MISSING:
+                value = memo[a, b] = method(self, a, b)
+            return value
+    else:
+        raise TypeError(f"memoized takes one or two arguments; {name} takes {nargs}")
+    return wraps(method)(lookup)
+
+
+def _new_memo(owner, name: str) -> dict:
+    try:
+        memos = owner._memos
+    except AttributeError:
+        memos = owner._memos = {}
+    memo = memos[name] = {}
+    return memo
 
 
 class RewriteSystem:
@@ -125,8 +198,6 @@ class RewriteSystem:
                       if any(not c.is_zero() for _, c in v)}
 
         self.unit = TruncSeries.one(order)
-        self._nf_cache: dict = {}
-        self._leg_cache: dict = {}
         if validate:
             bad = self.jacobi_residuals()
             if bad:
@@ -146,74 +217,65 @@ class RewriteSystem:
 
     # -- rewriting ------------------------------------------------------
 
+    @memoized
     def normalize_word(self, word) -> dict:
         """PBW normal form of a word as a dict {word: TruncSeries}.
 
         Letters of distinct legs commute exactly, so the normal form of a
         word is the product of the normal forms of its legs, each unique by
-        the diamond lemma.  A miss on the word as given is looked up again
-        under its leg-sorted form; a miss there too is assembled from
-        per-leg forms cached by rank tuple (``_leg_form``), dropping
-        cross-leg coefficient products that truncate to zero.  Every unit
-        coefficient is ``self.unit``.  The returned dict is cached and
+        the diamond lemma.  A miss on the word as given is looked up again,
+        in the same memo, under its leg-sorted form; a miss there too is
+        assembled from per-leg forms (``_leg_form``), dropping cross-leg
+        coefficient products that truncate to zero.  Every unit
+        coefficient is ``self.unit``.  The returned dict is memoized and
         shared; callers must not mutate it.
         """
-        cached = self._nf_cache.get(word)
-        if cached is not None:
-            return cached
         key = tuple(sorted(word, key=_leg))
-        out = self._nf_cache.get(key)
-        if out is None:
-            unit = self.unit
-            out = {(): unit}
-            for leg, letters in groupby(key, _leg):
-                form = self._leg_form(tuple(r for _, r in letters))
-                grown = {}
-                for w, c in out.items():
-                    for ranks, k in form.items():
-                        if c is unit:
-                            v = k
-                        elif k is unit:
-                            v = c
-                        else:
-                            v = c * k
-                            if v.is_zero():
-                                continue
-                            if v == unit:
-                                v = unit
-                        grown[w + tuple((leg, r) for r in ranks)] = v
-                out = grown
-            self._nf_cache[key] = out
-        self._nf_cache[word] = out
+        if key != word:
+            return _normal_form(self, key)
+        unit = self.unit
+        out = {(): unit}
+        for leg, letters in groupby(word, _leg):
+            form = self._leg_form(tuple(r for _, r in letters))
+            grown = {}
+            for w, c in out.items():
+                for ranks, k in form.items():
+                    if c is unit:
+                        v = k
+                    elif k is unit:
+                        v = c
+                    else:
+                        v = c * k
+                        if v.is_zero():
+                            continue
+                        if v == unit:
+                            v = unit
+                    grown[w + tuple((leg, r) for r in ranks)] = v
+            out = grown
         return out
 
+    @memoized
     def _leg_form(self, ranks) -> dict:
-        """Normal form {ranks: TruncSeries} of one leg's rank tuple, cached."""
-        form = self._leg_cache.get(ranks)
-        if form is not None:
-            return form
+        """Normal form {ranks: TruncSeries} of one leg's rank tuple."""
         unit = self.unit
         if all(a <= b for a, b in zip(ranks, ranks[1:])):
-            form = {ranks: unit}
-        else:
-            # rewrite the leftmost descent until none is left
-            form = {}
-            stack = [(ranks, unit)]
-            while stack:
-                w, c = stack.pop()
-                for i in range(len(w) - 1):
-                    if w[i] > w[i + 1]:
-                        break
-                else:
-                    prev = form.get(w)
-                    form[w] = c if prev is None else prev + c
-                    continue
-                stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2 :], c))
-                for cw, cc in self._corr.get((w[i], w[i + 1]), ()):
-                    stack.append((w[:i] + cw + w[i + 2 :], cc if c is unit else c * cc))
-            form = {w: unit if c == unit else c for w, c in form.items() if not c.is_zero()}
-        self._leg_cache[ranks] = form
-        return form
+            return {ranks: unit}
+        # rewrite the leftmost descent until none is left
+        form = {}
+        stack = [(ranks, unit)]
+        while stack:
+            w, c = stack.pop()
+            for i in range(len(w) - 1):
+                if w[i] > w[i + 1]:
+                    break
+            else:
+                prev = form.get(w)
+                form[w] = c if prev is None else prev + c
+                continue
+            stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2 :], c))
+            for cw, cc in self._corr.get((w[i], w[i + 1]), ()):
+                stack.append((w[:i] + cw + w[i + 2 :], cc if c is unit else c * cc))
+        return {w: unit if c == unit else c for w, c in form.items() if not c.is_zero()}
 
     def jacobi_residuals(self):
         """Nonzero Jacobi residuals [(name_a, name_b, name_c, NCPoly)].
@@ -252,20 +314,10 @@ class RewriteSystem:
         return NCPoly.gen(self, name_a).commutator(NCPoly.gen(self, name_b))
 
 
-def _bump(d: dict, key, value):
-    prev = d.get(key)
-    if prev is None:
-        d[key] = value
-    else:
-        s = prev + value
-        if s.is_zero():
-            del d[key]
-        else:
-            d[key] = s
-
-
-def _strip(d: dict) -> dict:
-    return {k: v for k, v in d.items() if not v.is_zero()}
+# normalize_word as memoized, for its retry under the leg-sorted form: one memo
+# keeps a word and its sorted form once each, and a profiler that wraps the
+# method counts one call per lookup
+_normal_form = RewriteSystem.normalize_word
 
 
 SCALARS = (TruncSeries, int, Fraction, GaussRational)
@@ -496,12 +548,6 @@ class NCPoly(LinearCombination):
         if self.nlegs != 2:
             raise ValueError("swap_legs requires a two-leg polynomial")
         return self.place_legs((2, 1), 2)
-
-    def tensor(self, other: "NCPoly") -> "NCPoly":
-        """Tensor product of two single-leg elements as a two-leg element."""
-        if self.nlegs != 1 or other.nlegs != 1:
-            raise ValueError("tensor expects single-leg factors")
-        return self.leg_embed(1, 2) * other.leg_embed(2, 2)
 
     # -- queries ---------------------------------------------------------
 

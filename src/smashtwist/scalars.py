@@ -18,10 +18,6 @@ from functools import lru_cache
 from math import gcd
 
 
-class NonInvertibleError(ArithmeticError):
-    """Raised when inverting a series whose constant coefficient is zero."""
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -116,22 +112,6 @@ class GaussRational:
         return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if other.__class__ is not GaussRational:
-            other = GaussRational.coerce(other)
-        a2, b2 = other.a, other.b
-        norm = a2 * a2 + b2 * b2
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussRational")
-        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/norm
-        a1, b1, d2 = self.a, self.b, other.d
-        return _gauss(
-            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self.d * norm
-        )
-
-    def __rtruediv__(self, other):
-        return GaussRational.coerce(other) / self
 
     def __eq__(self, other):
         if other.__class__ is GaussRational:
@@ -335,25 +315,6 @@ class TruncSeries:
         return TruncSeries._from_data(
             self.order, {k: v * c for k, v in self.data.items()}
         )
-
-    def invert(self) -> "TruncSeries":
-        """Multiplicative inverse, defined iff the h^0 coefficient is nonzero."""
-        a0 = self.data.get(0)
-        if a0 is None:
-            raise NonInvertibleError("series has no constant term")
-        inv0 = ONE / a0
-        out = {0: inv0}
-        for k in range(1, self.order + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                aj = self.data.get(j)
-                bk = out.get(k - j)
-                if aj is not None and bk is not None:
-                    acc = acc + aj * bk
-            v = -inv0 * acc
-            if not v.is_zero():
-                out[k] = v
-        return TruncSeries._from_data(self.order, out)
 
     def truncate(self, new_order: int) -> "TruncSeries":
         """Drop to a lower truncation order."""

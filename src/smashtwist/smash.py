@@ -10,15 +10,18 @@ map phi built from the inverse twist intertwines the two products.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .hopf import BialgebraPresentation, CoproductMap, Twist
 from .modalg import PolyCoord, RepData, StarProduct, monomial_str, monomials_up_to
-from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word
+from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word, memoized
 from .reporting import ResidualReport
 from .scalars import TruncSeries
 
 
 class SmashAlgebra:
-    """Shared context: the Hopf presentation, the representation, caches."""
+    """Shared context: the Hopf presentation, the representation, and the
+    memoized products, transports and phi reports of each twist."""
 
     def __init__(self, bialg: BialgebraPresentation, rep: RepData):
         if bialg.rs is not rep.rs:
@@ -28,25 +31,24 @@ class SmashAlgebra:
         self.rs = bialg.rs
         self.dim = rep.dim
         self.order = bialg.order
-        self._products: dict = {}
-        self._transports: dict = {}
-        self._phi_reports: dict = {}
 
-    def product(self, twist: Twist | None = None) -> "SmashProduct":
-        """Memoized multiplication object; caches survive across sweeps.  Each
-        entry here and in ``phi_report`` keeps the twist alive, so its id
-        stays unique."""
-        if id(twist) not in self._products:
-            self._products[id(twist)] = (twist, SmashProduct(self, twist))
-        return self._products[id(twist)][1]
+    @memoized
+    def product(self, twist: Twist | None) -> "SmashProduct":
+        """The multiplication of a twist (None: undeformed), one object per
+        twist, so its memos survive across sweeps."""
+        return SmashProduct(self, twist)
 
+    @memoized
     def phi_report(self, twist: Twist, degree: int) -> ResidualReport:
         """Memoized ``verify_phi_homomorphism``: smash-verify and theorem share
         one sweep per twist and degree."""
-        key = (id(twist), degree)
-        if key not in self._phi_reports:
-            self._phi_reports[key] = (twist, verify_phi_homomorphism(self, twist, degree))
-        return self._phi_reports[key][1]
+        return verify_phi_homomorphism(self, twist, degree)
+
+    @memoized
+    def _transport(self, twist: Twist, inverse: bool):
+        """phi as a map on term dicts, or phi_inv if ``inverse``."""
+        two_leg = twist.F if inverse else twist.F_inv
+        return linear_on_basis(lambda key: _transport_basis(self, two_leg, key))
 
     # -- element constructors -------------------------------------------
 
@@ -132,23 +134,21 @@ class SmashElem(LinearCombination):
         return " + ".join(parts)
 
 
-def linear_on_basis(f, cache: dict):
+def linear_on_basis(f):
     """Extend a map given on basis elements linearly to term dicts.
 
     ``f(key)`` returns the image of one basis key as a term dict.  It runs
-    once per key; ``cache`` keeps the image and belongs to the object whose
-    map this is, so it lives and dies with that object.  The returned function
-    sends {key: coefficient} to the term dict of the image.  A product of
-    truncated series can vanish, so terms whose coefficient is zero are
-    dropped.
+    once per key; the returned function keeps the images, so they live and
+    die with whatever holds it, and sends {key: coefficient} to the term dict
+    of the image.  A product of truncated series can vanish, so terms whose
+    coefficient is zero are dropped.
     """
+    image = cache(f)
+
     def apply(terms: dict) -> dict:
         out: dict = {}
         for key, c in terms.items():
-            image = cache.get(key)
-            if image is None:
-                image = cache[key] = f(key)
-            for k2, c2 in image.items():
+            for k2, c2 in image(key).items():
                 _bump(out, k2, c * c2)
         return _strip(out)
     return apply
@@ -167,7 +167,6 @@ class SmashProduct:
         self.twist = twist if twist is not None and not twist.is_trivial() else None
         self.delta = CoproductMap(algebra.bialg, self.twist)
         self.star = StarProduct(algebra.rep, self.twist)
-        self._pair_cache: dict = {}
 
     def __call__(self, u: SmashElem, v: SmashElem) -> SmashElem:
         alg = self.algebra
@@ -185,15 +184,12 @@ class SmashProduct:
 
     def on_basis(self, ku, kv) -> SmashElem:
         """Product of the basis elements with keys ``ku`` and ``kv``.  Its
-        terms are the cached pair dict, shared and read-only."""
+        terms are the memoized pair dict, shared and read-only."""
         return SmashElem(self.algebra, self._pair(ku, kv))
 
+    @memoized
     def _pair(self, ku, kv) -> dict:
-        """Product of two basis elements as a term dict (cached, no zero
-        coefficient)."""
-        cached = self._pair_cache.get((ku, kv))
-        if cached is not None:
-            return cached
+        """Product of two basis elements as a term dict (no zero coefficient)."""
         alg = self.algebra
         rs = alg.rs
         ea, wa = ku
@@ -208,47 +204,17 @@ class SmashProduct:
             if apart.is_zero():
                 continue
             _bump_smash(out, rs, cd, apart, right + wb)
-        out = self._pair_cache[(ku, kv)] = _strip(out)
-        return out
-
-    def action_on_base(self, u: SmashElem, b: PolyCoord) -> PolyCoord:
-        """The representation of the smash product on its coordinate algebra:
-        (a (x) L) sends b to a * (L acting on b), with this product's star."""
-        alg = self.algebra
-        out: dict = {}
-        for (e, w), c in u.terms.items():
-            acted: dict = {}
-            for eb, cb in b.terms.items():
-                for e2, c2 in alg.rep.act_word(w, eb).terms.items():
-                    _bump(acted, e2, c2 * cb)
-            acted = PolyCoord(alg.dim, alg.order, _strip(acted))
-            if acted.is_zero():
-                continue
-            part = self.star(PolyCoord.monomial(alg.dim, alg.order, e), acted)
-            for e2, c2 in part.terms.items():
-                _bump(out, e2, c2 * c)
-        return PolyCoord(alg.dim, alg.order, _strip(out))
+        return _strip(out)
 
 
 def phi(algebra: SmashAlgebra, twist: Twist, u: SmashElem) -> SmashElem:
     """The comparison map (Fbar_1 acting on a) (x) Fbar_2 L, linearly extended."""
-    return _twist_transport(algebra, twist.F_inv, u)
+    return SmashElem(algebra, algebra._transport(twist, False)(u.terms))
 
 
 def phi_inv(algebra: SmashAlgebra, twist: Twist, u: SmashElem) -> SmashElem:
     """Inverse of phi: (F_1 acting on a) (x) F_2 L."""
-    return _twist_transport(algebra, twist.F, u)
-
-
-def _twist_transport(algebra: SmashAlgebra, two_leg: NCPoly, u: SmashElem) -> SmashElem:
-    entry = algebra._transports.get(id(two_leg))
-    if entry is None:
-        # the entry keeps two_leg alive so its id stays unique
-        entry = (two_leg, linear_on_basis(
-            lambda key: _transport_basis(algebra, two_leg, key), {}
-        ))
-        algebra._transports[id(two_leg)] = entry
-    return SmashElem(algebra, entry[1](u.terms))
+    return SmashElem(algebra, algebra._transport(twist, True)(u.terms))
 
 
 def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, key) -> dict:

@@ -4,12 +4,15 @@ This is the Fraction-based Gaussian-rational and truncated-series arithmetic
 that smashtwist.scalars used before its integer kernel: each coefficient is a
 pair of ``Fraction`` parts.  It is kept verbatim as an oracle; tests compare
 every operation, query, string form and literal of the production kernel
-against it.  Nothing in the package imports it.
+against it.  It also holds ``invert``, the series inverse the package
+dropped.  Nothing in the package imports it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from smashtwist import scalars as _package
 
 _ZERO_FRACTION = Fraction(0)
 
@@ -430,3 +433,30 @@ def scalar_literals(series: TruncSeries):
                 factors.append(f"h^{k}")
             out.append("*".join(factors))
     return out
+
+
+def invert(series):
+    """Multiplicative inverse of a ``smashtwist.scalars.TruncSeries``, defined
+    iff its h^0 coefficient is nonzero.
+
+    The package never inverts a series, so this recurrence lives here.  It
+    runs in the package's arithmetic; only the reciprocal of the h^0
+    coefficient is taken in this kernel, as the package has no division.
+    """
+    a0 = series.data.get(0)
+    if a0 is None:
+        raise NonInvertibleError("series has no constant term")
+    r0 = 1 / GaussRational(a0.re, a0.im)
+    inv0 = _package.GaussRational(r0.re, r0.im)
+    out = {0: inv0}
+    for k in range(1, series.order + 1):
+        acc = _package.GaussRational(0)
+        for j in range(1, k + 1):
+            aj = series.data.get(j)
+            bk = out.get(k - j)
+            if aj is not None and bk is not None:
+                acc = acc + aj * bk
+        v = -inv0 * acc
+        if not v.is_zero():
+            out[k] = v
+    return _package.TruncSeries._from_data(series.order, out)

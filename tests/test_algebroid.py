@@ -28,7 +28,7 @@ from smashtwist.ncpoly import NCPoly, leg_word
 from smashtwist.registry import materialize
 from smashtwist.reporting import ResidualReport
 from smashtwist.scalars import GaussRational, TruncSeries
-from smashtwist.smash import _bump_smash, phi, spanning_words
+from smashtwist.smash import SmashAlgebra, SmashProduct, _bump_smash, phi, spanning_words
 
 
 @pytest.fixture(scope="module")
@@ -535,8 +535,8 @@ def _assert_same(new, old):
 
 
 def _assert_pair_caches_stripped(smash):
-    for _twist, product in smash._products.values():
-        for terms in product._pair_cache.values():
+    for product in smash._memos[SmashAlgebra.product.__qualname__].values():
+        for terms in product._memos.get(SmashProduct._pair.__qualname__, {}).values():
             assert all(not c.is_zero() for c in terms.values())
 
 

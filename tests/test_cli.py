@@ -492,6 +492,22 @@ def test_cli_export_import_cycle(tmp_path, capsys):
     assert not prob.twist.is_trivial()
 
 
+# export-preset reads only --preset, --order and --json; it used to accept and
+# ignore the problem flags, so --config printed igl2-abelian and exited 0
+
+
+@pytest.mark.parametrize("flag", [
+    ["--config", str(Path(__file__).parent / "golden" / "pw-jordanian-perturbed.json")],
+    ["--degree", "1"],
+    ["--fail-fast"],
+], ids=["config", "degree", "fail-fast"])
+def test_export_preset_rejects_problem_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-preset", *flag])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 # an exported config's twist exponent is exact only to its order: the
 # jordanian log series written at h^3 is not the twist at h^5
 

@@ -1,6 +1,7 @@
 """Coproducts, counits, twists, R-matrices."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -163,7 +164,7 @@ def test_twisted_coproduct_p1_closed_form(igl2):
         word = NCPoly.from_word(rs, ["P0"] * k, nlegs=2, leg=1)
         tail = NCPoly.gen(rs, "P1", leg=2, nlegs=2)
         want = want + (word * tail).scale(TruncSeries.h_power(k, rs.order, coeff))
-        coeff = coeff * GaussRational(0, 1) / GaussRational(k + 1)
+        coeff = coeff * GaussRational(0, Fraction(1, k + 1))
     assert got == want
 
 

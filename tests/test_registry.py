@@ -1,6 +1,7 @@
 """Shipped presets and their validation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -112,7 +113,7 @@ def _log_series_exponent(rs):
     sigma, power = NCPoly.zero(rs, 2), NCPoly.one(rs, 2)
     for k in range(1, rs.order + 1):
         power = power * u
-        sigma = sigma + power.scale(GaussRational(1 if k % 2 else -1) / GaussRational(k))
+        sigma = sigma + power.scale(Fraction(1 if k % 2 else -1, k))
     return d * sigma
 
 
