@@ -24,7 +24,7 @@ from .hopf import CoproductMap, InvalidTwistError, Twist, inv_unipotent, \
     r_matrix_from_twist
 from .modalg import PolyCoord, coaction, monomial_str, monomials_up_to, \
     check_braided_commutativity
-from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word, memoized
+from .ncpoly import LinearCombination, NCPoly, _bump, _strip, memoized
 from .reporting import ResidualReport
 from .scalars import TruncSeries
 from .smash import SmashAlgebra, SmashElem, SmashProduct, linear_on_basis, phi, \
@@ -230,10 +230,9 @@ class TensorOverA(LinearCombination):
 def shift_legs(bd: Bialgebroid, p: NCPoly, legs=(1, 2), nlegs: int = 2) -> TensorOverA:
     """A Hopf element placed as pure factors of the n-fold tensor: leg i of
     ``p`` becomes factor ``legs[i - 1]`` and the other factors are 1."""
-    zero_exp, factors = bd._zero_exp, range(1, nlegs + 1)
+    zero_exp = bd._zero_exp
     return TensorOverA(bd, nlegs, {
-        (zero_exp,) + tuple(leg_word(word, leg) for leg in factors): c
-        for word, c in p.place_legs(legs, nlegs).terms.items()
+        (zero_exp,) + word: c for word, c in p.place_legs(legs, nlegs).terms.items()
     })
 
 
@@ -435,16 +434,13 @@ def _qt2_closed(bd: Bialgebroid, R: NCPoly, m: SmashElem, r_leg: int,
         for w1, w2, cd in bd.hdelta.word_splits(w):
             joined, other = (w1, w2) if sweedler_leg == 1 else (w2, w1)
             for rword, cr in R.terms.items():
-                apoly = smash.rep.act_word(leg_word(rword, r_leg), e)
+                apoly = smash.rep.act_word(rword[r_leg - 1], e)
                 if apoly.is_zero():
                     continue
-                hier = smash.rs.normalize_word(
-                    tuple((0, r) for r in leg_word(rword, 3 - r_leg) + joined)
-                )
+                hier = smash.rs.leg_form(rword[2 - r_leg] + joined)
                 coeff = c * cd * cr
                 for (e2, c2) in apoly.terms.items():
-                    for hw, ch in hier.items():
-                        hword = tuple(r for _, r in hw)
+                    for hword, ch in hier.items():
                         key = (e2, other, hword) if sweedler_leg == 1 else (e2, hword, other)
                         _bump(out, key, coeff * c2 * ch)
     return TensorOverA(bd, 2, _strip(out))

@@ -12,7 +12,7 @@ nonzero residual pinpoints the failing term and h-order.
 
 from __future__ import annotations
 
-from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, _strip, leg_word, memoized
+from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, _strip, memoized
 from .scalars import TruncSeries
 
 
@@ -53,28 +53,21 @@ class BialgebraPresentation:
             counts[(left, right)] = counts.get((left, right), 0) + 1
         return tuple((l, r, m) for (l, r), m in counts.items())
 
-    def coproduct(self, p: NCPoly) -> NCPoly:
-        """Algebra-map extension of the primitive coproduct, as a two-leg element."""
-        return self.coproduct_on_leg(p, 0, (1, 2), 2, {})
+    def coproduct_on_leg(self, p: NCPoly, leg: int) -> NCPoly:
+        """Apply the primitive coproduct to one leg (1..n) of an n-leg element.
 
-    def coproduct_on_leg(self, p: NCPoly, src: int, dests, n_out: int, other_map) -> NCPoly:
-        """Apply the primitive coproduct to one leg inside a larger tensor.
-
-        Letters in ``src`` are distributed over the two ``dests`` legs; any
-        other leg l is retagged to other_map[l].
+        The letters of that leg are distributed over legs ``leg`` and
+        ``leg + 1`` of the (n+1)-leg result; the legs after it move up by one.
         """
         if p.rs is not self.rs:
             raise ValueError("element does not live over this alphabet")
-        da, db = dests
+        i = leg - 1
         out: dict = {}
         for word, c in p.terms.items():
-            src_ranks = tuple(r for l, r in word if l == src)
-            rest = tuple((other_map[l], r) for l, r in word if l != src)
-            for left, right, mult in self.word_splits(src_ranks):
-                letters = rest + tuple((da, r) for r in left) + tuple((db, r) for r in right)
-                nw = tuple(sorted(letters, key=lambda t: t[0]))
-                _bump(out, nw, c * mult)
-        return NCPoly(p.rs, n_out, _strip(out))
+            head, tail = word[:i], word[leg:]
+            for left, right, mult in self.word_splits(word[i]):
+                _bump(out, head + (left, right) + tail, c * mult)
+        return NCPoly(p.rs, p.nlegs + 1, _strip(out))
 
     def counit(self, p: NCPoly) -> TruncSeries:
         """Coefficient of the empty word; every generator maps to zero."""
@@ -82,26 +75,17 @@ class BialgebraPresentation:
             raise ValueError("element does not live over this alphabet")
         if p.nlegs != 1:
             raise ValueError("counit expects a single-leg element")
-        return p.coefficient(())
+        return p.coefficient(((),))
 
     def counit_on_leg(self, p: NCPoly, leg: int) -> NCPoly:
-        """Contract one tensor leg with the counit.
+        """Contract one tensor leg (1..n) with the counit.
 
-        Only terms with no letter in that leg survive; remaining legs are
-        renumbered to close the gap (a two-leg input yields a single-leg
-        output).
+        Only terms with no letter in that leg survive; the legs after it
+        move down by one.
         """
-        n_out = p.nlegs - 1
-        out: dict = {}
-        for word, c in p.terms.items():
-            if any(l == leg for l, _ in word):
-                continue
-            if n_out == 1:
-                nw = tuple((0, r) for _, r in word)
-            else:
-                nw = tuple((l - 1 if l > leg else l, r) for l, r in word)
-            _bump(out, nw, c)
-        return NCPoly(p.rs, n_out, _strip(out))
+        i = leg - 1
+        terms = {word[:i] + word[leg:]: c for word, c in p.terms.items() if not word[i]}
+        return NCPoly(p.rs, p.nlegs - 1, terms)
 
 
 class Twist:
@@ -149,14 +133,14 @@ def check_cocycle(bialg: BialgebraPresentation, twist: Twist) -> dict:
     F, Fi = twist.F, twist.F_inv
     f12 = F.place_legs((1, 2), 3)
     f23 = F.place_legs((2, 3), 3)
-    cop_left = bialg.coproduct_on_leg(F, 1, (1, 2), 3, {2: 3})
-    cop_right = bialg.coproduct_on_leg(F, 2, (2, 3), 3, {1: 1})
+    cop_left = bialg.coproduct_on_leg(F, 1)
+    cop_right = bialg.coproduct_on_leg(F, 2)
     direct = f12 * cop_left - f23 * cop_right
 
     fi12 = Fi.place_legs((1, 2), 3)
     fi23 = Fi.place_legs((2, 3), 3)
-    icop_left = bialg.coproduct_on_leg(Fi, 1, (1, 2), 3, {2: 3})
-    icop_right = bialg.coproduct_on_leg(Fi, 2, (2, 3), 3, {1: 1})
+    icop_left = bialg.coproduct_on_leg(Fi, 1)
+    icop_right = bialg.coproduct_on_leg(Fi, 2)
     inverse = icop_left * fi12 - icop_right * fi23
 
     return {"cocycle": direct, "inverse-cocycle": inverse}
@@ -174,15 +158,17 @@ class CoproductMap:
         self.twist = twist
 
     def __call__(self, p: NCPoly) -> NCPoly:
-        prim = self.bialg.coproduct(p)
+        prim = self.bialg.coproduct_on_leg(p, 1)
         if self.twist is None:
             return prim
         return self.twist.F * prim * self.twist.F_inv
 
-    def on_leg(self, p: NCPoly, src: int, dests, n_out: int, other_map) -> NCPoly:
-        prim = self.bialg.coproduct_on_leg(p, src, dests, n_out, other_map)
+    def on_leg(self, p: NCPoly, leg: int) -> NCPoly:
+        """This coproduct applied to one leg of an n-leg element."""
+        prim = self.bialg.coproduct_on_leg(p, leg)
         if self.twist is None:
             return prim
+        dests, n_out = (leg, leg + 1), p.nlegs + 1
         f = self.twist.F.place_legs(dests, n_out)
         fi = self.twist.F_inv.place_legs(dests, n_out)
         return f * prim * fi
@@ -196,13 +182,8 @@ class CoproductMap:
                 (l, r, TruncSeries.const(m, order))
                 for l, r, m in self.bialg.word_splits(ranks)
             )
-        poly = self(_word_poly(self.bialg.rs, ranks))
-        return tuple((leg_word(w, 1), leg_word(w, 2), c) for w, c in poly.terms.items())
-
-
-def _word_poly(rs: RewriteSystem, ranks) -> NCPoly:
-    word = tuple((0, r) for r in ranks)
-    return NCPoly(rs, 1, {word: TruncSeries.one(rs.order)})
+        poly = self(NCPoly(self.bialg.rs, 1, {(ranks,): TruncSeries.one(self.bialg.order)}))
+        return tuple((l, r, c) for (l, r), c in poly.terms.items())
 
 
 def r_matrix_from_twist(bialg: BialgebraPresentation, twist: Twist) -> NCPoly:
@@ -244,8 +225,8 @@ def check_quasitriangular(
     r13 = R.place_legs((1, 3), 3)
     r23 = R.place_legs((2, 3), 3)
     r12 = R.place_legs((1, 2), 3)
-    out["hexagon-left"] = delta.on_leg(R, 1, (1, 2), 3, {2: 3}) - r13 * r23
-    out["hexagon-right"] = delta.on_leg(R, 2, (2, 3), 3, {1: 1}) - r13 * r12
+    out["hexagon-left"] = delta.on_leg(R, 1) - r13 * r23
+    out["hexagon-right"] = delta.on_leg(R, 2) - r13 * r12
     one1 = NCPoly.one(rs, 1)
     out["counit-left"] = bialg.counit_on_leg(R, 1) - one1
     out["counit-right"] = bialg.counit_on_leg(R, 2) - one1

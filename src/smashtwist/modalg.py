@@ -11,7 +11,7 @@ the expansion of the inverse twist.
 from __future__ import annotations
 
 from .ncpoly import MOMENTUM, SCALARS, SYMMETRY, LinearCombination, NCPoly, RewriteSystem, \
-    _bump, _strip, leg_word, memoized
+    _bump, _strip, memoized
 from .scalars import GaussRational, TruncSeries, parse_gauss_literal
 from .reporting import ResidualReport
 
@@ -207,10 +207,10 @@ def _matrix_of(rep: RepData, p: NCPoly):
     """Matrix of a symmetry-sector polynomial of degree <= 1 (no momenta)."""
     m = rep.dim
     out = [[GaussRational(0)] * m for _ in range(m)]
-    for w, c in p.terms.items():
-        if len(w) != 1:
+    for (ranks,), c in p.terms.items():
+        if len(ranks) != 1:
             raise ValueError("bracket of symmetry generators leaves the symmetry sector")
-        g = rep.rs.generators[w[0][1]]
+        g = rep.rs.generators[ranks[0]]
         if g.sort != SYMMETRY:
             raise ValueError("bracket of symmetry generators leaves the symmetry sector")
         if any(k > 0 for k in c.data):
@@ -246,8 +246,7 @@ def act(rep: RepData, h_elem: NCPoly, a: PolyCoord) -> PolyCoord:
     if h_elem.rs is not rep.rs:
         raise ValueError("alphabet mismatch between element and representation")
     out: dict = {}
-    for word, c in h_elem.terms.items():
-        ranks = tuple(r for _, r in word)
+    for (ranks,), c in h_elem.terms.items():
         for e, ce in a.terms.items():
             part = rep.act_word(ranks, e)
             if part.is_zero():
@@ -285,11 +284,11 @@ class StarProduct:
     def _mono(self, ea, eb) -> PolyCoord:
         rep = self.rep
         out: dict = {}
-        for word, c in self.twist.F_inv.terms.items():
-            left = rep.act_word(leg_word(word, 1), ea)
+        for (w1, w2), c in self.twist.F_inv.terms.items():
+            left = rep.act_word(w1, ea)
             if left.is_zero():
                 continue
-            right = rep.act_word(leg_word(word, 2), eb)
+            right = rep.act_word(w2, eb)
             if right.is_zero():
                 continue
             for e, cp in (left * right).terms.items():
@@ -368,9 +367,9 @@ def check_braided_commutativity(star: StarProduct, R: NCPoly, degree: int = 3) -
         for eb in monos:
             b = PolyCoord.monomial(rep.dim, order, eb)
             rhs = PolyCoord.zero(rep.dim, order)
-            for word, c in R.terms.items():
-                rb = rep.act_word(leg_word(word, 2), eb)
-                ra = rep.act_word(leg_word(word, 1), ea)
+            for (w1, w2), c in R.terms.items():
+                rb = rep.act_word(w2, eb)
+                ra = rep.act_word(w1, ea)
                 if rb.is_zero() or ra.is_zero():
                     continue
                 rhs = rhs + star(rb, ra).scale(c)
@@ -392,10 +391,9 @@ def coaction(smash_algebra, R: NCPoly, a: PolyCoord):
     """Right coaction delta(a) = (R_2 acting on a) (x) R_1 as a mixed element."""
     rep = smash_algebra.rep
     terms: dict = {}
-    for word, c in R.terms.items():
-        w1 = leg_word(word, 1)
+    for (w1, w2), c in R.terms.items():
         for e, ce in a.terms.items():
-            part = rep.act_word(leg_word(word, 2), e)
+            part = rep.act_word(w2, e)
             for e2, c2 in part.terms.items():
                 _bump(terms, (e2, w1), c * ce * c2)
     return smash_algebra.from_terms(terms)

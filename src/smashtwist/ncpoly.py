@@ -4,19 +4,19 @@ A generator alphabet is declared once with a fixed total order (symmetry
 generators first, then momenta, then coordinates, each block in declaration
 order), together with Lie-type commutation corrections X_b X_a = X_a X_b + C
 for b > a, where C has word length at most one.  Tensor powers of the algebra
-reuse the same alphabet with a leg tag on every letter; letters in distinct
-legs commute exactly.
+reuse the same alphabet; letters in distinct legs commute exactly.
 
-Words are tuples of (leg, rank) pairs; a polynomial maps normal-ordered words
-to TruncSeries coefficients and never stores a zero coefficient.
+A word of the n-fold tensor power is a tuple of n rank tuples, one per leg:
+``((ranks_1), ..., (ranks_n))``, and a single-leg word is ``(ranks,)``.  A
+polynomial maps normal-ordered words to TruncSeries coefficients and never
+stores a zero coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from itertools import groupby
-from operator import itemgetter
+from operator import add
 
 from .scalars import GaussRational, TruncSeries, parse_scalar_literal
 
@@ -26,32 +26,28 @@ COORDINATE = "coordinate"
 
 _SORT_BLOCK = {SYMMETRY: 0, MOMENTUM: 1, COORDINATE: 2}
 
-_leg = itemgetter(0)
-
 
 class Generator:
-    """A tagged letter of the alphabet.
+    """A letter of the alphabet.
 
-    ``rank`` is the position in the fixed total order; letters compare by
-    (leg, rank), so distinct legs sort apart and within a leg the declaration
-    blocks apply.
+    ``rank`` is the position in the fixed total order, so within a leg the
+    declaration blocks apply.
     """
 
-    __slots__ = ("name", "sort", "leg", "rank")
+    __slots__ = ("name", "sort", "rank")
 
-    def __init__(self, name: str, sort: str, leg: int, rank: int):
+    def __init__(self, name: str, sort: str, rank: int):
         if sort not in _SORT_BLOCK:
             raise ValueError(f"unknown generator sort {sort!r}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "leg", leg)
         object.__setattr__(self, "rank", rank)
 
     def __setattr__(self, name, value):
         raise AttributeError("Generator is immutable")
 
     def __repr__(self):
-        return f"Generator({self.name!r}, {self.sort!r}, leg={self.leg}, rank={self.rank})"
+        return f"Generator({self.name!r}, {self.sort!r}, rank={self.rank})"
 
 
 def _inversions(word) -> int:
@@ -160,7 +156,7 @@ class RewriteSystem:
         gens = []
         for block in blocks:
             for name, sort in block:
-                gens.append(Generator(name, sort, 0, len(gens)))
+                gens.append(Generator(name, sort, len(gens)))
         self.generators = tuple(gens)
         self.rank_of = {}
         for g in self.generators:
@@ -222,24 +218,18 @@ class RewriteSystem:
         """PBW normal form of a word as a dict {word: TruncSeries}.
 
         Letters of distinct legs commute exactly, so the normal form of a
-        word is the product of the normal forms of its legs, each unique by
-        the diamond lemma.  A miss on the word as given is looked up again,
-        in the same memo, under its leg-sorted form; a miss there too is
-        assembled from per-leg forms (``_leg_form``), dropping cross-leg
-        coefficient products that truncate to zero.  Every unit
-        coefficient is ``self.unit``.  The returned dict is memoized and
-        shared; callers must not mutate it.
+        word is the product of the per-leg forms (``leg_form``), each unique
+        by the diamond lemma; cross-leg coefficient products that truncate
+        to zero are dropped.  Every unit coefficient is ``self.unit``.  The
+        returned dict is memoized and shared; callers must not mutate it.
         """
-        key = tuple(sorted(word, key=_leg))
-        if key != word:
-            return _normal_form(self, key)
         unit = self.unit
         out = {(): unit}
-        for leg, letters in groupby(word, _leg):
-            form = self._leg_form(tuple(r for _, r in letters))
+        for ranks in word:
+            form = self.leg_form(ranks)
             grown = {}
             for w, c in out.items():
-                for ranks, k in form.items():
+                for normal, k in form.items():
                     if c is unit:
                         v = k
                     elif k is unit:
@@ -250,12 +240,12 @@ class RewriteSystem:
                             continue
                         if v == unit:
                             v = unit
-                    grown[w + tuple((leg, r) for r in ranks)] = v
+                    grown[w + (normal,)] = v
             out = grown
         return out
 
     @memoized
-    def _leg_form(self, ranks) -> dict:
+    def leg_form(self, ranks) -> dict:
         """Normal form {ranks: TruncSeries} of one leg's rank tuple."""
         unit = self.unit
         if all(a <= b for a, b in zip(ranks, ranks[1:])):
@@ -300,9 +290,9 @@ class RewriteSystem:
                 for c in range(b + 1, n):
                     out: dict = {}
                     for inner, outer in ((table[a][b], c), (table[b][c], a), (table[c][a], b)):
-                        for w, k in inner.terms.items():
-                            if w:  # a central term commutes with everything
-                                for w2, k2 in table[w[0][1]][outer].terms.items():
+                        for (ranks,), k in inner.terms.items():
+                            if ranks:  # a central term commutes with everything
+                                for w2, k2 in table[ranks[0]][outer].terms.items():
                                     _bump(out, w2, k * k2)
                     out = _strip(out)
                     if out:
@@ -312,12 +302,6 @@ class RewriteSystem:
     def bracket(self, name_a: str, name_b: str) -> "NCPoly":
         """[X_a, X_b] as a polynomial."""
         return NCPoly.gen(self, name_a).commutator(NCPoly.gen(self, name_b))
-
-
-# normalize_word as memoized, for its retry under the leg-sorted form: one memo
-# keeps a word and its sorted form once each, and a profiler that wraps the
-# method counts one call per lookup
-_normal_form = RewriteSystem.normalize_word
 
 
 SCALARS = (TruncSeries, int, Fraction, GaussRational)
@@ -389,11 +373,6 @@ class LinearCombination:
         return self._space() == other._space() and self.terms == other.terms
 
 
-def _leg_tag(i: int, nlegs: int) -> int:
-    # single-leg elements use leg 0, tensor factors are numbered from 1
-    return 0 if nlegs == 1 else i
-
-
 class NCPoly(LinearCombination):
     """Linear combination of PBW words over a shared rewrite system.
 
@@ -419,28 +398,22 @@ class NCPoly(LinearCombination):
 
     @staticmethod
     def one(rs, nlegs=1) -> "NCPoly":
-        return NCPoly(rs, nlegs, {(): TruncSeries.one(rs.order)})
+        return NCPoly(rs, nlegs, {((),) * nlegs: TruncSeries.one(rs.order)})
 
     @staticmethod
     def scalar(rs, value, nlegs=1) -> "NCPoly":
         c = TruncSeries.coerce(value, rs.order)
-        return NCPoly(rs, nlegs, {} if c.is_zero() else {(): c})
+        return NCPoly(rs, nlegs, {} if c.is_zero() else {((),) * nlegs: c})
 
     @staticmethod
-    def gen(rs, name, leg=None, nlegs=1) -> "NCPoly":
-        if leg is None:
-            leg = _leg_tag(1, nlegs)
-        if nlegs > 1 and not 1 <= leg <= nlegs:
-            raise ValueError(f"leg {leg} out of range for {nlegs} legs")
-        word = ((leg, rs._rank(name)),)
+    def gen(rs, name, leg=1, nlegs=1) -> "NCPoly":
+        word = _word_on_leg((rs._rank(name),), leg, nlegs)
         return NCPoly(rs, nlegs, {word: TruncSeries.one(rs.order)})
 
     @staticmethod
-    def from_word(rs, names, coeff=1, nlegs=1, leg=None) -> "NCPoly":
+    def from_word(rs, names, coeff=1, nlegs=1, leg=1) -> "NCPoly":
         """Polynomial coeff * (product of named generators), normal formed."""
-        if leg is None:
-            leg = _leg_tag(1, nlegs)
-        word = tuple((leg, rs._rank(n)) for n in names)
+        word = _word_on_leg(tuple(rs._rank(n) for n in names), leg, nlegs)
         c = TruncSeries.coerce(coeff, rs.order)
         out: dict = {}
         for w, k in rs.normalize_word(word).items():
@@ -485,7 +458,7 @@ class NCPoly(LinearCombination):
                     c = c1 * c2
                     if c.is_zero():
                         continue
-                    for w, k in normalize(w1 + w2).items():
+                    for w, k in normalize(tuple(map(add, w1, w2))).items():
                         _bump(out, w, c if k is unit else c * k)
         return NCPoly(self.rs, self.nlegs, _strip(out))
 
@@ -511,37 +484,28 @@ class NCPoly(LinearCombination):
 
     # -- leg bookkeeping ---------------------------------------------------
 
-    def leg_embed(self, target_leg: int, nlegs: int) -> "NCPoly":
-        """Embed a single-leg element into one factor of an n-fold tensor."""
-        if self.nlegs != 1:
-            raise ValueError("leg_embed requires a single-leg polynomial")
-        return self.place_legs((target_leg,), nlegs)
-
     def place_legs(self, legs, nlegs: int) -> "NCPoly":
-        """Retag the legs of this element inside an n-fold tensor.
+        """Move the legs of this element inside an n-fold tensor.
 
-        ``legs[i]`` names the destination of the i-th source leg.  Distinct
-        legs commute exactly, so a stable re-sort by leg restores the normal
-        form without corrections.
+        ``legs[i]`` names the destination (1..nlegs) of the i-th source leg;
+        the other destination legs hold the empty word.  Distinct legs
+        commute exactly, so the moved words are already normal ordered.
         """
         legs = tuple(legs)
         if len(legs) != self.nlegs:
             raise ValueError(f"need {self.nlegs} destination legs, got {len(legs)}")
         for leg in legs:
-            if nlegs == 1:
-                if leg != 0:
-                    raise ValueError("single-leg elements use leg tag 0")
-            elif not 1 <= leg <= nlegs:
+            if not 1 <= leg <= nlegs:
                 raise ValueError(f"leg {leg} out of range for {nlegs} legs")
         if len(set(legs)) != len(legs):
             raise ValueError("destination legs must be distinct")
-        src = [_leg_tag(i, self.nlegs) for i in range(1, self.nlegs + 1)]
-        mapping = dict(zip(src, legs))
-        out = {}
+        terms = {}
         for w, c in self.terms.items():
-            nw = tuple(sorted(((mapping[l], r) for l, r in w), key=_leg))
-            _bump(out, nw, c)
-        return NCPoly(self.rs, nlegs, _strip(out))
+            moved = [()] * nlegs
+            for leg, ranks in zip(legs, w):
+                moved[leg - 1] = ranks
+            terms[tuple(moved)] = c
+        return NCPoly(self.rs, nlegs, terms)
 
     def swap_legs(self) -> "NCPoly":
         """Exchange the two legs of a two-leg element."""
@@ -571,21 +535,19 @@ class NCPoly(LinearCombination):
             return "0"
         names = [g.name for g in self.rs.generators]
         parts = []
-        for w in sorted(self.terms):
-            c = self.terms[w]
-            if self.nlegs == 1:
-                word = " ".join(names[r] for _, r in w) or "1"
-            else:
-                legs = []
-                for leg in range(1, self.nlegs + 1):
-                    sub = " ".join(names[r] for l, r in w if l == leg) or "1"
-                    legs.append(sub)
-                word = " (x) ".join(legs)
-            parts.append(f"({c})*{word}")
+        for w in sorted(self.terms, key=_letters):
+            word = " (x) ".join(" ".join(names[r] for r in ranks) or "1" for ranks in w)
+            parts.append(f"({self.terms[w]})*{word}")
         return " + ".join(parts)
 
 
-def leg_word(word, leg) -> tuple:
-    """Ranks of the letters sitting in one leg of a multi-leg word."""
-    return tuple(r for l, r in word if l == leg)
+def _word_on_leg(ranks, leg: int, nlegs: int) -> tuple:
+    """The word with ``ranks`` on one leg of an n-fold tensor, empty elsewhere."""
+    if not 1 <= leg <= nlegs:
+        raise ValueError(f"leg {leg} out of range for {nlegs} legs")
+    return ((),) * (leg - 1) + (ranks,) + ((),) * (nlegs - leg)
 
+
+def _letters(word) -> tuple:
+    """A word as one tuple of (leg, rank) letters: the order terms print in."""
+    return tuple((leg, r) for leg, ranks in enumerate(word) for r in ranks)

@@ -14,7 +14,7 @@ from functools import cache
 
 from .hopf import BialgebraPresentation, CoproductMap, Twist
 from .modalg import PolyCoord, RepData, StarProduct, monomial_str, monomials_up_to
-from .ncpoly import LinearCombination, NCPoly, _bump, _strip, leg_word, memoized
+from .ncpoly import LinearCombination, NCPoly, _bump, _strip, memoized
 from .reporting import ResidualReport
 from .scalars import TruncSeries
 
@@ -74,7 +74,7 @@ class SmashAlgebra:
             raise ValueError("expected a single-leg element over the same alphabet")
         exp = (0,) * self.dim
         return SmashElem(
-            self, {(exp, tuple(r for _, r in w)): c for w, c in p.terms.items()}
+            self, {(exp, w): c for (w,), c in p.terms.items()}
         )
 
     def elem(self, a: PolyCoord, p: NCPoly | None = None) -> "SmashElem":
@@ -84,8 +84,8 @@ class SmashAlgebra:
             return left
         out: dict = {}
         for (e, _w), ca in left.terms.items():
-            for w, cp in p.terms.items():
-                _bump(out, (e, tuple(r for _, r in w)), ca * cp)
+            for (w,), cp in p.terms.items():
+                _bump(out, (e, w), ca * cp)
         return self.from_terms(out)
 
     def basis_elem(self, exp, ranks, coeff=1) -> "SmashElem":
@@ -221,22 +221,22 @@ def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, key) -> dict:
     e, w = key
     rs = algebra.rs
     out: dict = {}
-    for fword, cf in two_leg.terms.items():
-        apart = algebra.rep.act_word(leg_word(fword, 1), e)
+    for (f1, f2), cf in two_leg.terms.items():
+        apart = algebra.rep.act_word(f1, e)
         if apart.is_zero():
             continue
-        _bump_smash(out, rs, cf, apart, leg_word(fword, 2) + w)
+        _bump_smash(out, rs, cf, apart, f2 + w)
     return _strip(out)
 
 
 def _bump_smash(out: dict, rs, c, apart: PolyCoord, ranks):
     """Add c * (apart (x) normal form of the Hopf word ``ranks``) to a smash
     term dict, one coefficient product per coordinate term and one per word."""
-    hpart = rs.normalize_word(tuple((0, r) for r in ranks))
+    hpart = rs.leg_form(ranks)
     for e2, c2 in apart.terms.items():
         cc = c * c2
         for hw, ch in hpart.items():
-            _bump(out, (e2, tuple(r for _, r in hw)), cc * ch)
+            _bump(out, (e2, hw), cc * ch)
 
 
 def spanning_words(rs, max_len: int):

@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+from ncpoly_oracle import from_letters, to_letters
 from smashtwist.scalars import TruncSeries
 
 
@@ -7,10 +8,12 @@ def normalize_rightmost(rs, word):
     """Independent rewriting strategy: resolve the rightmost inversion first.
 
     Used as the confluence oracle against the kernel's leftmost-first
-    normalizer; both must produce identical normal forms.
+    normalizer; both must produce identical normal forms.  It rewrites the
+    (leg, rank) letters of the per-leg word ``word``.
     """
+    nlegs = len(word)
     out = {}
-    stack = [(word, TruncSeries.one(rs.order))]
+    stack = [(to_letters(word), TruncSeries.one(rs.order))]
     while stack:
         w, c = stack.pop()
         idx = -1
@@ -32,4 +35,4 @@ def normalize_rightmost(rs, word):
             for cw, cc in rs._corr.get((r1, r2), ()):
                 nw = w[:idx] + tuple((l1, r) for r in cw) + w[idx + 2:]
                 stack.append((nw, c * cc))
-    return {w: c for w, c in out.items() if not c.is_zero()}
+    return {from_letters(w, nlegs): c for w, c in out.items() if not c.is_zero()}

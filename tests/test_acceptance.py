@@ -192,7 +192,7 @@ def test_criterion_8_kernel_properties(problems):
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                word = ((0, a), (0, b), (0, c))
+                word = ((a, b, c),)
                 ok = ok and rs.normalize_word(word) == normalize_rightmost(rs, word)
     _report("8", ok, f"confluence: both rewrite orders agree on all {n ** 3} length-3 words")
 

@@ -24,7 +24,7 @@ from smashtwist.algebroid import (
 )
 from smashtwist.hopf import r_matrix_from_twist, trivial_twist
 from smashtwist.modalg import PolyCoord, act, monomials_up_to
-from smashtwist.ncpoly import NCPoly, leg_word
+from smashtwist.ncpoly import NCPoly
 from smashtwist.registry import materialize
 from smashtwist.reporting import ResidualReport
 from smashtwist.scalars import GaussRational, TruncSeries
@@ -103,8 +103,8 @@ def test_bm_maps(igl2, bd_plain, bd_twisted):
     R = r_matrix_from_twist(igl2.bialg, igl2.twist)
     want = alg.zero()
     for word, c in R.terms.items():
-        part = act(alg.rep, NCPoly(alg.rs, 1, {tuple((0, r) for r in leg_word(word, 2)): TruncSeries.one(igl2.order)}), x1)
-        hw = NCPoly(alg.rs, 1, {tuple((0, r) for r in leg_word(word, 1)): TruncSeries.one(igl2.order)})
+        part = act(alg.rep, NCPoly(alg.rs, 1, {(word[1],): TruncSeries.one(igl2.order)}), x1)
+        hw = NCPoly(alg.rs, 1, {(word[0],): TruncSeries.one(igl2.order)})
         want = want + alg.elem(part, hw).scale(c)
     assert bd_twisted.target(x1) == want
 
@@ -249,8 +249,8 @@ def test_xu_source_target_formulas(igl2, bd_plain, bd_xu):
         a = PolyCoord.coord(2, igl2.order, mu)
         want = alg.zero()
         for fword, cf in twist.F_inv.terms.items():
-            apart = alg.rep.act_word(leg_word(fword, 1), (1, 0) if mu == 0 else (0, 1))
-            hw = NCPoly(alg.rs, 1, {tuple((0, r) for r in leg_word(fword, 2)): TruncSeries.one(igl2.order)})
+            apart = alg.rep.act_word(fword[0], (1, 0) if mu == 0 else (0, 1))
+            hw = NCPoly(alg.rs, 1, {(fword[1],): TruncSeries.one(igl2.order)})
             want = want + alg.elem(apart, hw).scale(cf)
         assert bd_xu.source(a) == want
         # and phi transports the twisted-side source onto it
@@ -282,23 +282,23 @@ def test_xu_coproduct_explicit_form(igl2, bd_plain, bd_xu):
             for jsplit in b.word_splits(w):
                 j1, j2, mult = jsplit
                 for f_word, cf in twist.F.terms.items():
-                    f1 = leg_word(f_word, 1)
-                    f2 = leg_word(f_word, 2)
+                    f1 = f_word[0]
+                    f2 = f_word[1]
                     for f1split in b.word_splits(f1):
                         f1a, f1b, mult1 = f1split
                         for fi_word, cfi in twist.F_inv.terms.items():
-                            fi1 = leg_word(fi_word, 1)
-                            fi2 = leg_word(fi_word, 2)
+                            fi1 = fi_word[0]
+                            fi2 = fi_word[1]
                             apart = alg.rep.act_word(f1a, a_word)
                             if apart.is_zero():
                                 continue
-                            lw = rs.normalize_word(tuple((0, r) for r in f1b + j1 + fi1))
-                            rw = rs.normalize_word(tuple((0, r) for r in f2 + j2 + fi2))
+                            lw = rs.normalize_word((f1b + j1 + fi1,))
+                            rw = rs.normalize_word((f2 + j2 + fi2,))
                             coeff = c * cf * cfi * (mult * mult1)
                             for w1, c1 in lw.items():
                                 lelem = alg.elem(apart, NCPoly(rs, 1, {w1: TruncSeries.one(rs.order)}))
                                 for w2, c2 in rw.items():
-                                    relem = bd_xu.pure(tuple(r for _, r in w2))
+                                    relem = bd_xu.pure(w2[0])
                                     pairs.append((lelem, relem, coeff * c1 * c2))
         return bd_xu.tensor_from_pairs(pairs)
 

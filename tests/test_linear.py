@@ -25,8 +25,8 @@ HALF_H2 = TruncSeries.h_power(2, ORDER, Fraction(-1, 2))
 
 # igl2-abelian ranks: L00 L01 L10 L11 P0 P1 = 0..5; two coordinates
 KEYS = {
-    "ncpoly": ((), ((0, 0),), ((0, 4), (0, 5))),
-    "ncpoly-2leg": ((), ((1, 4), (2, 3)), ((1, 0), (1, 5), (2, 5))),
+    "ncpoly": (((),), ((0,),), ((4, 5),)),
+    "ncpoly-2leg": (((), ()), ((4,), (3,)), ((0, 5), (5,))),
     "polycoord": ((0, 0), (1, 0), (0, 2)),
     "smash": (((0, 0), ()), ((1, 0), (4,)), ((0, 2), (0, 5))),
     "tensor": (((0, 0), (), ()), ((1, 0), (4,), ()), ((0, 1), (), (5,))),

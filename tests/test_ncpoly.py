@@ -109,11 +109,11 @@ def test_commutator_examples():
 def test_leg_embed():
     rs = igl2_rs()
     x = NCPoly.gen(rs, "P0")
-    emb = x.leg_embed(2, 3)
-    assert list(emb.terms) == [((2, rs.rank_of["P0"]),)]
-    assert NCPoly.one(rs).leg_embed(2, 3) == NCPoly.one(rs, 3)
+    emb = x.place_legs((2,), 3)
+    assert list(emb.terms) == [((), (rs.rank_of["P0"],), ())]
+    assert NCPoly.one(rs).place_legs((2,), 3) == NCPoly.one(rs, 3)
     with pytest.raises(ValueError):
-        x.leg_embed(4, 3)
+        x.place_legs((4,), 3)
 
 
 def test_twist_leg_placements_differ():
@@ -145,7 +145,7 @@ def test_confluence_all_length3_words():
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                word = ((0, a), (0, b), (0, c))
+                word = ((a, b, c),)
                 assert rs.normalize_word(word) == normalize_rightmost(rs, word)
 
 
@@ -155,8 +155,8 @@ def test_rewriting_never_raises_length():
     names = [g.name for g in rs.generators]
     for _ in range(20):
         length = rng.randint(2, 5)
-        word = tuple((0, rs.rank_of[rng.choice(names)]) for _ in range(length))
-        for w in rs.normalize_word(word):
+        word = (tuple(rs.rank_of[rng.choice(names)] for _ in range(length)),)
+        for (w,) in rs.normalize_word(word):
             assert len(w) <= length
             assert _inversions(w) == 0
 
@@ -219,9 +219,10 @@ def _preset_rs(name):
 def preset_words(draw):
     name = draw(st.sampled_from(PRESET_NAMES))
     rs = _preset_rs(name)
-    legs = draw(st.sampled_from(((0,), (1, 2))))
-    letter = st.tuples(st.sampled_from(legs), st.integers(0, len(rs.generators) - 1))
-    return rs, tuple(draw(st.lists(letter, max_size=6)))
+    nlegs = draw(st.sampled_from((1, 2)))
+    letter = st.tuples(st.integers(0, nlegs - 1), st.integers(0, len(rs.generators) - 1))
+    letters = draw(st.lists(letter, max_size=6))
+    return rs, tuple(tuple(r for l, r in letters if l == leg) for leg in range(nlegs))
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,6 +230,8 @@ def preset_words(draw):
 def test_normalize_word_returns_non_decreasing_words(case):
     rs, word = case
     for w, c in rs.normalize_word(word).items():
-        assert all(w[i] <= w[i + 1] for i in range(len(w) - 1))
-        assert len(w) <= len(word)
+        assert len(w) == len(word)
+        for leg in w:
+            assert all(leg[i] <= leg[i + 1] for i in range(len(leg) - 1))
+        assert sum(map(len, w)) <= sum(map(len, word))
         assert not c.is_zero()

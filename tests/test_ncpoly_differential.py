@@ -10,6 +10,11 @@ the same coefficients, the same string form.  Polynomials have one, two or
 three legs over every preset alphabet, at orders 0-5, with coefficients of
 mixed valuation, many of them not monomials, so that about a third of the
 pairs of terms truncate.
+
+The kernel keeps a word as one rank tuple per leg.  Its normal form,
+``place_legs``, ``coproduct_on_leg``, ``counit_on_leg`` and string form are
+also checked against the oracle's twins on (leg, rank) letter words, the
+format they replaced, through the oracle's adapters.
 """
 
 import functools
@@ -20,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncpoly_oracle as ref
+from smashtwist.hopf import BialgebraPresentation
 from smashtwist.ncpoly import NCPoly, RewriteSystem
 from smashtwist.registry import PRESET_NAMES, presentation, preset
 from smashtwist.scalars import GaussRational, TruncSeries
@@ -39,7 +45,7 @@ def preset_rs(name, order):
 
 
 def leg_tags(nlegs):
-    return (0,) if nlegs == 1 else tuple(range(1, nlegs + 1))
+    return tuple(ref.leg_tag(leg, nlegs) for leg in range(1, nlegs + 1))
 
 
 @st.composite
@@ -56,11 +62,10 @@ def coefficients(draw, order):
 def normal_words(draw, rs, nlegs):
     """A normal-ordered word: the legs in order, each leg's ranks sorted."""
     rank = st.integers(0, len(rs.generators) - 1)
-    word = ()
-    for leg in leg_tags(nlegs):
-        ranks = sorted(draw(st.lists(rank, max_size=3 if nlegs == 1 else 2)))
-        word += tuple((leg, r) for r in ranks)
-    return word
+    return tuple(
+        tuple(sorted(draw(st.lists(rank, max_size=3 if nlegs == 1 else 2))))
+        for _ in range(nlegs)
+    )
 
 
 @st.composite
@@ -103,8 +108,8 @@ def test_triple_product_matches_reference(pair, data):
 
 def test_zero_coefficient_contributes_nothing():
     rs = preset_rs("igl2-abelian", 3)
-    word = ((0, rs.rank_of["P0"]),)
-    zero = NCPoly(rs, 1, {word: TruncSeries.zero(3), (): TruncSeries.h_power(1, 3)})
+    word = ((rs.rank_of["P0"],),)
+    zero = NCPoly(rs, 1, {word: TruncSeries.zero(3), ((),): TruncSeries.h_power(1, 3)})
     x = NCPoly.gen(rs, "L01").scale(TruncSeries.h_power(2, 3, 5))
     assert_same_poly(zero * x, ref.mul(zero, x))
     assert_same_poly(x * zero, ref.mul(x, zero))
@@ -128,8 +133,8 @@ def interleave(draw, per_leg):
 def shuffled_words(draw):
     """A multi-leg word with its legs interleaved at random.
 
-    Returns the rewrite system, the interleaved word and the same letters
-    stable-sorted by leg.
+    Returns the rewrite system, the interleaved letter word and the same
+    word with one rank tuple per leg.
     """
     rs = preset_rs(draw(st.sampled_from(PRESET_NAMES)), draw(orders))
     nlegs = draw(st.sampled_from((1, 2, 3)))
@@ -137,14 +142,16 @@ def shuffled_words(draw):
     per_leg = [
         [(leg, r) for r in draw(st.lists(rank, max_size=4))] for leg in leg_tags(nlegs)
     ]
-    sorted_word = tuple(letter for leg in per_leg for letter in leg)
-    return rs, interleave(draw, per_leg), sorted_word
+    word = tuple(tuple(r for _, r in leg) for leg in per_leg)
+    return rs, interleave(draw, per_leg), word
 
 
-def assert_normal_form(rs, got, word):
-    """``got`` is the oracle's normal form of ``word``, stores no zero
-    coefficient, and every unit coefficient in it is the system's own unit."""
-    assert got == ref.normalize_word(rs, word)
+def assert_normal_form(rs, got, letters, nlegs):
+    """``got`` is the oracle's normal form of the letter word ``letters``,
+    stores no zero coefficient, and every unit coefficient in it is the
+    system's own unit."""
+    want = ref.normalize_word(rs, letters)
+    assert got == {ref.from_letters(w, nlegs): c for w, c in want.items()}
     assert all(not c.is_zero() for c in got.values())
     one = TruncSeries.one(rs.order)
     assert all(c is rs.unit for c in got.values() if c == one)
@@ -153,10 +160,8 @@ def assert_normal_form(rs, got, word):
 @kernel_settings
 @given(shuffled_words())
 def test_normalize_word_of_shuffled_legs_matches_unsorted_rewrite(case):
-    rs, word, sorted_word = case
-    got = rs.normalize_word(word)
-    assert_normal_form(rs, got, word)
-    assert got == rs.normalize_word(sorted_word)
+    rs, letters, word = case
+    assert_normal_form(rs, rs.normalize_word(word), letters, len(word))
 
 
 @st.composite
@@ -181,14 +186,14 @@ def repeated_leg_words(draw):
     names = tuple(n for n in PRESET_NAMES if preset(n)["algebra"]["brackets"])
     rs = preset_rs(draw(st.sampled_from(names)), draw(orders))
     nlegs = draw(st.sampled_from((2, 3)))
-    return rs, interleave(draw, draw(descending_legs(rs, nlegs)))
+    return rs, interleave(draw, draw(descending_legs(rs, nlegs))), nlegs
 
 
 @kernel_settings
 @given(repeated_leg_words())
 def test_leg_factored_normal_form_of_repeated_leg_words(case):
-    rs, word = case
-    assert_normal_form(rs, rs.normalize_word(word), word)
+    rs, letters, nlegs = case
+    assert_normal_form(rs, rs.normalize_word(ref.from_letters(letters, nlegs)), letters, nlegs)
 
 
 h_literals = st.sampled_from(("1", "-1", "i", "h", "-2*h", "i*h", "h^2", "1/2*h^2", "3*i*h^2"))
@@ -219,8 +224,9 @@ def h_bracket_systems(draw):
 def test_leg_factored_normal_form_of_h_bracket_systems(rs, data):
     nlegs = data.draw(st.sampled_from((2, 3)))
     for _ in range(3):
-        word = interleave(data.draw, data.draw(descending_legs(rs, nlegs)))
-        assert_normal_form(rs, rs.normalize_word(word), word)
+        letters = interleave(data.draw, data.draw(descending_legs(rs, nlegs)))
+        word = ref.from_letters(letters, nlegs)
+        assert_normal_form(rs, rs.normalize_word(word), letters, nlegs)
     p, q = data.draw(polys(rs, nlegs)), data.draw(polys(rs, nlegs))
     assert_same_poly(p * q, ref.mul(p, q))
 
@@ -231,11 +237,11 @@ def test_truncating_cross_leg_product_is_dropped():
     gens = (("A", "symmetry"), ("B", "symmetry"))
     rs = RewriteSystem(1, gens, {("A", "B"): (("h", None),)})
     a, b = rs.rank_of["A"], rs.rank_of["B"]
-    word = ((1, b), (2, b), (1, a), (2, a))
-    got = rs.normalize_word(word)
-    assert_normal_form(rs, got, word)
-    assert () not in got
-    assert got[((1, a), (1, b), (2, a), (2, b))] is rs.unit
+    letters = ((1, b), (2, b), (1, a), (2, a))
+    got = rs.normalize_word(((b, a), (b, a)))
+    assert_normal_form(rs, got, letters, 2)
+    assert ((), ()) not in got
+    assert got[((a, b), (a, b))] is rs.unit
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -284,3 +290,93 @@ def broken_systems(draw):
 @given(broken_systems())
 def test_jacobi_residuals_of_random_broken_systems_match(rs):
     assert_same_residuals(rs.jacobi_residuals(), ref.jacobi_residuals(rs))
+
+
+# -- the per-leg word format against the letter-word kernel -----------------
+#
+# Each function below works on words with one rank tuple per leg; the oracle's
+# twin works on (leg, rank) letter words.  Through to_letters/from_letters they
+# must agree term for term, and the string forms must match byte for byte.
+
+legs_settings = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def any_words(draw, rs, nlegs):
+    """A word with one rank tuple per leg, each leg in any order."""
+    rank = st.integers(0, len(rs.generators) - 1)
+    return tuple(tuple(draw(st.lists(rank, max_size=4))) for _ in range(nlegs))
+
+
+@st.composite
+def preset_polys(draw, nlegs=st.sampled_from((1, 2, 3))):
+    """A polynomial over a preset alphabet whose legs need not be normal
+    ordered, so that moving a leg must keep its letters' order."""
+    rs = preset_rs(draw(st.sampled_from(PRESET_NAMES)), draw(orders))
+    n = draw(nlegs)
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        terms[draw(any_words(rs, n))] = draw(coefficients(rs.order))
+    return NCPoly(rs, n, terms)
+
+
+def assert_same_as_letters(got, rs, nlegs, want_letters):
+    """``got`` (an NCPoly) is the letter-word result ``want_letters``."""
+    assert got.nlegs == nlegs
+    assert got == ref.from_letter_terms(rs, nlegs, want_letters)
+    assert ref.to_letter_terms(got) == want_letters
+    assert repr(got) == ref.letters_repr(rs, nlegs, want_letters)
+
+
+@legs_settings
+@given(st.sampled_from(PRESET_NAMES), orders, st.sampled_from((1, 2, 3)), st.data())
+def test_normalize_word_matches_leg_sorted_kernel(name, order, nlegs, data):
+    rs = preset_rs(name, order)
+    word = data.draw(any_words(rs, nlegs))
+    got = rs.normalize_word(word)
+    want = ref.sorted_normalize_word(rs, ref.to_letters(word))
+    assert_same_as_letters(NCPoly(rs, nlegs, dict(got)), rs, nlegs, want)
+    for w, c in got.items():
+        assert len(w) == nlegs
+        assert all(leg[i] <= leg[i + 1] for leg in w for i in range(len(leg) - 1))
+        assert not c.is_zero()
+
+
+@legs_settings
+@given(preset_polys(), st.data())
+def test_place_legs_matches_retagging_kernel(p, data):
+    nlegs = data.draw(st.integers(p.nlegs, 3))
+    legs = tuple(data.draw(st.permutations(range(1, nlegs + 1)))[: p.nlegs])
+    want = ref.place_legs(ref.to_letter_terms(p), p.nlegs, tuple(
+        ref.leg_tag(leg, nlegs) for leg in legs), nlegs)
+    assert_same_as_letters(p.place_legs(legs, nlegs), p.rs, nlegs, want)
+
+
+def test_place_legs_validation():
+    rs = preset_rs("igl2-abelian", 2)
+    p = NCPoly.gen(rs, "P0", leg=1, nlegs=2)
+    for legs, nlegs in (((1,), 2), ((1, 2, 3), 3), ((0, 1), 2), ((1, 3), 2), ((2, 2), 3)):
+        with pytest.raises(ValueError):
+            p.place_legs(legs, nlegs)
+    assert p.place_legs((1, 2), 2) == p
+
+
+@legs_settings
+@given(preset_polys(), st.data())
+def test_coproduct_on_leg_matches_retagging_kernel(p, data):
+    bialg = BialgebraPresentation(p.rs)
+    n = p.nlegs
+    leg = data.draw(st.integers(1, n))
+    other_map = {l: l if l < leg else l + 1 for l in range(1, n + 1) if l != leg}
+    want = ref.coproduct_on_leg(bialg, ref.to_letter_terms(p), ref.leg_tag(leg, n),
+                                (leg, leg + 1), other_map)
+    assert_same_as_letters(bialg.coproduct_on_leg(p, leg), p.rs, n + 1, want)
+
+
+@legs_settings
+@given(preset_polys(st.sampled_from((2, 3))), st.data())
+def test_counit_on_leg_matches_retagging_kernel(p, data):
+    bialg = BialgebraPresentation(p.rs)
+    leg = data.draw(st.integers(1, p.nlegs))
+    want = ref.counit_on_leg(ref.to_letter_terms(p), p.nlegs, leg)
+    assert_same_as_letters(bialg.counit_on_leg(p, leg), p.rs, p.nlegs - 1, want)

@@ -200,12 +200,11 @@ def test_phi_corruption_detected(igl2):
     plain = alg.product(None)
 
     def bad_phi(u):
-        from smashtwist.ncpoly import leg_word
         out = alg.zero()
         for (e, w), c in u.terms.items():
-            word_poly = NCPoly(rs, 1, {tuple((0, r) for r in w): TruncSeries.one(rs.order)})
+            word_poly = NCPoly(rs, 1, {(w,): TruncSeries.one(rs.order)})
             for fword, cf in twist.F_inv.terms.items():
-                apart = alg.rep.act_word(leg_word(fword, 1), e)
+                apart = alg.rep.act_word(fword[0], e)
                 out = out + alg.elem(apart, word_poly).scale(c * cf)
         return out
 
