@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .hopf import CoproductMap, InvalidTwistError, Twist, inv_unipotent, \
-    r_matrix_from_twist
+from .hopf import CoproductMap, InvalidTwistError, Twist, inv_unipotent
 from .modalg import PolyCoord, coaction, monomial_str, monomials_up_to, \
     check_braided_commutativity
 from .ncpoly import LinearCombination, NCPoly, _bump, _strip, memoized
@@ -283,10 +282,17 @@ def bm_bialgebroid_twisted(smash: SmashAlgebra, twist: Twist,
     is the star product, and the Sweedler legs come from the twisted
     coproduct.
     """
-    rmatrix = r_matrix_from_twist(smash.bialg, twist)
+    rmatrix = twist.r_matrix
     total = smash.product(twist)
     return _bm_build("twisted-smash-bialgebroid", smash, total, rmatrix,
                      total.delta, check_degree)
+
+
+@memoized
+def bm_side(smash: SmashAlgebra, twist: Twist, check_degree: int) -> Bialgebroid:
+    """``bm_bialgebroid_twisted``, built once per twist and check degree and
+    kept by ``smash``; a refused construction raises and is not kept."""
+    return bm_bialgebroid_twisted(smash, twist, check_degree)
 
 
 def _bm_build(name, smash, total, rmatrix, hdelta, check_degree):
@@ -345,11 +351,14 @@ def shift_twist(bd: Bialgebroid, twist: Twist, validate: bool = True) -> Shifted
     """Transport a twist to the bialgebroid level and re-verify its laws."""
     shifted = ShiftedTwist(bd, shift_legs(bd, twist.F), shift_legs(bd, twist.F_inv), twist)
     if validate:
-        report = shifted_twist_residuals(bd, shifted)
-        for name, rep in report.items():
-            if not rep.ok():
-                raise InvalidTwistError(f"shifted twist fails {name}")
+        _refuse_failing(shifted_twist_residuals(bd, shifted))
     return shifted
+
+
+def _refuse_failing(twistor_reports: dict):
+    for name, rep in twistor_reports.items():
+        if not rep.ok():
+            raise InvalidTwistError(f"shifted twist fails {name}")
 
 
 def shifted_twist_residuals(bd: Bialgebroid, shifted: ShiftedTwist) -> dict:
@@ -387,7 +396,8 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
     Returns reports for the preserved identities, the computed/closed-form
     cross-check of both intertwining expressions, and either a witness basis
     element where they differ or None when no witness exists up to the sweep
-    degree.
+    degree.  Without closed forms (``bd.hdelta`` is None) the sweep stops at
+    the witness: nothing after it is recorded.
     """
     smash = bd.smash
     preserved = ResidualReport("shifted-qt-preserved")
@@ -418,6 +428,8 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
             diff = lhs - rhs
             if witness is None and not diff.is_zero():
                 witness = (label, diff)
+            if witness is not None and bd.hdelta is None:
+                break
     return {"preserved": preserved, "closed_forms": closed, "witness": witness}
 
 
@@ -556,6 +568,17 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
     return new_bd
 
 
+@memoized
+def xu_side(smash: SmashAlgebra, twist: Twist, check_degree: int) -> tuple:
+    """``(twistor_reports, bd)``: the ``shifted_twist_residuals`` reports and the
+    xu-twisted bialgebroid, built from the smash bialgebroid once per twist and
+    check degree and kept by ``smash``.  Failing twistor laws are reported, not
+    raised; a refused construction raises and is not kept."""
+    bd0 = bm_bialgebroid(smash, check_degree=check_degree)
+    shifted = shift_twist(bd0, twist, validate=False)
+    return shifted_twist_residuals(bd0, shifted), xu_twist(bd0, shifted)
+
+
 # -- axiom suite ----------------------------------------------------------
 
 
@@ -670,10 +693,13 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
                    check_degree: int = 2) -> dict:
     """Compare the twisted-smash bialgebroid with the twistor-deformed one.
 
-    Builds both sides, then checks that the base products agree, that phi is
-    an isomorphism of total algebras, that it intertwines source, target and
-    counit, and that the coproducts correspond under phi (x) phi, first on
-    the two generator families and then on general spanning monomials.
+    Reads both sides from ``bm_side`` and ``xu_side``, so it builds only
+    what ``algebroid-verify`` has not built yet, and raises InvalidTwistError
+    naming the first twistor law that fails.  Then it checks that the base
+    products agree, that phi is an isomorphism of total algebras, that it
+    intertwines source, target and counit, and that the coproducts correspond
+    under phi (x) phi, first on the two generator families and then on
+    general spanning monomials.
     """
     order = smash.order
     monos = [
@@ -683,10 +709,9 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
 
     base_rep = ResidualReport("base-products")
     with base_rep.timed():  # building both sides is charged here
-        lhs = bm_bialgebroid_twisted(smash, twist, check_degree=check_degree)
-        bd0 = bm_bialgebroid(smash, check_degree=check_degree)
-        shifted = shift_twist(bd0, twist)
-        rhs = xu_twist(bd0, shifted)
+        lhs = bm_side(smash, twist, check_degree)
+        twistor_reports, rhs = xu_side(smash, twist, check_degree)
+        _refuse_failing(twistor_reports)
         for a in monos:
             for b in monos:
                 base_rep.check(f"{a!r} * {b!r}", lhs.base(a, b) - rhs.base(a, b))

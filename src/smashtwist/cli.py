@@ -20,14 +20,11 @@ import time
 from fractions import Fraction
 
 from .algebroid import (
-    bm_bialgebroid,
-    bm_bialgebroid_twisted,
+    bm_side,
     check_bialgebroid_axioms,
     check_qt_shifted,
-    shift_twist,
-    shifted_twist_residuals,
     verify_theorem,
-    xu_twist,
+    xu_side,
 )
 from .hopf import (
     CoproductMap,
@@ -35,17 +32,15 @@ from .hopf import (
     check_cocycle,
     check_quasitriangular,
     classical_r_extract,
-    r_matrix_from_twist,
 )
 from .modalg import (
     PolyCoord,
-    StarProduct,
     check_braided_commutativity,
     check_module_algebra,
     star_commutator_table,
 )
 from .ncpoly import COORDINATE, MOMENTUM, NCPoly, SYMMETRY
-from .registry import PRESET_NAMES, jacobi_report, materialize, preset
+from .registry import PRESET_NAMES, materialize, preset
 from .reporting import ResidualReport
 from .scalars import TruncSeries, parse_gauss_literal, parse_scalar_literal
 from .smash import phi, phi_inv
@@ -341,12 +336,13 @@ def _poly_record(report, name, identity, residual, wall_ms=0.0):
 
 
 def run_foundation_checks(report: Report, prob, fail_fast=False) -> bool:
-    """Jacobi, representation and twist-validity records shared by commands."""
-    jac, ms = _timed(jacobi_report, prob.bialg.rs)
+    """Jacobi and representation records shared by commands; the problem
+    keeps both reports, so a later command is charged no time for them."""
+    jac, ms = _timed(lambda: prob.jacobi)
     ok = report.add_residual_report("structure-constants", "jacobi-identity", jac, ms)
     if fail_fast and not ok:
         return False
-    rep_res, ms = _timed(prob.rep.representation_residuals)
+    rep_res, ms = _timed(lambda: prob.representation)
     ok = report.add_residual_report("representation", "representation-property", rep_res, ms)
     return ok or not fail_fast
 
@@ -361,10 +357,9 @@ def _twist_records(report: Report, prob):
     bialg, twist = prob.bialg, prob.twist
     one2 = NCPoly.one(bialg.rs, 2)
     one1 = NCPoly.one(bialg.rs, 1)
-    yield _poly_record(report, "twist-inverse (left)", "two-sided-inverse",
-                       *_timed(lambda: twist.F * twist.F_inv - one2))
-    yield _poly_record(report, "twist-inverse (right)", "two-sided-inverse",
-                       *_timed(lambda: twist.F_inv * twist.F - one2))
+    for product, tag in zip(twist.products, ("left", "right")):
+        yield _poly_record(report, f"twist-inverse ({tag})", "two-sided-inverse",
+                           *_timed(lambda: product - one2))
     for leg, tag in ((1, "left"), (2, "right")):
         yield _poly_record(report, f"normalization ({tag})", "counit-normalization",
                            *_timed(lambda: bialg.counit_on_leg(twist.F, leg) - one1))
@@ -375,7 +370,7 @@ def _twist_records(report: Report, prob):
     yield _poly_record(report, "cocycle", "twist-cocycle", coc["cocycle"], ms)
     yield _poly_record(report, "inverse cocycle", "inverse-twist-cocycle", coc["inverse-cocycle"])
 
-    R = r_matrix_from_twist(bialg, twist)
+    R = twist.r_matrix
     qt, ms = _timed(check_quasitriangular, bialg, R, CoproductMap(bialg, twist))
     worst = ResidualReport("quasitriangular")
     for label, res in qt.items():
@@ -404,7 +399,7 @@ def cmd_star_table(args, loaded=None) -> Report:
     report = Report("star-table", source, prob.order, prob.degree)
     if not run_foundation_checks(report, prob, args.fail_fast):
         return report
-    star = StarProduct(prob.rep, prob.twist)
+    star = prob.smash.product(prob.twist).star
     table, ms = _timed(star_commutator_table, star)
     names = prob.rep.coordinates
     for mu in range(prob.rep.dim):
@@ -415,7 +410,7 @@ def cmd_star_table(args, loaded=None) -> Report:
                 f"[{names[mu]}, {names[nu]}]*", "star-commutator", "witness", text, 1,
                 ms if (mu, nu) == (0, 1) else 0.0,
             )
-    R = r_matrix_from_twist(prob.bialg, prob.twist)
+    R = prob.twist.r_matrix
     braided, ms = _timed(check_braided_commutativity, star, R, prob.degree + 1)
     report.add_residual_report("braided commutativity", "braided-commutativity", braided, ms)
     mod, ms = _timed(check_module_algebra, prob.rep, prob.degree)
@@ -468,17 +463,15 @@ def cmd_algebroid_verify(args, loaded=None) -> Report:
     report = Report(f"algebroid-verify:{args.side}", source, prob.order, prob.degree)
     if not run_foundation_checks(report, prob, args.fail_fast):
         return report
-    smash = prob.smash
     t0 = time.perf_counter()
     try:
+        # built at the check degree verify_theorem uses, so theorem reuses them
         if args.side == "bm-twisted":
-            bd = bm_bialgebroid_twisted(smash, prob.twist)
+            bd = bm_side(prob.smash, prob.twist, 2)
         else:
-            bd0 = bm_bialgebroid(smash)
-            shifted = shift_twist(bd0, prob.twist, validate=False)
-            for name, rep in shifted_twist_residuals(bd0, shifted).items():
+            twistor_reports, bd = xu_side(prob.smash, prob.twist, 2)
+            for name, rep in twistor_reports.items():
                 report.add_residual_report(f"twistor {name}", f"twistor-{name}", rep)
-            bd = xu_twist(bd0, shifted)
     except ValueError as exc:
         report.add("construction", "braided-commutativity-precondition", "fail",
                    str(exc), 1, (time.perf_counter() - t0) * 1000.0)
@@ -491,7 +484,7 @@ def cmd_algebroid_verify(args, loaded=None) -> Report:
         if not report.add_residual_report(name, f"bialgebroid-{name}", rep) and args.fail_fast:
             return report
 
-    R = r_matrix_from_twist(prob.bialg, prob.twist)
+    R = prob.twist.r_matrix
     qt = check_qt_shifted(bd, R, min(prob.degree, 1))
     report.add_residual_report("shifted R preserved laws", "shifted-r-coproduct-counit", qt["preserved"])
     report.add_residual_report("shifted R closed forms", "shifted-r-closed-forms", qt["closed_forms"])

@@ -12,6 +12,8 @@ nonzero residual pinpoints the failing term and h-order.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, _strip, memoized
 from .scalars import TruncSeries
 
@@ -95,8 +97,10 @@ class Twist:
         self.bialg = bialg
         self.F = F
         self.F_inv = F_inv
+        # both products are kept: check-twist reports them as its inverse rows
+        self.products = (F * F_inv, F_inv * F)
         one2 = NCPoly.one(bialg.rs, 2)
-        if F * F_inv != one2 or F_inv * F != one2:
+        if self.products != (one2, one2):
             raise InvalidTwistError("twist inverse fails at the truncation order")
         one1 = NCPoly.one(bialg.rs, 1)
         for elem, tag in ((F, "twist"), (F_inv, "inverse twist")):
@@ -105,6 +109,10 @@ class Twist:
 
     def is_trivial(self) -> bool:
         return self.F == NCPoly.one(self.bialg.rs, 2)
+
+    @cached_property
+    def r_matrix(self) -> NCPoly:
+        return r_matrix_from_twist(self.bialg, self)
 
 
 def twist_from_exponent(bialg: BialgebraPresentation, t: NCPoly) -> Twist:
@@ -187,7 +195,8 @@ class CoproductMap:
 
 
 def r_matrix_from_twist(bialg: BialgebraPresentation, twist: Twist) -> NCPoly:
-    """R = F_21 F^{-1}, the triangular R-matrix generated by the twist."""
+    """R = F_21 F^{-1}, the triangular R-matrix generated by the twist; the
+    twist keeps it as ``Twist.r_matrix``."""
     return twist.F.swap_legs() * twist.F_inv
 
 
@@ -225,12 +234,15 @@ def check_quasitriangular(
     r13 = R.place_legs((1, 3), 3)
     r23 = R.place_legs((2, 3), 3)
     r12 = R.place_legs((1, 2), 3)
-    out["hexagon-left"] = delta.on_leg(R, 1) - r13 * r23
-    out["hexagon-right"] = delta.on_leg(R, 2) - r13 * r12
+    r13r23, r13r12 = r13 * r23, r13 * r12
+    out["hexagon-left"] = delta.on_leg(R, 1) - r13r23
+    out["hexagon-right"] = delta.on_leg(R, 2) - r13r12
     one1 = NCPoly.one(rs, 1)
     out["counit-left"] = bialg.counit_on_leg(R, 1) - one1
     out["counit-right"] = bialg.counit_on_leg(R, 2) - one1
-    out["yang-baxter"] = r12 * r13 * r23 - r23 * r13 * r12
+    # the hexagon products again: truncation is a ring quotient, so the
+    # bracketing does not change the element
+    out["yang-baxter"] = r12 * r13r23 - r23 * r13r12
     return out
 
 

@@ -224,10 +224,11 @@ def _matrix_of(rep: RepData, p: NCPoly):
 
 
 def _mat_mul(a, b):
-    m = len(a)
+    """Matrix product skipping the zeros of ``a``: representation matrices are sparse."""
+    rows = [[(k, x) for k, x in enumerate(row) if not x.is_zero()] for row in a]
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), GaussRational(0)) for j in range(m))
-        for i in range(m)
+        tuple(sum((x * b[k][j] for k, x in row), GaussRational(0)) for j in range(len(a)))
+        for row in rows
     )
 
 

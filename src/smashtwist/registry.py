@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .hopf import BialgebraPresentation, Twist, check_cocycle, twist_from_exponent
 from .modalg import RepData
@@ -121,7 +122,7 @@ def preset(name: str, order: int | None = None) -> dict:
 
 @dataclass
 class Problem:
-    """A config materialized at a concrete truncation order."""
+    """A config materialized at a concrete truncation order, with its foundation reports."""
 
     config: dict
     order: int
@@ -130,6 +131,14 @@ class Problem:
     rep: RepData
     smash: SmashAlgebra
     twist: Twist
+
+    @cached_property
+    def jacobi(self) -> ResidualReport:
+        return jacobi_report(self.bialg.rs)
+
+    @cached_property
+    def representation(self) -> ResidualReport:
+        return self.rep.representation_residuals()
 
 
 def presentation(cfg: dict):

@@ -1,7 +1,9 @@
 """Coproducts, counits, twists, R-matrices."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from smashtwist.hopf import (
     twist_from_exponent,
 )
 from smashtwist.ncpoly import NCPoly
-from smashtwist.registry import materialize, preset, twist_exponent
+from smashtwist.registry import PRESET_NAMES, materialize, preset, twist_exponent
 from smashtwist.scalars import GaussRational, TruncSeries
 
 
@@ -270,3 +272,37 @@ def test_inv_unipotent(igl2):
     assert inv_unipotent(R) * R == NCPoly.one(rs, 2)
     with pytest.raises(ValueError):
         inv_unipotent(NCPoly.gen(rs, "P0", leg=1, nlegs=2))
+
+
+PERTURBED = Path(__file__).parent / "golden" / "pw-jordanian-perturbed.json"
+
+
+@pytest.mark.parametrize("source, order", [
+    *((name, order) for name in PRESET_NAMES for order in range(1, 6)),
+    ("perturbed", None),
+])
+def test_reused_products_give_the_old_residuals(source, order):
+    # check-twist reads the products the twist kept, and Yang-Baxter reuses
+    # the hexagon products with the other bracketing: same elements, same text
+    if source == "perturbed":
+        prob = materialize(json.loads(PERTURBED.read_text()))
+    else:
+        prob = materialize(source, order=order)
+    b, F, Fi = prob.bialg, prob.twist.F, prob.twist.F_inv
+    one2 = NCPoly.one(b.rs, 2)
+    for kept, old in zip(prob.twist.products, (F * Fi, Fi * F)):
+        assert kept - one2 == old - one2
+        assert repr(kept - one2) == repr(old - one2)
+    R = r_matrix_from_twist(b, prob.twist)
+    r12, r13, r23 = (R.place_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
+    old = r12 * r13 * r23 - r23 * r13 * r12
+    new = check_quasitriangular(b, R, CoproductMap(b, prob.twist))["yang-baxter"]
+    assert new == old
+    assert repr(new) == repr(old)
+
+
+def test_the_twist_keeps_one_r_matrix(igl2):
+    R = igl2.twist.r_matrix
+    assert igl2.twist.r_matrix is R
+    assert R == r_matrix_from_twist(igl2.bialg, igl2.twist)
+    assert trivial_twist(igl2.bialg).r_matrix == NCPoly.one(igl2.bialg.rs, 2)

@@ -6,19 +6,27 @@ computed once and kept by the object whose map it is, through one decorator
 ``functools.cache``.  These cases pin that design: no hand-written cache and
 no ``id()`` key in the package, memos that die with their problem and are
 never shared between problems, and wrappers the layer tracer still charges
-to the right module.
+to the right module.  The same decorator, or a cached property of the twist
+or the problem, keeps the structures that the commands of one ``suite``
+share, so each is built once per problem.
 """
 
 import ast
 import gc
 import importlib.util
+import inspect
+import json
+import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
 import smashtwist
-from smashtwist import cli
+from smashtwist import algebroid, cli, hopf, registry
+from smashtwist.algebroid import TensorOverA, bm_side, check_qt_shifted, verify_theorem, xu_side
+from smashtwist.hopf import InvalidTwistError
+from smashtwist.modalg import RepData
 from smashtwist.ncpoly import memoized
 from smashtwist.registry import materialize
 
@@ -70,14 +78,130 @@ def test_memos_die_with_their_problem(monkeypatch):
         return prob
 
     monkeypatch.setattr(cli, "materialize", materialize_recording)
+    # the constructions bm_side and xu_side call, which the smash algebra keeps
     for name in ("bm_bialgebroid", "bm_bialgebroid_twisted", "xu_twist"):
-        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+        monkeypatch.setattr(algebroid, name, recording(getattr(algebroid, name)))
     argv = ["suite", "--preset", "pw-jordanian", "--order", "2", "--degree", "1"]
     assert cli.main(argv) == cli.EXIT_PASS
     # the rewrite system, representation, smash algebra and three bialgebroids
     assert len(refs) == 6
     gc.collect()
     assert [r for r in refs if r() is not None] == []
+
+
+def _count_runs(functions: dict, run) -> dict:
+    """How often the body of each function runs during ``run()``: a memo hit
+    does not enter it.  Counted by code object, so a memoized function counts
+    through its wrapper."""
+    codes = {inspect.unwrap(fn).__code__: name for name, fn in functions.items()}
+    counts = dict.fromkeys(functions, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return counts
+
+
+SHARED_CONSTRUCTIONS = {
+    "bm": algebroid.bm_bialgebroid,
+    "bm-twisted": algebroid.bm_bialgebroid_twisted,
+    "xu_twist": algebroid.xu_twist,
+    "shifted_twist_residuals": algebroid.shifted_twist_residuals,
+    "r_matrix_from_twist": hopf.r_matrix_from_twist,
+    "representation_residuals": RepData.representation_residuals,
+    "jacobi_report": registry.jacobi_report,
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--preset", "pw-jordanian", "--order", "1", "--degree", "1"],
+    ["--config", str(ROOT / "tests" / "golden" / "pw-jordanian-perturbed.json"),
+     "--order", "3", "--degree", "1"],
+], ids=["pw-jordanian", "perturbed"])
+def test_suite_builds_each_shared_structure_once(argv):
+    codes = []
+    counts = _count_runs(SHARED_CONSTRUCTIONS, lambda: codes.append(cli.main(["suite"] + argv)))
+    assert codes[0] in (cli.EXIT_PASS, cli.EXIT_RESIDUAL)
+    assert counts == dict.fromkeys(SHARED_CONSTRUCTIONS, 1)
+
+
+def test_refused_construction_raises_again_and_is_not_kept(monkeypatch):
+    prob = materialize("pw-jordanian", order=1, degree=1)
+
+    def refuse(smash, twist, check_degree):
+        raise ValueError("base is not braided commutative; construction refused")
+
+    monkeypatch.setattr(algebroid, "bm_bialgebroid_twisted", refuse)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as exc:
+            bm_side(prob.smash, prob.twist, 2)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert _memos(prob.smash).get("bm_side", {}) == {}
+
+
+def test_refused_theorem_raises_again_from_the_kept_side():
+    cfg = json.loads((ROOT / "tests" / "golden" / "pw-jordanian-perturbed.json").read_text())
+    # the perturbation sits at h^3
+    prob = materialize(cfg, order=3, degree=1)
+    messages = []
+
+    def theorem():
+        with pytest.raises(InvalidTwistError) as exc:
+            verify_theorem(prob.smash, prob.twist, degree=1)
+        messages.append(str(exc.value))
+
+    counts = _count_runs(SHARED_CONSTRUCTIONS, lambda: (theorem(), theorem()))
+    assert messages == ["shifted twist fails cocycle"] * 2
+    # the failing twistor reports are kept with the side they belong to
+    assert counts["xu_twist"] == counts["shifted_twist_residuals"] == 1
+
+
+@pytest.mark.parametrize("name, evaluated", [("pw-jordanian", 5), ("trivial", None)])
+def test_xu_intertwining_sweep_stops_at_its_witness(monkeypatch, name, evaluated):
+    prob = materialize(name, order=2, degree=1)
+    _, bd = xu_side(prob.smash, prob.twist, 2)
+    flips = []
+    flip = TensorOverA.flip
+    monkeypatch.setattr(TensorOverA, "flip", lambda T: flips.append(T) or flip(T))
+    out = check_qt_shifted(bd, prob.twist.r_matrix, 1)
+    span = prob.smash.spanning(1)
+    if evaluated is None:
+        # no witness: every spanning element is evaluated
+        assert out["witness"] is None
+        assert len(flips) == len(span) == 21
+    else:
+        assert len(span) == 12
+        assert len(flips) == evaluated
+        assert out["witness"][0] == repr(span[evaluated - 1])
+
+
+def test_check_twist_problem_is_freed_without_the_collector(monkeypatch):
+    # check-twist builds no smash product, so no memo holds a cycle: its
+    # problem, R-matrix included, dies when the command returns
+    refs = []
+
+    def materialize_recording(*args, **kwargs):
+        prob = materialize(*args, **kwargs)
+        refs.extend(weakref.ref(o) for o in (prob.bialg, prob.rep, prob.smash, prob.twist))
+        return prob
+
+    monkeypatch.setattr(cli, "materialize", materialize_recording)
+    gc.collect()
+    gc.disable()
+    try:
+        assert cli.main(["check-twist", "--preset", "pw-jordanian", "--order", "2"]) == 0
+        assert [r for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_problems_share_no_memo_entries():

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smashtwist.hopf import r_matrix_from_twist, trivial_twist
 from smashtwist.modalg import (
     PolyCoord,
     RepData,
     StarProduct,
+    _mat_mul,
     act,
     check_braided_commutativity,
     check_module_algebra,
@@ -199,3 +202,24 @@ def test_coaction(igl2):
         e: c for (e, w), c in mixed.terms.items() if not w
     })
     assert collapsed == x0
+
+
+# entries that are zero about half of the time, as in representation matrices
+_entries = st.one_of(
+    st.just(GaussRational(0)),
+    st.builds(GaussRational, st.fractions(max_denominator=5), st.fractions(max_denominator=5)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(*(
+    st.lists(st.lists(_entries, min_size=m, max_size=m).map(tuple), min_size=m, max_size=m)
+    .map(tuple) for _ in range(2)))))
+def test_sparse_matrix_product_matches_the_dense_one(ab):
+    a, b = ab
+    m = len(a)
+    dense = tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(m)), GaussRational(0)) for j in range(m))
+        for i in range(m)
+    )
+    assert _mat_mul(a, b) == dense
