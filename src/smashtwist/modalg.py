@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .ncpoly import MOMENTUM, SCALARS, SYMMETRY, LinearCombination, NCPoly, RewriteSystem, \
     _bump, _strip, memoized
-from .scalars import GaussRational, TruncSeries, parse_gauss_literal
+from .scalars import ZERO, GaussRational, TruncSeries, parse_gauss_literal
 from .reporting import ResidualReport
 
 
@@ -64,7 +64,7 @@ class PolyCoord(LinearCombination):
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 _bump(out, e, c1 * c2)
-        return PolyCoord(self.dim, self.order, out)
+        return PolyCoord(self.dim, self.order, _strip(out))
 
     def __repr__(self):
         if not self.terms:
@@ -206,7 +206,7 @@ class RepData:
 def _matrix_of(rep: RepData, p: NCPoly):
     """Matrix of a symmetry-sector polynomial of degree <= 1 (no momenta)."""
     m = rep.dim
-    out = [[GaussRational(0)] * m for _ in range(m)]
+    out = [[ZERO] * m for _ in range(m)]
     for (ranks,), c in p.terms.items():
         if len(ranks) != 1:
             raise ValueError("bracket of symmetry generators leaves the symmetry sector")
@@ -227,7 +227,7 @@ def _mat_mul(a, b):
     """Matrix product skipping the zeros of ``a``: representation matrices are sparse."""
     rows = [[(k, x) for k, x in enumerate(row) if not x.is_zero()] for row in a]
     return tuple(
-        tuple(sum((x * b[k][j] for k, x in row), GaussRational(0)) for j in range(len(a)))
+        tuple(sum((x * b[k][j] for k, x in row), ZERO) for j in range(len(a)))
         for row in rows
     )
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import wraps
 from operator import add
 
-from .scalars import GaussRational, TruncSeries, parse_scalar_literal
+from .scalars import GaussRational, InternTable, TruncSeries, parse_scalar_literal
 
 SYMMETRY = "symmetry"
 MOMENTUM = "momentum"
@@ -144,11 +144,14 @@ class RewriteSystem:
     ``brackets`` maps a pair of generator names (a, b) to the value of
     [X_a, X_b] given as a list of (coefficient, generator-name-or-None) terms;
     None denotes the unit word (a central term).  Antisymmetry is built in:
-    only one orientation per pair may be supplied.
+    only one orientation per pair may be supplied.  ``scalars`` is the
+    problem's intern table and ``unit`` its canonical 1.
     """
 
     def __init__(self, order: int, generators, brackets=None, validate: bool = True):
         self.order = order
+        self.scalars = InternTable(order)
+        self.unit = self.scalars.one
         blocks = ([], [], [])
         for item in generators:
             name, sort = item
@@ -184,7 +187,7 @@ class RewriteSystem:
                 if c.order != order:
                     raise ValueError("bracket coefficient has wrong order")
                 word = () if name is None else (self._rank(name),)
-                corr.append((word, c))
+                corr.append((word, self.scalars.intern(c)))
             # store as [X_hi, X_lo]; flip the sign if given the other way round
             if ra > rb:
                 self._corr[(ra, rb)] = tuple(corr)
@@ -193,7 +196,6 @@ class RewriteSystem:
         self._corr = {k: v for k, v in self._corr.items()
                       if any(not c.is_zero() for _, c in v)}
 
-        self.unit = TruncSeries.one(order)
         if validate:
             bad = self.jacobi_residuals()
             if bad:
@@ -220,8 +222,9 @@ class RewriteSystem:
         Letters of distinct legs commute exactly, so the normal form of a
         word is the product of the per-leg forms (``leg_form``), each unique
         by the diamond lemma; cross-leg coefficient products that truncate
-        to zero are dropped.  Every unit coefficient is ``self.unit``.  The
-        returned dict is memoized and shared; callers must not mutate it.
+        to zero are dropped.  Every coefficient is canonical in
+        ``self.scalars``, so a unit one is ``self.unit``.  The returned dict
+        is memoized and shared; callers must not mutate it.
         """
         unit = self.unit
         out = {(): unit}
@@ -238,8 +241,6 @@ class RewriteSystem:
                         v = c * k
                         if v.is_zero():
                             continue
-                        if v == unit:
-                            v = unit
                     grown[w + (normal,)] = v
             out = grown
         return out
@@ -265,7 +266,7 @@ class RewriteSystem:
             stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2 :], c))
             for cw, cc in self._corr.get((w[i], w[i + 1]), ()):
                 stack.append((w[:i] + cw + w[i + 2 :], cc if c is unit else c * cc))
-        return {w: unit if c == unit else c for w, c in form.items() if not c.is_zero()}
+        return {w: c for w, c in form.items() if not c.is_zero()}
 
     def jacobi_residuals(self):
         """Nonzero Jacobi residuals [(name_a, name_b, name_c, NCPoly)].
@@ -398,23 +399,23 @@ class NCPoly(LinearCombination):
 
     @staticmethod
     def one(rs, nlegs=1) -> "NCPoly":
-        return NCPoly(rs, nlegs, {((),) * nlegs: TruncSeries.one(rs.order)})
+        return NCPoly(rs, nlegs, {((),) * nlegs: rs.unit})
 
     @staticmethod
     def scalar(rs, value, nlegs=1) -> "NCPoly":
-        c = TruncSeries.coerce(value, rs.order)
+        c = rs.scalars.intern(TruncSeries.coerce(value, rs.order))
         return NCPoly(rs, nlegs, {} if c.is_zero() else {((),) * nlegs: c})
 
     @staticmethod
     def gen(rs, name, leg=1, nlegs=1) -> "NCPoly":
         word = _word_on_leg((rs._rank(name),), leg, nlegs)
-        return NCPoly(rs, nlegs, {word: TruncSeries.one(rs.order)})
+        return NCPoly(rs, nlegs, {word: rs.unit})
 
     @staticmethod
     def from_word(rs, names, coeff=1, nlegs=1, leg=1) -> "NCPoly":
         """Polynomial coeff * (product of named generators), normal formed."""
         word = _word_on_leg(tuple(rs._rank(n) for n in names), leg, nlegs)
-        c = TruncSeries.coerce(coeff, rs.order)
+        c = rs.scalars.intern(TruncSeries.coerce(coeff, rs.order))
         out: dict = {}
         for w, k in rs.normalize_word(word).items():
             _bump(out, w, c * k)

@@ -7,12 +7,15 @@ arithmetic is exact; there is no floating point anywhere, so equality of two
 values is literal equality of their coefficient data.
 
 Values are immutable by convention: nothing in this package writes to a
-scalar after construction, which keeps them safe to share and cache.
+scalar after construction, which keeps them safe to share and cache.  Within
+one problem, whose ``RewriteSystem`` owns an ``InternTable``, equal series are
+one object, and arithmetic on them is computed once and then looked up.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -157,7 +160,8 @@ class TruncSeries:
     are equal iff they share the order and every coefficient.
     """
 
-    __slots__ = ("order", "data")
+    # _home: None, or a weak reference to the InternTable that gave ``_ix``
+    __slots__ = ("order", "data", "_home", "_ix")
 
     def __init__(self, order: int, coeffs):
         if order < 0:
@@ -166,6 +170,7 @@ class TruncSeries:
         if len(coeffs) != order + 1:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
         self.order = order
+        self._home = None
         self.data = {}
         for k, c in enumerate(coeffs):
             c = GaussRational.coerce(c)
@@ -177,6 +182,7 @@ class TruncSeries:
         out = TruncSeries.__new__(TruncSeries)
         out.order = order
         out.data = data
+        out._home = None
         return out
 
     # -- constructors -------------------------------------------------
@@ -223,6 +229,9 @@ class TruncSeries:
     def __add__(self, other):
         if other.__class__ is not TruncSeries or other.order != self.order:
             self._check(other)
+        return _memoized("add", self, other, TruncSeries._add)
+
+    def _add(self, other):
         out = dict(self.data)
         for k, c in other.data.items():
             prev = out.get(k)
@@ -239,20 +248,12 @@ class TruncSeries:
     def __sub__(self, other):
         if other.__class__ is not TruncSeries or other.order != self.order:
             self._check(other)
-        out = dict(self.data)
-        for k, c in other.data.items():
-            prev = out.get(k)
-            if prev is None:
-                out[k] = -c
-            else:
-                s = prev - c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-        return TruncSeries._from_data(self.order, out)
+        return self + -other
 
     def __neg__(self):
+        return _memoized("neg", self, None, TruncSeries._neg)
+
+    def _neg(self, _):
         return TruncSeries._from_data(self.order, {k: -c for k, c in self.data.items()})
 
     def __mul__(self, other):
@@ -262,10 +263,13 @@ class TruncSeries:
             if not isinstance(other, TruncSeries):
                 return NotImplemented
             self._check(other)
+        return _memoized("mul", self, other, TruncSeries._mul)
+
+    def _mul(self, other):
         order = self.order
         sd, od = self.data, other.data
-        # fast paths for the traffic of PBW rewriting: a unit or zero
-        # operand, or a monomial times a monomial
+        # fast paths for the traffic of PBW rewriting: a unit operand, or a
+        # monomial times a monomial
         if len(sd) == 1:
             (i, a), = sd.items()
             if not i and a.a == 1 and a.d == 1 and not a.b:
@@ -276,14 +280,10 @@ class TruncSeries:
                 if k > order:
                     return TruncSeries._from_data(order, {})
                 return TruncSeries._from_data(order, {k: a * b})
-        elif not sd:
-            return self
         if len(od) == 1:
             (j, b), = od.items()
             if not j and b.a == 1 and b.d == 1 and not b.b:
                 return self
-        elif not od:
-            return other
         out: dict = {}
         for i, a in sd.items():
             for j, b in od.items():
@@ -308,6 +308,9 @@ class TruncSeries:
         return NotImplemented
 
     def scale(self, c) -> "TruncSeries":
+        return _memoized("scale", self, c, TruncSeries._scale)
+
+    def _scale(self, c):
         if c.__class__ is not GaussRational:
             c = GaussRational.coerce(c)
         if c.is_zero():
@@ -350,7 +353,11 @@ class TruncSeries:
         return self.order == other.order and self.data == other.data
 
     def __hash__(self):
-        return hash((self.order, frozenset(self.data.items())))
+        # the terms' hashes combined in any order, without a GaussRational call
+        h = 0
+        for k, c in self.data.items():
+            h ^= hash((k, c.a, c.b, c.d))
+        return h
 
     def __repr__(self):
         return f"TruncSeries({self.order}, {self.coeffs!r})"
@@ -375,6 +382,57 @@ class TruncSeries:
         for p in parts[1:]:
             text += " - " + p[1:] if p.startswith("-") else " + " + p
         return text
+
+
+class InternTable:
+    """One problem's canonical series, each with an index unique in the table,
+    and per op a memo from the operands' indices (or an index and a plain
+    scalar) to the canonical result.  Values point back through the table's
+    one weak reference, so its owner's reference count alone frees it."""
+
+    def __init__(self, order: int):
+        self.ref = weakref.ref(self)
+        self.values: dict = {}
+        self.canon: list = []  # by index
+        self.memos = {op: {} for op in ("mul", "add", "neg", "scale")}
+        self.one = self.intern(TruncSeries.one(order))
+
+    def intern(self, x: TruncSeries) -> TruncSeries:
+        """The canonical series equal to ``x``.  A series of no table becomes
+        canonical, or carries the index of the canonical one if it exists."""
+        if x._home is self.ref and self.canon[x._ix] is x:
+            return x
+        y = x if x._home is None else TruncSeries._from_data(x.order, x.data)
+        c = self.values.setdefault(y, y)
+        if c is y:
+            y._home, y._ix = self.ref, len(self.canon)
+            self.canon.append(y)
+        elif x._home is None:
+            x._home, x._ix = c._home, c._ix
+        return c
+
+
+def _memoized(op: str, a: TruncSeries, b, compute):
+    """``compute(a, b)`` through the memo ``op`` of the operands' table;
+    ``b`` is a series, a plain scalar or None."""
+    home = a._home
+    series = b.__class__ is TruncSeries
+    if series and home is not b._home:
+        # both join a live table of either side, if there is one
+        for table in (home and home(), b._home and b._home()):
+            if table is not None:
+                return _memoized(op, table.intern(a), table.intern(b), compute)
+    table = home and home()
+    if table is None:
+        return compute(a, b)
+    memo = table.memos[op]
+    # one int for two indices while a table holds fewer than 2**32 values; a
+    # plain scalar keys with its class, so no float passes for an equal int
+    key = a._ix << 32 | b._ix if series else (a._ix, b.__class__, b)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = table.intern(compute(a, b))
+    return out
 
 
 # ASCII digits only: int() and Fraction() also take signs, underscores,

@@ -29,6 +29,7 @@ from smashtwist.hopf import InvalidTwistError
 from smashtwist.modalg import RepData
 from smashtwist.ncpoly import memoized
 from smashtwist.registry import materialize
+from smashtwist.scalars import TruncSeries
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "smashtwist").glob("*.py"))
@@ -74,7 +75,8 @@ def test_memos_die_with_their_problem(monkeypatch):
 
     def materialize_recording(*args, **kwargs):
         prob = materialize(*args, **kwargs)
-        refs.extend(weakref.ref(o) for o in (prob.bialg.rs, prob.rep, prob.smash))
+        refs.extend(weakref.ref(o) for o in (prob.bialg.rs, prob.bialg.rs.scalars,
+                                             prob.rep, prob.smash))
         return prob
 
     monkeypatch.setattr(cli, "materialize", materialize_recording)
@@ -83,8 +85,9 @@ def test_memos_die_with_their_problem(monkeypatch):
         monkeypatch.setattr(algebroid, name, recording(getattr(algebroid, name)))
     argv = ["suite", "--preset", "pw-jordanian", "--order", "2", "--degree", "1"]
     assert cli.main(argv) == cli.EXIT_PASS
-    # the rewrite system, representation, smash algebra and three bialgebroids
-    assert len(refs) == 6
+    # the rewrite system, its intern table, representation, smash algebra and
+    # three bialgebroids
+    assert len(refs) == 7
     gc.collect()
     assert [r for r in refs if r() is not None] == []
 
@@ -186,12 +189,14 @@ def test_xu_intertwining_sweep_stops_at_its_witness(monkeypatch, name, evaluated
 
 def test_check_twist_problem_is_freed_without_the_collector(monkeypatch):
     # check-twist builds no smash product, so no memo holds a cycle: its
-    # problem, R-matrix included, dies when the command returns
+    # problem, R-matrix and scalar intern table included, dies when the
+    # command returns
     refs = []
 
     def materialize_recording(*args, **kwargs):
         prob = materialize(*args, **kwargs)
-        refs.extend(weakref.ref(o) for o in (prob.bialg, prob.rep, prob.smash, prob.twist))
+        refs.extend(weakref.ref(o) for o in (prob.bialg, prob.bialg.rs.scalars, prob.rep,
+                                             prob.smash, prob.twist))
         return prob
 
     monkeypatch.setattr(cli, "materialize", materialize_recording)
@@ -204,19 +209,39 @@ def test_check_twist_problem_is_freed_without_the_collector(monkeypatch):
         gc.enable()
 
 
+def _coefficients(value):
+    """The scalar series a memo value holds, in containers and elements."""
+    if isinstance(value, TruncSeries):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _coefficients(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _coefficients(v)
+    elif hasattr(value, "terms"):
+        yield from _coefficients(value.terms)
+
+
 def test_problems_share_no_memo_entries():
-    probs = [materialize("pw-jordanian", order=n, degree=1) for n in (2, 3)]
+    # two problems at one order could share coefficients through a global table
+    probs = [materialize("pw-jordanian", order=n, degree=1) for n in (2, 3, 2)]
     for prob in probs:
         assert prob.smash.phi_report(prob.twist, 1).ok()
-    memos, values = [], []
+    memos, values, coefficients = [], [], []
     for prob in probs:
         found = [m for owner in _memo_owners(prob) for m in _memos(owner).values()]
         assert len(found) >= 8
         memos.append({id(m) for m in found})
         # the empty tuple is one object everywhere
         values.append({id(v) for m in found for v in m.values() if v != ()})
-    assert not memos[0] & memos[1]
-    assert not values[0] & values[1]
+        coeffs = {id(c) for m in found for c in _coefficients(list(m.values()))}
+        assert len(coeffs) >= 20
+        coefficients.append(coeffs | {id(c) for c in prob.bialg.rs.scalars.canon})
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert not memos[a] & memos[b]
+        assert not values[a] & values[b]
+        assert not coefficients[a] & coefficients[b]
 
 
 def _tracer_boundaries() -> list:

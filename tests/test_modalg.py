@@ -223,3 +223,16 @@ def test_sparse_matrix_product_matches_the_dense_one(ab):
         for i in range(m)
     )
     assert _mat_mul(a, b) == dense
+
+
+def test_coordinate_product_drops_a_coefficient_that_truncates():
+    # h^2 * h^2 vanishes at order 3: no (0)*x0 x1 term may be kept
+    h2 = TruncSeries.h_power(2, 3)
+    product = PolyCoord.monomial(2, 3, (1, 0), h2) * PolyCoord.monomial(2, 3, (0, 1), h2)
+    assert product.is_zero()
+    assert product == PolyCoord.zero(2, 3)
+    assert repr(product) == "0"
+    # a surviving term keeps its value
+    h = TruncSeries.h_power(1, 3)
+    kept = PolyCoord.monomial(2, 3, (1, 0), h2) * PolyCoord.monomial(2, 3, (0, 1), h)
+    assert kept == PolyCoord.monomial(2, 3, (1, 1), TruncSeries.h_power(3, 3))
