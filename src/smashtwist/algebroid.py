@@ -25,7 +25,6 @@ from .modalg import PolyCoord, coaction, monomial_str, monomials_up_to, \
     check_braided_commutativity
 from .ncpoly import LinearCombination, NCPoly, _bump, _strip, memoized
 from .reporting import ResidualReport
-from .scalars import TruncSeries
 from .smash import SmashAlgebra, SmashElem, SmashProduct, linear_on_basis, phi, \
     spanning_words
 
@@ -65,7 +64,7 @@ class Bialgebroid:
 
     def _trivial_split(self, exp, word):
         a = PolyCoord.monomial(self.smash.dim, self.smash.order, exp)
-        return ((a, word, TruncSeries.one(self.smash.order)),)
+        return ((a, word, self.smash.rs.unit),)
 
     @memoized
     def right_split(self, exp, word):
@@ -114,8 +113,7 @@ class Bialgebroid:
         return TensorOverA(self, nlegs, _strip(out))
 
     def tensor_unit(self) -> "TensorOverA":
-        one = TruncSeries.one(self.smash.order)
-        return TensorOverA(self, 2, {(self._zero_exp, (), ()): one})
+        return TensorOverA(self, 2, {(self._zero_exp, (), ()): self.smash.rs.unit})
 
     # -- structure maps ----------------------------------------------------
 

@@ -458,6 +458,14 @@ def cmd_smash_verify(args, loaded=None) -> Report:
     return report
 
 
+def _construction_identity(exc: ValueError) -> str:
+    """The law a refused construction failed: a twistor law, or the braided
+    commutativity of the base."""
+    if isinstance(exc, InvalidTwistError):
+        return "twistor-laws"
+    return "braided-commutativity-precondition"
+
+
 def cmd_algebroid_verify(args, loaded=None) -> Report:
     prob, source, _ = loaded or load_problem(args)
     report = Report(f"algebroid-verify:{args.side}", source, prob.order, prob.degree)
@@ -473,7 +481,7 @@ def cmd_algebroid_verify(args, loaded=None) -> Report:
             for name, rep in twistor_reports.items():
                 report.add_residual_report(f"twistor {name}", f"twistor-{name}", rep)
     except ValueError as exc:
-        report.add("construction", "braided-commutativity-precondition", "fail",
+        report.add("construction", _construction_identity(exc), "fail",
                    str(exc), 1, (time.perf_counter() - t0) * 1000.0)
         return report
     build_ms = (time.perf_counter() - t0) * 1000.0
@@ -506,8 +514,7 @@ def cmd_theorem(args, loaded=None) -> Report:
     try:
         out = verify_theorem(prob.smash, prob.twist, prob.degree)
     except ValueError as exc:
-        report.add("construction", "braided-commutativity-precondition", "fail",
-                   str(exc), 1)
+        report.add("construction", _construction_identity(exc), "fail", str(exc), 1)
         return report
     for name, rep in out.items():
         if name.startswith("_"):

@@ -3,15 +3,18 @@ counit, twists, twisted coproducts and R-matrices.
 
 Every generator is primitive, Delta(X) = X(x)1 + 1(x)X, and the counit kills
 every generator, so the coproduct of a PBW word is the sum over all splits of
-its letters into two legs.  A twist is an invertible two-leg element F
-produced here as a truncated exponential; constructing one verifies that it
-is a two-sided inverse pair and that both counit contractions collapse to the
-unit.  Identity checks return residual elements rather than booleans: a
-nonzero residual pinpoints the failing term and h-order.
+its letters into two legs.  A twist is an invertible two-leg element
+F = exp(t) built from its exponent t, with inverse exp(-t); constructing one
+verifies that it is a two-sided inverse pair and that both counit
+contractions collapse to the unit.  The twisted coproduct F Delta(x) F^{-1}
+is computed through the exponent, as exp(ad t) applied to Delta(x): t has far
+fewer terms than F.  Identity checks return residual elements rather than
+booleans: a nonzero residual pinpoints the failing term and h-order.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 
 from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, _strip, memoized
@@ -91,12 +94,14 @@ class BialgebraPresentation:
 
 
 class Twist:
-    """A validated invertible two-leg element with unital counit contractions."""
+    """The validated twist F = exp(t), with inverse exp(-t) and unital counit
+    contractions; ``exponent`` is t."""
 
-    def __init__(self, bialg: BialgebraPresentation, F: NCPoly, F_inv: NCPoly):
+    def __init__(self, bialg: BialgebraPresentation, t: NCPoly):
         self.bialg = bialg
-        self.F = F
-        self.F_inv = F_inv
+        self.exponent = t
+        self.F = F = t.exp_truncated()
+        self.F_inv = F_inv = (-t).exp_truncated()
         # both products are kept: check-twist reports them as its inverse rows
         self.products = (F * F_inv, F_inv * F)
         one2 = NCPoly.one(bialg.rs, 2)
@@ -125,7 +130,7 @@ def twist_from_exponent(bialg: BialgebraPresentation, t: NCPoly) -> Twist:
         raise ValueError("twist exponent must be a two-leg element")
     if not t.has_no_constant_order():
         raise ValueError("twist exponent has a nonzero h^0 component")
-    return Twist(bialg, t.exp_truncated(), (-t).exp_truncated())
+    return Twist(bialg, t)
 
 
 def trivial_twist(bialg: BialgebraPresentation) -> Twist:
@@ -159,6 +164,10 @@ class CoproductMap:
 
     Used wherever a construction is parameterized by "which coproduct":
     ``twist=None`` gives the primitive one, otherwise F Delta(.) F^{-1}.
+    With F = exp(t) that conjugation is exp(ad t) = sum_k ad_t^k / k!, with
+    t on the two destination legs.  It is exact in the truncated ring: t has
+    no h^0 part, so ad_t^k(x) vanishes below h^k and the series stops at the
+    first zero term, by k = N at the latest.
     """
 
     def __init__(self, bialg: BialgebraPresentation, twist: Twist | None = None):
@@ -166,20 +175,24 @@ class CoproductMap:
         self.twist = twist
 
     def __call__(self, p: NCPoly) -> NCPoly:
-        prim = self.bialg.coproduct_on_leg(p, 1)
-        if self.twist is None:
-            return prim
-        return self.twist.F * prim * self.twist.F_inv
+        return self._conjugate(self.bialg.coproduct_on_leg(p, 1), 1)
 
     def on_leg(self, p: NCPoly, leg: int) -> NCPoly:
         """This coproduct applied to one leg of an n-leg element."""
-        prim = self.bialg.coproduct_on_leg(p, leg)
+        return self._conjugate(self.bialg.coproduct_on_leg(p, leg), leg)
+
+    def _conjugate(self, prim: NCPoly, leg: int) -> NCPoly:
+        """F prim F^{-1}, with F on legs ``leg`` and ``leg + 1``."""
         if self.twist is None:
             return prim
-        dests, n_out = (leg, leg + 1), p.nlegs + 1
-        f = self.twist.F.place_legs(dests, n_out)
-        fi = self.twist.F_inv.place_legs(dests, n_out)
-        return f * prim * fi
+        acc = term = prim
+        t = self.twist.exponent.place_legs((leg, leg + 1), prim.nlegs)
+        for k in range(1, self.bialg.order + 1):
+            term = t.commutator(term).scale(Fraction(1, k))
+            if term.is_zero():
+                break
+            acc = acc + term
+        return acc
 
     @memoized
     def word_splits(self, ranks) -> tuple:
@@ -190,7 +203,7 @@ class CoproductMap:
                 (l, r, TruncSeries.const(m, order))
                 for l, r, m in self.bialg.word_splits(ranks)
             )
-        poly = self(NCPoly(self.bialg.rs, 1, {(ranks,): TruncSeries.one(self.bialg.order)}))
+        poly = self(NCPoly(self.bialg.rs, 1, {(ranks,): self.bialg.rs.unit}))
         return tuple((l, r, c) for (l, r), c in poly.terms.items())
 
 

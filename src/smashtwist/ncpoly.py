@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import wraps
-from operator import add
+from operator import add, le
 
 from .scalars import GaussRational, InternTable, TruncSeries, parse_scalar_literal
 
@@ -441,12 +441,17 @@ class NCPoly(LinearCombination):
         order = self.rs.order
         # c1 * c2 vanishes exactly when the lowest h-orders of c1 and c2 sum
         # past the order (Q(i) has no zero divisors), so the right factor's
-        # terms are bucketed by lowest order and such pairs are never formed
+        # terms are bucketed by lowest order and such pairs are never formed.
+        # Stored words are normal, so a pair's concatenation is normal, and
+        # needs no normal-form lookup, exactly when no leg descends at the
+        # seam: the last rank of each left leg is at most the first rank of
+        # the right one (an empty leg never descends).
+        top = len(self.rs.generators)
         buckets = [[] for _ in range(order + 1)]
         for w2, c2 in other.terms.items():
             v2 = c2.lowest_order()
             if v2 is not None:
-                buckets[v2].append((w2, c2))
+                buckets[v2].append((w2, c2, [r[0] if r else top for r in w2]))
         normalize = self.rs.normalize_word
         unit = self.rs.unit
         out: dict = {}
@@ -454,12 +459,17 @@ class NCPoly(LinearCombination):
             v1 = c1.lowest_order()
             if v1 is None:
                 continue
+            last1 = [r[-1] if r else 0 for r in w1]
             for bucket in buckets[: order + 1 - v1]:
-                for w2, c2 in bucket:
+                for w2, c2, first2 in bucket:
                     c = c1 * c2
                     if c.is_zero():
                         continue
-                    for w, k in normalize(tuple(map(add, w1, w2))).items():
+                    w = tuple(map(add, w1, w2))
+                    if all(map(le, last1, first2)):
+                        _bump(out, w, c)
+                        continue
+                    for w, k in normalize(w).items():
                         _bump(out, w, c if k is unit else c * k)
         return NCPoly(self.rs, self.nlegs, _strip(out))
 

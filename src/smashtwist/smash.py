@@ -60,7 +60,7 @@ class SmashAlgebra:
 
     def one(self) -> "SmashElem":
         exp = (0,) * self.dim
-        return SmashElem(self, {(exp, ()): TruncSeries.one(self.order)})
+        return SmashElem(self, {(exp, ()): self.rs.unit})
 
     def coord_elem(self, a: PolyCoord) -> "SmashElem":
         """a as a (x) 1."""

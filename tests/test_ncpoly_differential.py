@@ -59,9 +59,10 @@ def coefficients(draw, order):
 
 
 @st.composite
-def normal_words(draw, rs, nlegs):
-    """A normal-ordered word: the legs in order, each leg's ranks sorted."""
-    rank = st.integers(0, len(rs.generators) - 1)
+def normal_words(draw, rs, nlegs, lo=0, hi=None):
+    """A normal-ordered word: the legs in order, each leg's ranks sorted and
+    drawn from lo..hi (by default every rank)."""
+    rank = st.integers(lo, len(rs.generators) - 1 if hi is None else hi)
     return tuple(
         tuple(sorted(draw(st.lists(rank, max_size=3 if nlegs == 1 else 2))))
         for _ in range(nlegs)
@@ -69,10 +70,10 @@ def normal_words(draw, rs, nlegs):
 
 
 @st.composite
-def polys(draw, rs, nlegs):
+def polys(draw, rs, nlegs, lo=0, hi=None):
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
-        terms[draw(normal_words(rs, nlegs))] = draw(coefficients(rs.order))
+        terms[draw(normal_words(rs, nlegs, lo, hi))] = draw(coefficients(rs.order))
     return NCPoly(rs, nlegs, terms)
 
 
@@ -104,6 +105,33 @@ def test_triple_product_matches_reference(pair, data):
     p, q = pair
     r = data.draw(polys(p.rs, p.nlegs))
     assert_same_poly((p * q) * r, ref.mul(ref.mul(p, q), r))
+
+
+@st.composite
+def seam_pairs(draw):
+    """Two polynomials whose product has many ordered seams: half the time
+    every rank of the left factor is at most every rank of the right one,
+    so p * q takes the seam path on every pair and q * p mostly does not."""
+    rs = preset_rs(draw(st.sampled_from(PRESET_NAMES)), draw(orders))
+    nlegs = draw(st.sampled_from((1, 2, 3)))
+    top = len(rs.generators) - 1
+    pivot = draw(st.one_of(st.none(), st.integers(0, top)))
+    if pivot is None:
+        return draw(polys(rs, nlegs)), draw(polys(rs, nlegs))
+    return draw(polys(rs, nlegs, hi=pivot)), draw(polys(rs, nlegs, lo=pivot))
+
+
+def has_descent(word) -> bool:
+    return any(a > b for ranks in word for a, b in zip(ranks, ranks[1:]))
+
+
+@kernel_settings
+@given(seam_pairs())
+def test_product_across_ordered_seams_is_normal_and_matches_reference(pair):
+    p, q = pair
+    for got, want in ((p * q, ref.mul(p, q)), (q * p, ref.mul(q, p))):
+        assert_same_poly(got, want)
+        assert not any(map(has_descent, got.terms))
 
 
 def test_zero_coefficient_contributes_nothing():
