@@ -621,6 +621,11 @@ class _ExprParser:
         return value
 
     def factor(self):
+        # a unary sign applies to the whole factor, so ^ binds tighter: -x^2 = -(x^2)
+        if self.peek() in ("-", "+"):
+            sign = self.take()
+            value = self.factor()
+            return -value if sign == "-" else value
         value = self.atom()
         while self.peek() == "^":
             self.take()
@@ -637,10 +642,6 @@ class _ExprParser:
     def atom(self):
         tok = self.take()
         alg = self.prob.smash
-        if tok == "-":
-            return -self.atom()
-        if tok == "+":
-            return self.atom()
         if tok == "(":
             value = self.expr()
             if self.take() != ")":

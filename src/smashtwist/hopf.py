@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, _strip, memoized
+from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, memoized
 from .scalars import TruncSeries
 
 
@@ -72,7 +72,7 @@ class BialgebraPresentation:
             head, tail = word[:i], word[leg:]
             for left, right, mult in self.word_splits(word[i]):
                 _bump(out, head + (left, right) + tail, c * mult)
-        return NCPoly(p.rs, p.nlegs + 1, _strip(out))
+        return NCPoly(p.rs, p.nlegs + 1, out)
 
     def counit(self, p: NCPoly) -> TruncSeries:
         """Coefficient of the empty word; every generator maps to zero."""
@@ -196,13 +196,8 @@ class CoproductMap:
 
     @memoized
     def word_splits(self, ranks) -> tuple:
-        """Two-leg Sweedler data of a PBW word: ((left, right, coeff), ...)."""
-        if self.twist is None:
-            order = self.bialg.order
-            return tuple(
-                (l, r, TruncSeries.const(m, order))
-                for l, r, m in self.bialg.word_splits(ranks)
-            )
+        """Two-leg Sweedler data of a PBW word: ((left, right, coeff), ...),
+        each coefficient canonical in the problem's intern table."""
         poly = self(NCPoly(self.bialg.rs, 1, {(ranks,): self.bialg.rs.unit}))
         return tuple((l, r, c) for (l, r), c in poly.terms.items())
 

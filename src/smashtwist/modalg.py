@@ -11,7 +11,7 @@ the expansion of the inverse twist.
 from __future__ import annotations
 
 from .ncpoly import MOMENTUM, SCALARS, SYMMETRY, LinearCombination, NCPoly, RewriteSystem, \
-    _bump, _strip, memoized
+    _add_scaled, _bump, memoized
 from .scalars import ZERO, GaussRational, TruncSeries, parse_gauss_literal
 from .reporting import ResidualReport
 
@@ -64,7 +64,7 @@ class PolyCoord(LinearCombination):
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 _bump(out, e, c1 * c2)
-        return PolyCoord(self.dim, self.order, _strip(out))
+        return PolyCoord(self.dim, self.order, out)
 
     def __repr__(self):
         if not self.terms:
@@ -163,7 +163,7 @@ class RepData:
     def act_word(self, ranks, exp) -> PolyCoord:
         """A PBW word acting on a coordinate monomial (an exponent tuple),
         rightmost letter first."""
-        cur = PolyCoord.monomial(self.dim, self.rs.order, exp)
+        cur = PolyCoord.monomial(self.dim, self.rs.order, exp, self.rs.unit)
         for rank in reversed(ranks):
             cur = self.act_rank(rank, cur)
             if cur.is_zero():
@@ -250,12 +250,9 @@ def act(rep: RepData, h_elem: NCPoly, a: PolyCoord) -> PolyCoord:
     for (ranks,), c in h_elem.terms.items():
         for e, ce in a.terms.items():
             part = rep.act_word(ranks, e)
-            if part.is_zero():
-                continue
-            cc = c * ce
-            for e2, c2 in part.terms.items():
-                _bump(out, e2, c2 * cc)
-    return PolyCoord(rep.dim, rep.rs.order, _strip(out))
+            if not part.is_zero():
+                _add_scaled(out, c * ce, part.terms)
+    return PolyCoord(rep.dim, rep.rs.order, out)
 
 
 class StarProduct:
@@ -276,10 +273,8 @@ class StarProduct:
         out: dict = {}
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                c = ca * cb
-                for e, cm in self._mono(ea, eb).terms.items():
-                    _bump(out, e, cm * c)
-        return PolyCoord(self.rep.dim, self.rep.rs.order, _strip(out))
+                _add_scaled(out, ca * cb, self._mono(ea, eb).terms)
+        return PolyCoord(self.rep.dim, self.rep.rs.order, out)
 
     @memoized
     def _mono(self, ea, eb) -> PolyCoord:
@@ -292,9 +287,8 @@ class StarProduct:
             right = rep.act_word(w2, eb)
             if right.is_zero():
                 continue
-            for e, cp in (left * right).terms.items():
-                _bump(out, e, cp * c)
-        return PolyCoord(rep.dim, rep.rs.order, _strip(out))
+            _add_scaled(out, c, (left * right).terms)
+        return PolyCoord(rep.dim, rep.rs.order, out)
 
 
 def monomials_up_to(dim: int, degree: int):
@@ -330,13 +324,13 @@ def check_module_algebra(rep: RepData, degree: int = 3, max_word: int = 2) -> Re
         n = len(rep.rs.generators)
         words += [(r1, r2) for r1 in range(n) for r2 in range(r1, n)]
     monos = monomials_up_to(rep.dim, degree)
-    order = rep.rs.order
+    order, unit = rep.rs.order, rep.rs.unit
     for ranks in words:
         splits = bialg.word_splits(ranks)
         for ea in monos:
-            a = PolyCoord.monomial(rep.dim, order, ea)
+            a = PolyCoord.monomial(rep.dim, order, ea, unit)
             for eb in monos:
-                b = PolyCoord.monomial(rep.dim, order, eb)
+                b = PolyCoord.monomial(rep.dim, order, eb, unit)
                 lhs = rep.act_word(ranks, tuple(x + y for x, y in zip(ea, eb)))
                 rhs = PolyCoord.zero(rep.dim, order)
                 for left, right, mult in splits:
@@ -350,7 +344,7 @@ def check_module_algebra(rep: RepData, degree: int = 3, max_word: int = 2) -> Re
         for nb in names[: i + 1]:
             prod = pa * NCPoly.gen(rep.rs, nb)
             for ea in monos:
-                mono = PolyCoord.monomial(rep.dim, order, ea)
+                mono = PolyCoord.monomial(rep.dim, order, ea, unit)
                 lhs = act(rep, prod, mono)
                 rhs = act(rep, pa, rep.act_word((rep.rs._rank(nb),), ea))
                 report.check(f"relations [{na} {nb}] on {ea}", lhs - rhs)
@@ -360,13 +354,13 @@ def check_module_algebra(rep: RepData, degree: int = 3, max_word: int = 2) -> Re
 def check_braided_commutativity(star: StarProduct, R: NCPoly, degree: int = 3) -> ResidualReport:
     """Residual of a*b - (R_2 acting on b)*(R_1 acting on a) over monomials."""
     rep = star.rep
-    order = rep.rs.order
+    order, unit = rep.rs.order, rep.rs.unit
     report = ResidualReport("braided-commutativity")
     monos = monomials_up_to(rep.dim, degree)
     for ea in monos:
-        a = PolyCoord.monomial(rep.dim, order, ea)
+        a = PolyCoord.monomial(rep.dim, order, ea, unit)
         for eb in monos:
-            b = PolyCoord.monomial(rep.dim, order, eb)
+            b = PolyCoord.monomial(rep.dim, order, eb, unit)
             rhs = PolyCoord.zero(rep.dim, order)
             for (w1, w2), c in R.terms.items():
                 rb = rep.act_word(w2, eb)

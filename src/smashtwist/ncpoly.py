@@ -67,9 +67,12 @@ def _inversions(word) -> int:
 
 
 def _bump(d: dict, key, value):
+    """Add ``value`` at ``key`` of a term dict, which never stores a zero:
+    a zero is not inserted, and a sum that cancels is deleted."""
     prev = d.get(key)
     if prev is None:
-        d[key] = value
+        if not value.is_zero():
+            d[key] = value
     else:
         s = prev + value
         if s.is_zero():
@@ -78,8 +81,20 @@ def _bump(d: dict, key, value):
             d[key] = s
 
 
-def _strip(d: dict) -> dict:
-    return {k: v for k, v in d.items() if not v.is_zero()}
+def _add_scaled(out: dict, c, terms: dict) -> dict:
+    """Add ``c * terms`` into the term dict ``out``, and return ``out``."""
+    for k, v in terms.items():
+        _bump(out, k, c * v)
+    return out
+
+
+def _linear(image, terms: dict) -> dict:
+    """The image of ``terms`` under the linear map whose basis images, as
+    term dicts, are ``image(key)``."""
+    out: dict = {}
+    for key, c in terms.items():
+        _add_scaled(out, c, image(key))
+    return out
 
 
 _MISSING = object()
@@ -260,13 +275,12 @@ class RewriteSystem:
                 if w[i] > w[i + 1]:
                     break
             else:
-                prev = form.get(w)
-                form[w] = c if prev is None else prev + c
+                _bump(form, w, c)
                 continue
             stack.append((w[:i] + (w[i + 1], w[i]) + w[i + 2 :], c))
             for cw, cc in self._corr.get((w[i], w[i + 1]), ()):
                 stack.append((w[:i] + cw + w[i + 2 :], cc if c is unit else c * cc))
-        return {w: c for w, c in form.items() if not c.is_zero()}
+        return form
 
     def jacobi_residuals(self):
         """Nonzero Jacobi residuals [(name_a, name_b, name_c, NCPoly)].
@@ -293,9 +307,7 @@ class RewriteSystem:
                     for inner, outer in ((table[a][b], c), (table[b][c], a), (table[c][a], b)):
                         for (ranks,), k in inner.terms.items():
                             if ranks:  # a central term commutes with everything
-                                for w2, k2 in table[ranks[0]][outer].terms.items():
-                                    _bump(out, w2, k * k2)
-                    out = _strip(out)
+                                _add_scaled(out, k, table[ranks[0]][outer].terms)
                     if out:
                         bad.append((names[a], names[b], names[c], NCPoly(self, 1, out)))
         return bad
@@ -349,14 +361,7 @@ class LinearCombination:
 
     def scale(self, value):
         c = value if isinstance(value, TruncSeries) else TruncSeries.coerce(value, self._order())
-        if c.is_zero():
-            return self._like({})
-        out = {}
-        for k, v in self.terms.items():
-            s = v * c
-            if not s.is_zero():
-                out[k] = s
-        return self._like(out)
+        return self._like({} if c.is_zero() else _add_scaled({}, c, self.terms))
 
     def __mul__(self, other):
         if isinstance(other, SCALARS):
@@ -416,10 +421,7 @@ class NCPoly(LinearCombination):
         """Polynomial coeff * (product of named generators), normal formed."""
         word = _word_on_leg(tuple(rs._rank(n) for n in names), leg, nlegs)
         c = rs.scalars.intern(TruncSeries.coerce(coeff, rs.order))
-        out: dict = {}
-        for w, k in rs.normalize_word(word).items():
-            _bump(out, w, c * k)
-        return NCPoly(rs, nlegs, out)
+        return NCPoly(rs, nlegs, _add_scaled({}, c, rs.normalize_word(word)))
 
     # -- ring structure ---------------------------------------------------
 
@@ -471,7 +473,7 @@ class NCPoly(LinearCombination):
                         continue
                     for w, k in normalize(w).items():
                         _bump(out, w, c if k is unit else c * k)
-        return NCPoly(self.rs, self.nlegs, _strip(out))
+        return NCPoly(self.rs, self.nlegs, out)
 
     def commutator(self, other: "NCPoly") -> "NCPoly":
         return self * other - other * self

@@ -10,18 +10,16 @@ map phi built from the inverse twist intertwines the two products.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .hopf import BialgebraPresentation, CoproductMap, Twist
 from .modalg import PolyCoord, RepData, StarProduct, monomial_str, monomials_up_to
-from .ncpoly import LinearCombination, NCPoly, _bump, _strip, memoized
+from .ncpoly import LinearCombination, NCPoly, _add_scaled, _bump, _linear, memoized
 from .reporting import ResidualReport
 from .scalars import TruncSeries
 
 
 class SmashAlgebra:
     """Shared context: the Hopf presentation, the representation, and the
-    memoized products, transports and phi reports of each twist."""
+    memoized products, phi basis images and phi reports of each twist."""
 
     def __init__(self, bialg: BialgebraPresentation, rep: RepData):
         if bialg.rs is not rep.rs:
@@ -45,10 +43,14 @@ class SmashAlgebra:
         return verify_phi_homomorphism(self, twist, degree)
 
     @memoized
-    def _transport(self, twist: Twist, inverse: bool):
-        """phi as a map on term dicts, or phi_inv if ``inverse``."""
-        two_leg = twist.F if inverse else twist.F_inv
-        return linear_on_basis(lambda key: _transport_basis(self, two_leg, key))
+    def phi_image(self, twist: Twist, key) -> dict:
+        """phi of the basis element ``key`` as a term dict."""
+        return _transport_basis(self, twist.F_inv, key)
+
+    @memoized
+    def phi_inv_image(self, twist: Twist, key) -> dict:
+        """phi_inv of the basis element ``key`` as a term dict."""
+        return _transport_basis(self, twist.F, key)
 
     # -- element constructors -------------------------------------------
 
@@ -86,7 +88,7 @@ class SmashAlgebra:
         for (e, _w), ca in left.terms.items():
             for (w,), cp in p.terms.items():
                 _bump(out, (e, w), ca * cp)
-        return self.from_terms(out)
+        return SmashElem(self, out)
 
     def basis_elem(self, exp, ranks, coeff=1) -> "SmashElem":
         c = TruncSeries.coerce(coeff, self.order)
@@ -134,26 +136,6 @@ class SmashElem(LinearCombination):
         return " + ".join(parts)
 
 
-def linear_on_basis(f):
-    """Extend a map given on basis elements linearly to term dicts.
-
-    ``f(key)`` returns the image of one basis key as a term dict.  It runs
-    once per key; the returned function keeps the images, so they live and
-    die with whatever holds it, and sends {key: coefficient} to the term dict
-    of the image.  A product of truncated series can vanish, so terms whose
-    coefficient is zero are dropped.
-    """
-    image = cache(f)
-
-    def apply(terms: dict) -> dict:
-        out: dict = {}
-        for key, c in terms.items():
-            for k2, c2 in image(key).items():
-                _bump(out, k2, c * c2)
-        return _strip(out)
-    return apply
-
-
 class SmashProduct:
     """One of the two multiplications on the shared carrier.
 
@@ -177,10 +159,8 @@ class SmashProduct:
         out: dict = {}
         for ku, ca in u.terms.items():
             for kv, cb in v.terms.items():
-                c = ca * cb
-                for key, cp in self._pair(ku, kv).items():
-                    _bump(out, key, c * cp)
-        return alg.from_terms(out)
+                _add_scaled(out, ca * cb, self._pair(ku, kv))
+        return SmashElem(alg, out)
 
     def on_basis(self, ku, kv) -> SmashElem:
         """Product of the basis elements with keys ``ku`` and ``kv``.  Its
@@ -194,7 +174,7 @@ class SmashProduct:
         rs = alg.rs
         ea, wa = ku
         eb, wb = kv
-        a_mono = PolyCoord.monomial(alg.dim, alg.order, ea)
+        a_mono = PolyCoord.monomial(alg.dim, alg.order, ea, rs.unit)
         out: dict = {}
         for left, right, cd in self.delta.word_splits(wa):
             acted = alg.rep.act_word(left, eb)
@@ -204,20 +184,21 @@ class SmashProduct:
             if apart.is_zero():
                 continue
             _bump_smash(out, rs, cd, apart, right + wb)
-        return _strip(out)
+        return out
 
 
 def phi(algebra: SmashAlgebra, twist: Twist, u: SmashElem) -> SmashElem:
     """The comparison map (Fbar_1 acting on a) (x) Fbar_2 L, linearly extended."""
-    return SmashElem(algebra, algebra._transport(twist, False)(u.terms))
+    return SmashElem(algebra, _linear(lambda key: algebra.phi_image(twist, key), u.terms))
 
 
 def phi_inv(algebra: SmashAlgebra, twist: Twist, u: SmashElem) -> SmashElem:
     """Inverse of phi: (F_1 acting on a) (x) F_2 L."""
-    return SmashElem(algebra, algebra._transport(twist, True)(u.terms))
+    return SmashElem(algebra, _linear(lambda key: algebra.phi_inv_image(twist, key), u.terms))
 
 
 def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, key) -> dict:
+    """(two_leg_1 acting on x^e) (x) two_leg_2 w for the basis key (e, w)."""
     e, w = key
     rs = algebra.rs
     out: dict = {}
@@ -226,7 +207,7 @@ def _transport_basis(algebra: SmashAlgebra, two_leg: NCPoly, key) -> dict:
         if apart.is_zero():
             continue
         _bump_smash(out, rs, cf, apart, f2 + w)
-    return _strip(out)
+    return out
 
 
 def _bump_smash(out: dict, rs, c, apart: PolyCoord, ranks):

@@ -10,7 +10,7 @@ them.  Nothing in the package imports this module.
 from __future__ import annotations
 
 from smashtwist.algebroid import TensorOverA
-from smashtwist.ncpoly import _bump, _strip
+from smashtwist.ncpoly import _bump
 
 
 def tensor_from_pairs(bd, pairs) -> TensorOverA:
@@ -29,7 +29,7 @@ def tensor_from_pairs(bd, pairs) -> TensorOverA:
                 moved = bd.total(bd.target(apoly), l)
                 for (el, wl), cl in moved.terms.items():
                     _bump(out, (el, wl, wj), base_c * cs * cl)
-    return TensorOverA(bd, 2, _strip(out))
+    return TensorOverA(bd, 2, out)
 
 
 def tensor_from_triples(bd, triples) -> TensorOverA:
@@ -56,7 +56,7 @@ def tensor_from_triples(bd, triples) -> TensorOverA:
                 moved = bd.total(bd.target(apoly), l)
                 for (el, wl), cl in moved.terms.items():
                     _bump(out, (el, wl, wj, wr), c * cm * cs * cl)
-    return TensorOverA(bd, 3, _strip(out))
+    return TensorOverA(bd, 3, out)
 
 
 def mul3(S: TensorOverA, T: TensorOverA) -> TensorOverA:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import itemgetter
 
-from smashtwist.ncpoly import NCPoly, _bump, _strip
+from smashtwist.ncpoly import NCPoly, _bump
 from smashtwist.scalars import TruncSeries
 
 _leg = itemgetter(0)
@@ -102,7 +102,7 @@ def mul(p: NCPoly, q: NCPoly) -> NCPoly:
                 continue
             for w, k in normalize_word(p.rs, w1 + w2).items():
                 _bump(out, w, c * k)
-    return from_letter_terms(p.rs, p.nlegs, _strip(out))
+    return from_letter_terms(p.rs, p.nlegs, out)
 
 
 def commutator(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -178,7 +178,7 @@ def place_legs(terms: dict, src_nlegs: int, legs, nlegs: int) -> dict:
     for w, c in terms.items():
         nw = tuple(sorted(((mapping[l], r) for l, r in w), key=_leg))
         _bump(out, nw, c)
-    return _strip(out)
+    return out
 
 
 def coproduct_on_leg(bialg, terms: dict, src: int, dests, other_map) -> dict:
@@ -193,7 +193,7 @@ def coproduct_on_leg(bialg, terms: dict, src: int, dests, other_map) -> dict:
             letters = rest + tuple((da, r) for r in left) + tuple((db, r) for r in right)
             nw = tuple(sorted(letters, key=_leg))
             _bump(out, nw, c * mult)
-    return _strip(out)
+    return out
 
 
 def counit_on_leg(terms: dict, nlegs: int, leg: int) -> dict:
@@ -209,7 +209,7 @@ def counit_on_leg(terms: dict, nlegs: int, leg: int) -> dict:
         else:
             nw = tuple((l - 1 if l > leg else l, r) for l, r in word)
         _bump(out, nw, c)
-    return _strip(out)
+    return out
 
 
 def letters_repr(rs, nlegs: int, terms: dict) -> str:

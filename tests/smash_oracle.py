@@ -8,7 +8,7 @@ package imports this module.
 from __future__ import annotations
 
 from smashtwist.modalg import PolyCoord
-from smashtwist.ncpoly import _bump, _strip
+from smashtwist.ncpoly import _bump
 
 
 def action_on_base(product, u, b: PolyCoord) -> PolyCoord:
@@ -20,10 +20,10 @@ def action_on_base(product, u, b: PolyCoord) -> PolyCoord:
         for eb, cb in b.terms.items():
             for e2, c2 in alg.rep.act_word(w, eb).terms.items():
                 _bump(acted, e2, c2 * cb)
-        acted = PolyCoord(alg.dim, alg.order, _strip(acted))
+        acted = PolyCoord(alg.dim, alg.order, acted)
         if acted.is_zero():
             continue
         part = product.star(PolyCoord.monomial(alg.dim, alg.order, e), acted)
         for e2, c2 in part.terms.items():
             _bump(out, e2, c2 * c)
-    return PolyCoord(alg.dim, alg.order, _strip(out))
+    return PolyCoord(alg.dim, alg.order, out)

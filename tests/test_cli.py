@@ -460,6 +460,19 @@ def test_expression_parser():
         _ExprParser("Q99", prob, mul).parse()
 
 
+def test_unary_minus_binds_looser_than_a_power():
+    prob = materialize("heisenberg", order=2)
+    mul = prob.smash.product(None)
+
+    def parse(text):
+        return _ExprParser(text, prob, mul).parse()
+
+    assert parse("-P0^2") == parse("0-P0^2") == -parse("P0^2")
+    assert parse("-2^2") == parse("0-4")
+    assert parse("(-2)^2") == parse("4")
+    assert parse("x0*-P0^2") == -parse("x0*P0^2")
+
+
 def test_commutator_command_phase_space():
     import argparse
 

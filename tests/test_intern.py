@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalars_oracle as ref
+from smashtwist import cli
 from smashtwist.ncpoly import RewriteSystem
 from smashtwist.registry import materialize
 from smashtwist.scalars import GaussRational, InternTable, TruncSeries
@@ -166,6 +167,34 @@ def test_every_coefficient_of_a_problem_is_canonical():
     assert coefficients
     assert all(table.intern(c) is c for c in coefficients)
     assert all(c is prob.bialg.rs.unit for c in coefficients if c == 1)
+
+
+def test_unit_coefficients_in_the_smash_memos_are_the_canonical_unit(monkeypatch):
+    probs = []
+
+    def materialize_recording(*args, **kwargs):
+        probs.append(materialize(*args, **kwargs))
+        return probs[-1]
+
+    monkeypatch.setattr(cli, "materialize", materialize_recording)
+    argv = ["smash-verify", "--preset", "pw-jordanian", "--order", "2", "--degree", "1"]
+    assert cli.main(argv) == cli.EXIT_PASS
+    prob, = probs
+    unit = prob.bialg.rs.unit
+    plain, twisted = prob.smash.product(None), prob.smash.product(prob.twist)
+    memos = {
+        "word_splits(None)": [c for splits in plain.delta._memos["CoproductMap.word_splits"]
+                              .values() for _, _, c in splits],
+        "act_word": [c for a in prob.rep._memos["RepData.act_word"].values()
+                     for c in a.terms.values()],
+        "_pair": [c for product in (plain, twisted)
+                  for terms in product._memos["SmashProduct._pair"].values()
+                  for c in terms.values()],
+    }
+    for name, coefficients in memos.items():
+        ones = [c for c in coefficients if c == 1]
+        assert ones, name
+        assert all(c is unit for c in ones), name
 
 
 def test_a_float_is_refused_after_an_equal_scalar_was_memoized():

@@ -10,6 +10,8 @@ reports are built from.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smashtwist.algebroid import TensorOverA, bm_bialgebroid
 from smashtwist.modalg import PolyCoord
@@ -32,6 +34,7 @@ KEYS = {
     "tensor": (((0, 0), (), ()), ((1, 0), (4,), ()), ((0, 1), (), (5,))),
     "tensor3": (((0, 0), (), (), ()), ((1, 0), (4,), (), (5,)), ((0, 1), (), (3,), ())),
 }
+KEYS_3LEG = (((), (), ()), ((4,), (), (5,)), ((0, 1), (3,), (4,)))
 
 BUILD = {
     "ncpoly": lambda ctx, terms: NCPoly(ctx["rs"], 1, terms),
@@ -56,6 +59,7 @@ def contexts():
             "rs": prob.smash.rs,
             "smash": prob.smash,
             "bd": bm_bialgebroid(prob.smash, check_degree=0),
+            "product": prob.smash.product(prob.twist),
         })
     return out
 
@@ -188,3 +192,41 @@ def test_linear_structure_is_not_redefined(cls):
     own = set(vars(cls))
     for name in ("__add__", "__sub__", "__neg__", "scale", "is_zero", "__eq__"):
         assert name not in own, f"{cls.__name__} defines its own {name}"
+
+
+# -- no operation stores a zero coefficient -----------------------------------
+
+H = TruncSeries.h_power(1, ORDER)
+H_N = TruncSeries.h_power(ORDER, ORDER, 3)  # times any O(h) coefficient it truncates
+COEFFS = (ONE, -ONE, I_H, HALF_H2, H, H_N, ONE + H)
+
+# kind: (keys, build, product)
+ALGEBRAS = {
+    "ncpoly": (KEYS["ncpoly"], BUILD["ncpoly"], lambda ctx, x, y: x * y),
+    "ncpoly-2leg": (KEYS["ncpoly-2leg"], BUILD["ncpoly-2leg"], lambda ctx, x, y: x * y),
+    "ncpoly-3leg": (KEYS_3LEG, lambda ctx, terms: NCPoly(ctx["rs"], 3, terms),
+                    lambda ctx, x, y: x * y),
+    "polycoord": (KEYS["polycoord"], BUILD["polycoord"], lambda ctx, x, y: x * y),
+    "smash": (KEYS["smash"], BUILD["smash"], lambda ctx, x, y: ctx["smash"].product(None)(x, y)),
+    "smash-twisted": (KEYS["smash"], BUILD["smash"], lambda ctx, x, y: ctx["product"](x, y)),
+    "tensor": (KEYS["tensor"], BUILD["tensor"], lambda ctx, x, y: x.mul(y)),
+    "tensor3": (KEYS["tensor3"], BUILD["tensor3"], lambda ctx, x, y: x.mul(y)),
+}
+
+
+def _terms(keys):
+    return st.dictionaries(st.sampled_from(keys), st.sampled_from(COEFFS), max_size=3)
+
+
+@pytest.mark.parametrize("kind", ALGEBRAS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_no_operation_stores_a_zero_coefficient(contexts, kind, data):
+    keys, build, product = ALGEBRAS[kind]
+    ctx = contexts[0]
+    x = build(ctx, data.draw(_terms(keys)))
+    y = build(ctx, data.draw(_terms(keys)))
+    c = data.draw(st.sampled_from(COEFFS + (2, Fraction(-1, 2))))
+    for out in (x + y, x - y, x - x, y - x.scale(c), product(ctx, x, y), x.scale(c),
+                product(ctx, x.scale(H_N), y)):
+        assert all(not v.is_zero() for v in out.terms.values()), kind

@@ -2,8 +2,8 @@
 
 Each structure map is linear and fixed by its basis images, so each image is
 computed once and kept by the object whose map it is, through one decorator
-(``smashtwist.ncpoly.memoized``), ``linear_on_basis`` or a closure's
-``functools.cache``.  These cases pin that design: no hand-written cache and
+(``smashtwist.ncpoly.memoized``).  These cases pin that design: no
+hand-written cache, no ``functools`` cache but the scalar literal parser's and
 no ``id()`` key in the package, memos that die with their problem and are
 never shared between problems, and wrappers the layer tracer still charges
 to the right module.  The same decorator, or a cached property of the twist
@@ -35,6 +35,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "smashtwist").glob("*.py"))
 
 
+def _functools_caches(tree):
+    """The nodes that import, name or reach ``cache`` or ``lru_cache``."""
+    for node in ast.walk(tree):
+        name = (node.name if isinstance(node, ast.alias) else
+                node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name in ("cache", "lru_cache"):
+            yield name, node
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_id_keys_or_hand_written_caches(path):
     tree = ast.parse(path.read_text(), str(path))
@@ -43,6 +53,18 @@ def test_no_id_keys_or_hand_written_caches(path):
             assert node.func.id != "id", f"{path.name}:{node.lineno} calls id()"
         if isinstance(node, ast.Attribute):
             assert not node.attr.endswith("_cache"), f"{path.name}:{node.lineno} .{node.attr}"
+    # the one functools cache is the lru_cache of the scalar literal parser,
+    # whose keys are strings and values immutable: the import and the decorator
+    allowed = set()
+    if path.name == "scalars.py":
+        parser, = [n for n in tree.body
+                   if isinstance(n, ast.FunctionDef) and n.name == "_parse_product"]
+        allowed = {d.lineno for d in parser.decorator_list}
+        allowed |= {n.lineno for n in tree.body
+                    if isinstance(n, ast.ImportFrom) and n.module == "functools"}
+    for name, node in _functools_caches(tree):
+        assert name == "lru_cache" and node.lineno in allowed, \
+            f"{path.name}:{node.lineno} uses functools.{name}"
 
 
 def test_memoized_takes_one_or_two_arguments():
@@ -236,8 +258,11 @@ def test_problems_share_no_memo_entries():
         # the empty tuple is one object everywhere
         values.append({id(v) for m in found for v in m.values() if v != ()})
         coeffs = {id(c) for m in found for c in _coefficients(list(m.values()))}
-        assert len(coeffs) >= 20
-        coefficients.append(coeffs | {id(c) for c in prob.bialg.rs.scalars.canon})
+        assert len(coeffs) >= 15
+        # every coefficient a memo keeps is canonical in its problem's table
+        canon = {id(c) for c in prob.bialg.rs.scalars.canon}
+        assert coeffs <= canon
+        coefficients.append(canon)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         assert not memos[a] & memos[b]
         assert not values[a] & values[b]
