@@ -57,35 +57,45 @@ class ConfigError(ValueError):
 # -- report assembly -------------------------------------------------------
 
 
+class _FailFast(Exception):
+    """Raised by a fail-fast report at its first failing record."""
+
+
 class Report:
-    def __init__(self, command: str, source: str, order: int, degree: int):
+    """The records of one command.  Each name is added under ``prefix``; with
+    ``fail_fast`` a failing record ends the run that adds it."""
+
+    def __init__(self, command: str, source: str, order: int, degree: int,
+                 fail_fast: bool = False):
         self.command = command
         self.source = source
         self.order = order
         self.degree = degree
+        self.fail_fast = fail_fast
+        self.prefix = ""
         self.records = []
 
     def add(self, name, identity, status, residual, checked=1, wall_ms=0.0):
         self.records.append({
-            "name": name,
+            "name": self.prefix + name,
             "identity": identity,
             "status": status,
             "residual": residual,
             "checked": checked,
             "wall_ms": wall_ms,
         })
-        return status != "fail"
+        if status == "fail" and self.fail_fast:
+            raise _FailFast
 
     def add_residual_report(self, name, identity, rep: ResidualReport, wall_ms=None):
         """Add one record for a report; its time defaults to ``rep.wall_ms``."""
         if wall_ms is None:
             wall_ms = rep.wall_ms
         if rep.ok():
-            return self.add(name, identity, "pass", "0", rep.checked, wall_ms)
-        label, res = rep.witness()
-        return self.add(
-            name, identity, "fail", f"{label}: {res!r}", rep.checked, wall_ms
-        )
+            self.add(name, identity, "pass", "0", rep.checked, wall_ms)
+        else:
+            label, res = rep.witness()
+            self.add(name, identity, "fail", f"{label}: {res!r}", rep.checked, wall_ms)
 
     @property
     def ok(self) -> bool:
@@ -317,7 +327,7 @@ def load_problem(args):
         if isinstance(exc, InvalidTwistError):
             raise
         raise ConfigError(f"cannot build the problem: {exc}") from None
-    return prob, source, cfg.get("checks")
+    return prob, source
 
 
 # -- shared check fragments -------------------------------------------------
@@ -332,73 +342,62 @@ def _timed(fn, *a, **kw):
 def _poly_record(report, name, identity, residual, wall_ms=0.0):
     status = "pass" if residual.is_zero() else "fail"
     text = "0" if residual.is_zero() else repr(residual)
-    return report.add(name, identity, status, text, 1, wall_ms)
+    report.add(name, identity, status, text, 1, wall_ms)
 
 
-def run_foundation_checks(report: Report, prob, fail_fast=False) -> bool:
+def run_foundation_checks(report: Report, prob):
     """Jacobi and representation records shared by commands; the problem
     keeps both reports, so a later command is charged no time for them."""
     jac, ms = _timed(lambda: prob.jacobi)
-    ok = report.add_residual_report("structure-constants", "jacobi-identity", jac, ms)
-    if fail_fast and not ok:
-        return False
+    report.add_residual_report("structure-constants", "jacobi-identity", jac, ms)
     rep_res, ms = _timed(lambda: prob.representation)
-    ok = report.add_residual_report("representation", "representation-property", rep_res, ms)
-    return ok or not fail_fast
+    report.add_residual_report("representation", "representation-property", rep_res, ms)
 
 
-def run_twist_checks(report: Report, prob, fail_fast=False) -> bool:
+def run_twist_checks(report: Report, prob):
     """Twist-inverse, normalization, cocycle and R-matrix records."""
-    return all(ok or not fail_fast for ok in _twist_records(report, prob))
-
-
-def _twist_records(report: Report, prob):
-    # yields after each record whether it passed, so fail_fast stops here
     bialg, twist = prob.bialg, prob.twist
     one2 = NCPoly.one(bialg.rs, 2)
     one1 = NCPoly.one(bialg.rs, 1)
     for product, tag in zip(twist.products, ("left", "right")):
-        yield _poly_record(report, f"twist-inverse ({tag})", "two-sided-inverse",
-                           *_timed(lambda: product - one2))
+        _poly_record(report, f"twist-inverse ({tag})", "two-sided-inverse",
+                     *_timed(lambda: product - one2))
     for leg, tag in ((1, "left"), (2, "right")):
-        yield _poly_record(report, f"normalization ({tag})", "counit-normalization",
-                           *_timed(lambda: bialg.counit_on_leg(twist.F, leg) - one1))
-        yield _poly_record(report, f"inverse normalization ({tag})", "counit-normalization",
-                           *_timed(lambda: bialg.counit_on_leg(twist.F_inv, leg) - one1))
+        _poly_record(report, f"normalization ({tag})", "counit-normalization",
+                     *_timed(lambda: bialg.counit_on_leg(twist.F, leg) - one1))
+        _poly_record(report, f"inverse normalization ({tag})", "counit-normalization",
+                     *_timed(lambda: bialg.counit_on_leg(twist.F_inv, leg) - one1))
 
     coc, ms = _timed(check_cocycle, bialg, twist)
-    yield _poly_record(report, "cocycle", "twist-cocycle", coc["cocycle"], ms)
-    yield _poly_record(report, "inverse cocycle", "inverse-twist-cocycle", coc["inverse-cocycle"])
+    _poly_record(report, "cocycle", "twist-cocycle", coc["cocycle"], ms)
+    _poly_record(report, "inverse cocycle", "inverse-twist-cocycle", coc["inverse-cocycle"])
 
     R = twist.r_matrix
     qt, ms = _timed(check_quasitriangular, bialg, R, CoproductMap(bialg, twist))
     worst = ResidualReport("quasitriangular")
     for label, res in qt.items():
         worst.check(label, res)
-    yield report.add_residual_report("r-matrix laws", "quasi-triangularity", worst, ms)
+    report.add_residual_report("r-matrix laws", "quasi-triangularity", worst, ms)
 
     (_, cybe), cybe_ms = _timed(classical_r_extract, R)
-    yield _poly_record(report, "triangularity", "r-matrix-triangularity",
-                       *_timed(lambda: R * R.swap_legs() - one2))
-    yield _poly_record(report, "classical limit", "classical-yang-baxter", cybe, cybe_ms)
+    _poly_record(report, "triangularity", "r-matrix-triangularity",
+                 *_timed(lambda: R * R.swap_legs() - one2))
+    _poly_record(report, "classical limit", "classical-yang-baxter", cybe, cybe_ms)
 
 
 # -- commands ---------------------------------------------------------------
+#
+# A problem command ``cmd_x(args, prob, report)`` adds its records to the
+# report that ``run`` opens for it; it returns nothing.
 
 
-def cmd_check_twist(args, loaded=None) -> Report:
-    prob, source, _ = loaded or load_problem(args)
-    report = Report("check-twist", source, prob.order, prob.degree)
-    if run_foundation_checks(report, prob, args.fail_fast):
-        run_twist_checks(report, prob, args.fail_fast)
-    return report
+def cmd_check_twist(args, prob, report):
+    run_foundation_checks(report, prob)
+    run_twist_checks(report, prob)
 
 
-def cmd_star_table(args, loaded=None) -> Report:
-    prob, source, _ = loaded or load_problem(args)
-    report = Report("star-table", source, prob.order, prob.degree)
-    if not run_foundation_checks(report, prob, args.fail_fast):
-        return report
+def cmd_star_table(args, prob, report):
+    run_foundation_checks(report, prob)
     star = prob.smash.product(prob.twist).star
     table, ms = _timed(star_commutator_table, star)
     names = prob.rep.coordinates
@@ -415,16 +414,12 @@ def cmd_star_table(args, loaded=None) -> Report:
     report.add_residual_report("braided commutativity", "braided-commutativity", braided, ms)
     mod, ms = _timed(check_module_algebra, prob.rep, prob.degree)
     report.add_residual_report("module algebra", "action-leibniz-compatibility", mod, ms)
-    return report
 
 
-def cmd_smash_verify(args, loaded=None) -> Report:
+def cmd_smash_verify(args, prob, report):
     import random
 
-    prob, source, _ = loaded or load_problem(args)
-    report = Report("smash-verify", source, prob.order, prob.degree)
-    if not run_foundation_checks(report, prob, args.fail_fast):
-        return report
+    run_foundation_checks(report, prob)
     alg = prob.smash
     rng = random.Random(4711)
     span = alg.spanning(prob.degree)
@@ -440,22 +435,17 @@ def cmd_smash_verify(args, loaded=None) -> Report:
                 unital.check(f"1*{u!r}", mul(alg.one(), u) - u)
                 unital.check(f"{u!r}*1", mul(u, alg.one()) - u)
         assoc.merge(unital)
-        if not report.add_residual_report(
-            f"{label} product", "smash-associativity-unitality", assoc
-        ) and args.fail_fast:
-            return report
+        report.add_residual_report(f"{label} product", "smash-associativity-unitality", assoc)
 
     bij = ResidualReport("phi-bijective")
     with bij.timed():
         for u in span:
             bij.check(f"phi.phi_inv {u!r}", phi(alg, prob.twist, phi_inv(alg, prob.twist, u)) - u)
             bij.check(f"phi_inv.phi {u!r}", phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) - u)
-    if not report.add_residual_report("phi bijectivity", "phi-invertibility", bij) and args.fail_fast:
-        return report
+    report.add_residual_report("phi bijectivity", "phi-invertibility", bij)
 
     hom, ms = _timed(alg.phi_report, prob.twist, prob.degree)
     report.add_residual_report("phi homomorphism", "phi-intertwines-products", hom, ms)
-    return report
 
 
 def _construction_identity(exc: ValueError) -> str:
@@ -466,15 +456,14 @@ def _construction_identity(exc: ValueError) -> str:
     return "braided-commutativity-precondition"
 
 
-def cmd_algebroid_verify(args, loaded=None) -> Report:
-    prob, source, _ = loaded or load_problem(args)
-    report = Report(f"algebroid-verify:{args.side}", source, prob.order, prob.degree)
-    if not run_foundation_checks(report, prob, args.fail_fast):
-        return report
+def cmd_algebroid_verify(args, prob, report, side=None):
+    """The construction of ``side``, by default ``--side``."""
+    side = side or args.side
+    run_foundation_checks(report, prob)
     t0 = time.perf_counter()
     try:
         # built at the check degree verify_theorem uses, so theorem reuses them
-        if args.side == "bm-twisted":
+        if side == "bm-twisted":
             bd = bm_side(prob.smash, prob.twist, 2)
         else:
             twistor_reports, bd = xu_side(prob.smash, prob.twist, 2)
@@ -483,14 +472,13 @@ def cmd_algebroid_verify(args, loaded=None) -> Report:
     except ValueError as exc:
         report.add("construction", _construction_identity(exc), "fail",
                    str(exc), 1, (time.perf_counter() - t0) * 1000.0)
-        return report
+        return
     build_ms = (time.perf_counter() - t0) * 1000.0
     report.add("construction", "braided-commutativity-precondition", "pass", "0", 1, build_ms)
 
     axioms = check_bialgebroid_axioms(bd, prob.degree)
     for name, rep in axioms.items():
-        if not report.add_residual_report(name, f"bialgebroid-{name}", rep) and args.fail_fast:
-            return report
+        report.add_residual_report(name, f"bialgebroid-{name}", rep)
 
     R = prob.twist.r_matrix
     qt = check_qt_shifted(bd, R, min(prob.degree, 1))
@@ -503,59 +491,36 @@ def cmd_algebroid_verify(args, loaded=None) -> Report:
         label, _diff = qt["witness"]
         report.add("shifted R intertwining", "shifted-r-intertwining", "witness",
                    f"differs on {label}", 1)
-    return report
 
 
-def cmd_theorem(args, loaded=None) -> Report:
-    prob, source, _ = loaded or load_problem(args)
-    report = Report("theorem", source, prob.order, prob.degree)
-    if not run_foundation_checks(report, prob, args.fail_fast):
-        return report
+def cmd_theorem(args, prob, report):
+    run_foundation_checks(report, prob)
     try:
         out = verify_theorem(prob.smash, prob.twist, prob.degree)
     except ValueError as exc:
         report.add("construction", _construction_identity(exc), "fail", str(exc), 1)
-        return report
+        return
     for name, rep in out.items():
         if name.startswith("_"):
             continue
         report.add_residual_report(name, f"equivalence-{name}", rep)
-        if not report.ok and args.fail_fast:
-            return report
-    return report
 
 
 SUITE_CHECKS = {
     "twist": cmd_check_twist,
     "star-table": cmd_star_table,
     "smash": cmd_smash_verify,
-    "algebroid-bm": lambda a, loaded: cmd_algebroid_verify(_with_side(a, "bm-twisted"), loaded),
-    "algebroid-xu": lambda a, loaded: cmd_algebroid_verify(_with_side(a, "xu-twisted"), loaded),
+    "algebroid-bm": lambda a, prob, report: cmd_algebroid_verify(a, prob, report, "bm-twisted"),
+    "algebroid-xu": lambda a, prob, report: cmd_algebroid_verify(a, prob, report, "xu-twisted"),
     "theorem": cmd_theorem,
 }
 
 
-def _with_side(args, side):
-    out = argparse.Namespace(**vars(args))
-    out.side = side
-    return out
-
-
-def cmd_suite(args) -> Report:
-    loaded = load_problem(args)
-    prob, source, checks = loaded
-    wanted = checks or list(SUITE_CHECKS)
-    combined = Report("suite", source, prob.order, prob.degree)
-    for name in wanted:
+def cmd_suite(args, prob, report):
+    for name in prob.config.get("checks") or SUITE_CHECKS:
         # every sub-check runs on the one problem, so its memos stay warm
-        sub = SUITE_CHECKS[name](args, loaded)
-        for rec in sub.records:
-            rec = dict(rec)
-            rec["name"] = f"{name}: {rec['name']}"
-            combined.records.append(rec)
-        if not combined.ok and args.fail_fast:
-            break
-    return combined
+        report.prefix = f"{name}: "
+        SUITE_CHECKS[name](args, prob, report)
 
 
 # -- expression parsing for the commutator command --------------------------
@@ -658,9 +623,7 @@ class _ExprParser:
         raise ConfigError(f"unknown symbol {tok!r} in expression")
 
 
-def cmd_commutator(args) -> Report:
-    prob, source, _ = load_problem(args)
-    report = Report("commutator", source, prob.order, prob.degree)
+def cmd_commutator(args, prob, report):
     mul = prob.smash.product(prob.twist if args.deformed else None)
     lhs = _ExprParser(args.lhs, prob, mul).parse()
     rhs = _ExprParser(args.rhs, prob, mul).parse()
@@ -670,21 +633,31 @@ def cmd_commutator(args) -> Report:
         f"[{args.lhs}, {args.rhs}] ({label})", "commutator-evaluation", "witness",
         repr(out), 1, ms,
     )
+
+
+def run(args) -> Report:
+    """Run a problem command: load the problem once, open its one report and
+    let the command fill it.  Under --fail-fast the report ends the command
+    at its first failing record and keeps the records up to it."""
+    prob, source = load_problem(args)
+    title = f"{args.cmd}:{args.side}" if "side" in args else args.cmd
+    report = Report(title, source, prob.order, prob.degree, args.fail_fast)
+    try:
+        args.fn(args, prob, report)
+    except _FailFast:
+        pass
     return report
 
 
-def cmd_export_preset(args) -> Report:
-    name = args.preset or "igl2-abelian"
-    cfg = preset(name, args.order)
+def cmd_export_preset(args):
+    """Print or write a preset's config; builds no problem and no report."""
+    cfg = preset(args.preset or "igl2-abelian", args.order)
     text = json.dumps(cfg, indent=2, sort_keys=True)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    report = Report("export-preset", f"preset:{name}", cfg["order"], cfg["degree"])
-    report.add("export", "config-serialization", "pass", "written", 1)
-    return report
 
 
 # -- entry point ------------------------------------------------------------
@@ -697,7 +670,7 @@ def _add_common(sub):
     sub.add_argument("--degree", type=int, help="sampling degree override")
     sub.add_argument("--json", help="write the machine-readable report here")
     sub.add_argument("--fail-fast", action="store_true",
-                     help="stop at the first failing check")
+                     help="stop at the first failing record")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -753,20 +726,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.fn is cmd_export_preset:
+        cmd_export_preset(args)
+        return EXIT_PASS
     try:
-        report = args.fn(args)
+        report = run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvalidTwistError as exc:
         print(f"error: invalid twist: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
-    if args.fn is not cmd_export_preset:
-        print(report.human())
-        if getattr(args, "json", None):
-            with open(args.json, "w") as fh:
-                json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+    print(report.human())
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return report.exit_code
 
 

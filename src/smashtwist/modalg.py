@@ -197,8 +197,10 @@ class RepData:
                 pb = NCPoly.gen(self.rs, nb)
                 for mu in range(self.dim):
                     xmu = PolyCoord.coord(self.dim, self.rs.order, mu)
-                    lhs = act(self, pa * pb, xmu)
-                    rhs = act(self, pa, act(self, pb, xmu))
+                    # pb * pa, not pa * pb: for na before nb the latter is
+                    # already a normal word and acts letterwise as pa after pb
+                    lhs = act(self, pb * pa, xmu)
+                    rhs = act(self, pb, act(self, pa, xmu))
                     report.check(f"compose [{na},{nb}] on x{mu}", lhs - rhs)
         return report
 
@@ -307,7 +309,7 @@ def monomials_up_to(dim: int, degree: int):
     return out
 
 
-def check_module_algebra(rep: RepData, degree: int = 3, max_word: int = 2) -> ResidualReport:
+def check_module_algebra(rep: RepData, degree: int = 3) -> ResidualReport:
     """Leibniz compatibility L(ab) = sum (L_1 a)(L_2 b) over sampled inputs,
     plus consistency of the action with the algebra relations.
 
@@ -319,10 +321,8 @@ def check_module_algebra(rep: RepData, degree: int = 3, max_word: int = 2) -> Re
 
     bialg = BialgebraPresentation(rep.rs)
     report = ResidualReport("module-algebra")
-    words = [(r,) for r in range(len(rep.rs.generators))]
-    if max_word >= 2:
-        n = len(rep.rs.generators)
-        words += [(r1, r2) for r1 in range(n) for r2 in range(r1, n)]
+    n = len(rep.rs.generators)
+    words = [(r,) for r in range(n)] + [(r1, r2) for r1 in range(n) for r2 in range(r1, n)]
     monos = monomials_up_to(rep.dim, degree)
     order, unit = rep.rs.order, rep.rs.unit
     for ranks in words:
@@ -384,6 +384,8 @@ def star_commutator_table(star: StarProduct):
 
 def coaction(smash_algebra, R: NCPoly, a: PolyCoord):
     """Right coaction delta(a) = (R_2 acting on a) (x) R_1 as a mixed element."""
+    from .smash import SmashElem
+
     rep = smash_algebra.rep
     terms: dict = {}
     for (w1, w2), c in R.terms.items():
@@ -391,4 +393,4 @@ def coaction(smash_algebra, R: NCPoly, a: PolyCoord):
             part = rep.act_word(w2, e)
             for e2, c2 in part.terms.items():
                 _bump(terms, (e2, w1), c * ce * c2)
-    return smash_algebra.from_terms(terms)
+    return SmashElem(smash_algebra, terms)

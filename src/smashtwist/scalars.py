@@ -105,13 +105,6 @@ class GaussRational:
             other = GaussRational.coerce(other)
         a1, b1, d1 = self.a, self.b, self.d
         a2, b2, d2 = other.a, other.b, other.d
-        if not b1:
-            if a1 == d1:
-                return other
-            if not b2:
-                return _gauss(a1 * a2, 0, d1 * d2)
-        if not b2 and a2 == d2:
-            return self
         return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
@@ -267,26 +260,9 @@ class TruncSeries:
 
     def _mul(self, other):
         order = self.order
-        sd, od = self.data, other.data
-        # fast paths for the traffic of PBW rewriting: a unit operand, or a
-        # monomial times a monomial
-        if len(sd) == 1:
-            (i, a), = sd.items()
-            if not i and a.a == 1 and a.d == 1 and not a.b:
-                return other
-            if len(od) == 1:
-                (j, b), = od.items()
-                k = i + j
-                if k > order:
-                    return TruncSeries._from_data(order, {})
-                return TruncSeries._from_data(order, {k: a * b})
-        if len(od) == 1:
-            (j, b), = od.items()
-            if not j and b.a == 1 and b.d == 1 and not b.b:
-                return self
         out: dict = {}
-        for i, a in sd.items():
-            for j, b in od.items():
+        for i, a in self.data.items():
+            for j, b in other.data.items():
                 k = i + j
                 if k > order:
                     continue

@@ -14,7 +14,6 @@ from .hopf import BialgebraPresentation, CoproductMap, Twist
 from .modalg import PolyCoord, RepData, StarProduct, monomial_str, monomials_up_to
 from .ncpoly import LinearCombination, NCPoly, _add_scaled, _bump, _linear, memoized
 from .reporting import ResidualReport
-from .scalars import TruncSeries
 
 
 class SmashAlgebra:
@@ -54,9 +53,6 @@ class SmashAlgebra:
 
     # -- element constructors -------------------------------------------
 
-    def from_terms(self, terms: dict) -> "SmashElem":
-        return SmashElem(self, {k: v for k, v in terms.items() if not v.is_zero()})
-
     def zero(self) -> "SmashElem":
         return SmashElem(self, {})
 
@@ -90,20 +86,17 @@ class SmashAlgebra:
                 _bump(out, (e, w), ca * cp)
         return SmashElem(self, out)
 
-    def basis_elem(self, exp, ranks, coeff=1) -> "SmashElem":
-        c = TruncSeries.coerce(coeff, self.order)
-        return self.from_terms({(tuple(exp), tuple(ranks)): c})
+    def basis_elem(self, exp, ranks) -> "SmashElem":
+        return SmashElem(self, {(tuple(exp), tuple(ranks)): self.rs.unit})
 
     # -- spanning sets for verification sweeps ---------------------------
 
-    def spanning(self, degree: int, max_word: int | None = None):
-        """Basis elements x^e (x) w with |e| <= degree, len(w) <= max_word."""
-        if max_word is None:
-            max_word = degree
+    def spanning(self, degree: int):
+        """Basis elements x^e (x) w with |e| <= degree, len(w) <= degree."""
         return [
             self.basis_elem(e, w)
             for e in monomials_up_to(self.dim, degree)
-            for w in spanning_words(self.rs, max_word)
+            for w in spanning_words(self.rs, degree)
         ]
 
 

@@ -16,6 +16,7 @@ from smashtwist.cli import (
     build_parser,
     cmd_commutator,
     main,
+    run,
     schema_errors,
     validate_config,
 )
@@ -335,7 +336,7 @@ def test_rows_are_charged_their_own_time(argv, rows):
     args = build_parser().parse_args(
         argv + ["--preset", "igl2-abelian", "--order", "1", "--degree", "1"]
     )
-    report = args.fn(args)
+    report = run(args)
     wall = {rec["name"]: rec["wall_ms"] for rec in report.records}
     for row in rows:
         assert wall[row] > 0, row
@@ -417,6 +418,34 @@ def test_non_cocycle_twist_reported_not_crashing(tmp_path, igl2_config):
     assert code == EXIT_RESIDUAL
 
 
+PERTURBED = str(Path(__file__).parent / "golden" / "pw-jordanian-perturbed.json")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check-twist"], EXIT_RESIDUAL),
+    (["star-table"], EXIT_PASS),
+    (["smash-verify"], EXIT_RESIDUAL),
+    (["algebroid-verify", "--side", "bm-twisted"], EXIT_RESIDUAL),
+    (["algebroid-verify", "--side", "xu-twisted"], EXIT_RESIDUAL),
+    (["theorem"], EXIT_RESIDUAL),
+    (["suite"], EXIT_RESIDUAL),
+    (["commutator", "x0", "x1", "--deformed"], EXIT_PASS),
+], ids=["twist", "star-table", "smash", "bm", "xu", "theorem", "suite", "commutator"])
+def test_fail_fast_stops_at_the_first_failing_record(argv, code, tmp_path, capsys):
+    # the perturbed twist fails the cocycle law, and every check built on it;
+    # star-table and commutator only write witnesses and passes, which never stop
+    def records(*extra):
+        out = str(tmp_path / "report.json")
+        assert main(argv + ["--config", PERTURBED, "--order", "3", "--degree", "1",
+                            "--json", out, *extra]) == code
+        return json.loads(open(out).read())["records"]
+
+    full, fast = records(), records("--fail-fast")
+    failing = [k for k, rec in enumerate(full) if rec["status"] == "fail"]
+    assert bool(failing) == (code == EXIT_RESIDUAL)
+    assert fast == (full[:failing[0] + 1] if failing else full)
+
+
 def test_suite_respects_checks_list(tmp_path, igl2_config):
     cfg = json.loads(json.dumps(igl2_config))
     cfg["checks"] = ["twist", "star-table"]
@@ -480,18 +509,19 @@ def test_commutator_command_phase_space():
     args = argparse.Namespace(
         preset="igl2-abelian", config=None, order=2, degree=None,
         json=None, fail_fast=False, lhs="P0", rhs="x0", deformed=False,
+        cmd="commutator", fn=cmd_commutator,
     )
-    report = cmd_commutator(args)
+    report = run(args)
     assert report.records[0]["residual"] == "(1)*1#1"
     # coordinates commute undeformed
     args.lhs, args.rhs = "x0", "x1"
-    report = cmd_commutator(args)
+    report = run(args)
     assert report.records[0]["residual"] == "0"
     # the quadratic momentum invariant stops commuting with x0 at order h
     args.lhs, args.rhs = "P0*P0 + P1*P1", "x0"
-    undeformed = cmd_commutator(args).records[0]["residual"]
+    undeformed = run(args).records[0]["residual"]
     args.deformed = True
-    deformed = cmd_commutator(args).records[0]["residual"]
+    deformed = run(args).records[0]["residual"]
     assert undeformed != deformed
     assert "h" in deformed
 

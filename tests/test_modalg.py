@@ -105,6 +105,18 @@ def test_representation_validation_catches_corruption(igl2):
     assert not rep.representation_residuals().ok()
 
 
+def test_representation_composes_against_the_brackets():
+    # with [D, P0] = 2 P0 the Jacobi identity still holds and D's matrix is
+    # unchanged, but P0 D = D P0 - 2 P0 no longer acts as P0 after D on x0
+    cfg = preset("pw-jordanian", 2)
+    cfg["algebra"]["brackets"][0]["terms"][0]["coeff"] = "2"
+    prob = materialize(cfg, validate=False)
+    assert prob.jacobi.ok()
+    report = prob.representation
+    assert not report.ok()
+    assert report.witness()[0] == "compose [D,P0] on x0"
+
+
 def test_module_algebra_residuals(igl2):
     report = check_module_algebra(igl2.rep, degree=2)
     assert report.ok()
