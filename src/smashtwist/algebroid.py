@@ -419,17 +419,16 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
     with closed.timed():
         Rt_inv = shift_legs(bd, inv_unipotent(R))
         for elem in smash.spanning(degree):
-            label = repr(elem)
             lhs = Rt.mul(bd.coproduct(elem)).mul(Rt_inv)
             rhs = bd.coproduct(elem).flip()
             if bd.hdelta is not None:
                 lc = _qt2_closed(bd, R, elem, 1, 1)
                 rc = _qt2_closed(bd, R, elem, 2, 2)
-                closed.check(f"lhs {label}", lhs - lc)
-                closed.check(f"rhs {label}", rhs - rc)
+                closed.check(lambda: f"lhs {elem!r}", lhs - lc)
+                closed.check(lambda: f"rhs {elem!r}", rhs - rc)
             diff = lhs - rhs
             if witness is None and not diff.is_zero():
-                witness = (label, diff)
+                witness = (repr(elem), diff)
             if witness is not None and bd.hdelta is None:
                 break
     return {"preserved": preserved, "closed_forms": closed, "witness": witness}
@@ -589,23 +588,23 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2) -> dict:
     with maps.timed():
         for a in monos:
             for b in monos:
-                maps.check(f"s hom {a!r},{b!r}",
+                maps.check(lambda: f"s hom {a!r},{b!r}",
                            total(source(a), source(b)) - source(bd.base(a, b)))
-                maps.check(f"t antihom {a!r},{b!r}",
+                maps.check(lambda: f"t antihom {a!r},{b!r}",
                            total(target(b), target(a)) - target(bd.base(a, b)))
-                maps.check(f"s/t commute {a!r},{b!r}",
+                maps.check(lambda: f"s/t commute {a!r},{b!r}",
                            total(source(a), target(b)) - total(target(b), source(a)))
 
     coassoc = ResidualReport("coassociativity")
     with coassoc.timed():
         for m in span:
             T = bd.coproduct(m)
-            coassoc.check(repr(m), delta_left(bd, T) - delta_right(bd, T))
+            coassoc.check(lambda: repr(m), delta_left(bd, T) - delta_right(bd, T))
 
     takeuchi = ResidualReport("takeuchi-invariance")
     with takeuchi.timed():
         coord_gens = [
-            PolyCoord.coord(smash.dim, order, mu) for mu in range(smash.dim)
+            PolyCoord.coord(smash.dim, order, mu, smash.rs.unit) for mu in range(smash.dim)
         ]
         for m in span:
             T = bd.coproduct(m)
@@ -618,7 +617,7 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2) -> dict:
                     r = bd.pure(wr)
                     left_pairs.append((bd.total(l, ta), r, c))
                     right_pairs.append((l, bd.total(r, sa), c))
-                takeuchi.check(f"{m!r} against x{mu}",
+                takeuchi.check(lambda: f"{m!r} against x{mu}",
                                bd.tensor_from_pairs(left_pairs) - bd.tensor_from_pairs(right_pairs))
 
     rng = random.Random(20259)
@@ -632,18 +631,18 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2) -> dict:
     for u, v in pairs:
         with multiplicative.timed():
             uv = bd.total(u, v)
-            multiplicative.check(f"{u!r} * {v!r}",
+            multiplicative.check(lambda: f"{u!r} * {v!r}",
                                  bd.coproduct(uv) - bd.coproduct(u).mul(bd.coproduct(v)))
         with counit_product.timed():
             eps_uv = bd.counit(uv)
             res_s = eps_uv - bd.counit(bd.total(u, bd.source(bd.counit(v))))
-            counit_product.check(f"s-form {u!r},{v!r}", res_s)
+            counit_product.check(lambda: f"s-form {u!r},{v!r}", res_s)
             res_t = eps_uv - bd.counit(bd.total(u, bd.target(bd.counit(v))))
-            counit_product.check(f"t-form {u!r},{v!r}", res_t)
+            counit_product.check(lambda: f"t-form {u!r},{v!r}", res_t)
 
     counit_laws = ResidualReport("counit-coproduct-law")
     with counit_laws.timed():
-        one_a = PolyCoord.one(smash.dim, order)
+        one_a = PolyCoord.one(smash.dim, order, smash.rs.unit)
         counit_laws.check("counit of unit", bd.counit(bd.unit()) - one_a)
         for m in span:
             T = bd.coproduct(m)
@@ -654,8 +653,8 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2) -> dict:
                 r = bd.pure(wr)
                 _add_scaled(left, c, bd.total(bd.source(bd.counit(l)), r).terms)
                 _add_scaled(right, c, bd.total(bd.target(bd.counit(r)), l).terms)
-            counit_laws.check(f"s(eps(m1))m2 on {m!r}", SmashElem(smash, left) - m)
-            counit_laws.check(f"t(eps(m2))m1 on {m!r}", SmashElem(smash, right) - m)
+            counit_laws.check(lambda: f"s(eps(m1))m2 on {m!r}", SmashElem(smash, left) - m)
+            counit_laws.check(lambda: f"t(eps(m2))m1 on {m!r}", SmashElem(smash, right) - m)
 
     return {
         "maps": maps,
@@ -695,7 +694,7 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
         _refuse_failing(twistor_reports)
         for a in monos:
             for b in monos:
-                base_rep.check(f"{a!r} * {b!r}", lhs.base(a, b) - rhs.base(a, b))
+                base_rep.check(lambda: f"{a!r} * {b!r}", lhs.base(a, b) - rhs.base(a, b))
 
     # the sweep is shared with smash-verify; this row is charged only the
     # time spent here
@@ -707,14 +706,16 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
     st_rep = ResidualReport("source-target-maps")
     with st_rep.timed():
         for a in monos:
-            st_rep.check(f"source {a!r}", phi(smash, twist, lhs.source(a)) - rhs.source(a))
-            st_rep.check(f"target {a!r}", phi(smash, twist, lhs.target(a)) - rhs.target(a))
+            st_rep.check(lambda: f"source {a!r}",
+                         phi(smash, twist, lhs.source(a)) - rhs.source(a))
+            st_rep.check(lambda: f"target {a!r}",
+                         phi(smash, twist, lhs.target(a)) - rhs.target(a))
 
     span = smash.spanning(degree)
     counit_rep = ResidualReport("counit-intertwined")
     with counit_rep.timed():
         for u in span:
-            counit_rep.check(repr(u), rhs.counit(phi(smash, twist, u)) - lhs.counit(u))
+            counit_rep.check(lambda: repr(u), rhs.counit(phi(smash, twist, u)) - lhs.counit(u))
 
     def coproduct_residual(u: SmashElem) -> TensorOverA:
         """Delta_rhs(phi(u)) minus (phi (x) phi)(Delta_lhs(u))."""
@@ -730,15 +731,15 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
             if not w:
                 continue
             u = smash.basis_elem((0,) * smash.dim, w)
-            cases_rep.check(f"Hopf generator {u!r}", coproduct_residual(u))
+            cases_rep.check(lambda: f"Hopf generator {u!r}", coproduct_residual(u))
         for e in monomials_up_to(smash.dim, degree):
             u = smash.basis_elem(e, ())
-            cases_rep.check(f"coordinate {u!r}", coproduct_residual(u))
+            cases_rep.check(lambda: f"coordinate {u!r}", coproduct_residual(u))
 
     general_rep = ResidualReport("coproduct-general")
     with general_rep.timed():
         for u in span:
-            general_rep.check(repr(u), coproduct_residual(u))
+            general_rep.check(lambda: repr(u), coproduct_residual(u))
 
     return {
         "base-products": base_rep,

@@ -412,7 +412,7 @@ def cmd_star_table(args, prob, report):
     R = prob.twist.r_matrix
     braided, ms = _timed(check_braided_commutativity, star, R, prob.degree + 1)
     report.add_residual_report("braided commutativity", "braided-commutativity", braided, ms)
-    mod, ms = _timed(check_module_algebra, prob.rep, prob.degree)
+    mod, ms = _timed(check_module_algebra, prob.bialg, prob.rep, prob.degree)
     report.add_residual_report("module algebra", "action-leibniz-compatibility", mod, ms)
 
 
@@ -430,18 +430,20 @@ def cmd_smash_verify(args, prob, report):
         unital = ResidualReport("unit")
         with assoc.timed():
             for u, v, w in triples:
-                assoc.check(f"{u!r};{v!r};{w!r}", mul(mul(u, v), w) - mul(u, mul(v, w)))
+                assoc.check(lambda: f"{u!r};{v!r};{w!r}", mul(mul(u, v), w) - mul(u, mul(v, w)))
             for u in span[:10]:
-                unital.check(f"1*{u!r}", mul(alg.one(), u) - u)
-                unital.check(f"{u!r}*1", mul(u, alg.one()) - u)
+                unital.check(lambda: f"1*{u!r}", mul(alg.one(), u) - u)
+                unital.check(lambda: f"{u!r}*1", mul(u, alg.one()) - u)
         assoc.merge(unital)
         report.add_residual_report(f"{label} product", "smash-associativity-unitality", assoc)
 
     bij = ResidualReport("phi-bijective")
     with bij.timed():
         for u in span:
-            bij.check(f"phi.phi_inv {u!r}", phi(alg, prob.twist, phi_inv(alg, prob.twist, u)) - u)
-            bij.check(f"phi_inv.phi {u!r}", phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) - u)
+            bij.check(lambda: f"phi.phi_inv {u!r}",
+                      phi(alg, prob.twist, phi_inv(alg, prob.twist, u)) - u)
+            bij.check(lambda: f"phi_inv.phi {u!r}",
+                      phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) - u)
     report.add_residual_report("phi bijectivity", "phi-invertibility", bij)
 
     hom, ms = _timed(alg.phi_report, prob.twist, prob.degree)
@@ -551,7 +553,7 @@ class _ExprParser:
             self.atoms[g.name] = alg.h_elem(NCPoly.gen(alg.rs, g.name))
         for k, name in enumerate(prob.rep.coordinates):
             self.atoms[name] = alg.coord_elem(
-                PolyCoord.coord(alg.dim, alg.order, k)
+                PolyCoord.coord(alg.dim, alg.order, k, alg.rs.unit)
             )
 
     def peek(self):
@@ -650,8 +652,12 @@ def run(args) -> Report:
 
 
 def cmd_export_preset(args):
-    """Print or write a preset's config; builds no problem and no report."""
+    """Print or write a preset's config; builds no problem and no report.
+    Refuses an order the config schema refuses."""
     cfg = preset(args.preset or "igl2-abelian", args.order)
+    errors = validate_config(cfg)
+    if errors:
+        raise ConfigError("\n  ".join(errors))
     text = json.dumps(cfg, indent=2, sort_keys=True)
     if args.json:
         with open(args.json, "w") as fh:
@@ -726,10 +732,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.fn is cmd_export_preset:
-        cmd_export_preset(args)
-        return EXIT_PASS
     try:
+        if args.fn is cmd_export_preset:
+            cmd_export_preset(args)
+            return EXIT_PASS
         report = run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,9 +25,15 @@ class ResidualReport:
         if failed:
             self.failures.append((label, residual))
 
-    def check(self, label: str, residual):
-        """Record a case that fails iff ``residual`` is nonzero."""
-        self.record(label, not residual.is_zero(), residual)
+    def check(self, label, residual):
+        """Record a case that fails iff ``residual`` is nonzero.  ``label`` is
+        a string, or a callable of no arguments that makes it and is called
+        only for a failing case: a passing case keeps no label, so it is
+        recorded as ""."""
+        failed = not residual.is_zero()
+        if callable(label):
+            label = label() if failed else ""
+        self.record(label, failed, residual)
 
     def merge(self, other: "ResidualReport"):
         self.checked += other.checked

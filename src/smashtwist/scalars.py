@@ -256,6 +256,17 @@ class TruncSeries:
             if not isinstance(other, TruncSeries):
                 return NotImplemented
             self._check(other)
+        home = self._home
+        if home is not other._home:
+            # join first, so that a product by one is never memoized
+            self, other = _join(self, other)
+            home = self._home if self._home is other._home else None
+        if home is not None:
+            # index 0 is the table's one: a product by it is the other operand
+            if not self._ix:
+                return other
+            if not other._ix:
+                return self
         return _memoized("mul", self, other, TruncSeries._mul)
 
     def _mul(self, other):
@@ -364,7 +375,11 @@ class InternTable:
     """One problem's canonical series, each with an index unique in the table,
     and per op a memo from the operands' indices (or an index and a plain
     scalar) to the canonical result.  Values point back through the table's
-    one weak reference, so its owner's reference count alone frees it."""
+    one weak reference, so its owner's reference count alone frees it.
+
+    Index 0 is always the table's one, interned first, so a product of two
+    series of one table tests for a factor 1 with one integer and never
+    stores such a product in the ``mul`` memo."""
 
     def __init__(self, order: int):
         self.ref = weakref.ref(self)
@@ -372,6 +387,7 @@ class InternTable:
         self.canon: list = []  # by index
         self.memos = {op: {} for op in ("mul", "add", "neg", "scale")}
         self.one = self.intern(TruncSeries.one(order))
+        assert self.one._ix == 0
 
     def intern(self, x: TruncSeries) -> TruncSeries:
         """The canonical series equal to ``x``.  A series of no table becomes
@@ -388,16 +404,23 @@ class InternTable:
         return c
 
 
+def _join(a: TruncSeries, b: TruncSeries):
+    """Both series in the live table of ``a``, or else of ``b``; as they are
+    if neither has one."""
+    for home in (a._home, b._home):
+        table = home and home()
+        if table is not None:
+            return table.intern(a), table.intern(b)
+    return a, b
+
+
 def _memoized(op: str, a: TruncSeries, b, compute):
     """``compute(a, b)`` through the memo ``op`` of the operands' table;
     ``b`` is a series, a plain scalar or None."""
-    home = a._home
     series = b.__class__ is TruncSeries
-    if series and home is not b._home:
-        # both join a live table of either side, if there is one
-        for table in (home and home(), b._home and b._home()):
-            if table is not None:
-                return _memoized(op, table.intern(a), table.intern(b), compute)
+    if series and a._home is not b._home:
+        a, b = _join(a, b)
+    home = a._home
     table = home and home()
     if table is None:
         return compute(a, b)

@@ -257,5 +257,5 @@ def verify_phi_homomorphism(
             for eb, wj in basis:
                 v = alg.basis_elem(eb, wj)
                 r = phi(alg, twist, deformed(u, v)) - plain(pu, phi_of[(eb, wj)])
-                report.check(f"{case} {ea}|{wl} vs {eb}|{wj}", r)
+                report.check(lambda: f"{case} {ea}|{wl} vs {eb}|{wj}", r)
     return report

@@ -193,6 +193,32 @@ def test_report_check_records_a_failure_iff_the_residual_is_nonzero(bd_plain, mo
     assert calls == [(("zero", False, unit - unit), {}), (("unit", True, unit), {})]
 
 
+def test_a_callable_label_is_made_only_for_a_failing_case(bd_plain, monkeypatch):
+    calls = []
+    record = ResidualReport.record
+
+    def spy(self, *args):
+        calls.append(args)
+        record(self, *args)
+
+    def label(text):
+        def make():
+            made.append(text)
+            return text
+        return make
+
+    made = []
+    monkeypatch.setattr(ResidualReport, "record", spy)
+    rep = ResidualReport("check")
+    unit = bd_plain.tensor_unit()
+    rep.check(label("zero"), unit - unit)
+    rep.check(label("unit"), unit)
+    assert made == ["unit"]
+    assert rep.failures == [("unit", unit)]
+    # a passing case hands record an empty label
+    assert calls == [("", False, unit - unit), ("unit", True, unit)]
+
+
 def test_qt_shifted_trivial_has_no_witness(igl2, bd_plain):
     out = check_qt_shifted(bd_plain, NCPoly.one(igl2.smash.rs, 2), degree=1)
     assert out["preserved"].ok()

@@ -565,6 +565,16 @@ def test_order_above_an_exported_config_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_export_at_a_negative_order_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    assert main(["export-preset", "--preset", "pw-jordanian", "--order", "-1",
+                 "--json", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "order: must be >= 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert not captured.out and not path.exists()
+
+
 def test_preset_at_a_higher_order_passes():
     assert main(["check-twist", "--preset", "pw-jordanian", "--order", "5"]) == EXIT_PASS
 

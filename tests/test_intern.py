@@ -20,7 +20,7 @@ import scalars_oracle as ref
 from smashtwist import cli
 from smashtwist.ncpoly import RewriteSystem
 from smashtwist.registry import materialize
-from smashtwist.scalars import GaussRational, InternTable, TruncSeries
+from smashtwist.scalars import GaussRational, InternTable, TruncSeries, _memoized
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 6)))
 slots = st.one_of(st.just((0, 0)), st.just((1, 0)), st.tuples(rationals, rationals))
@@ -195,6 +195,72 @@ def test_unit_coefficients_in_the_smash_memos_are_the_canonical_unit(monkeypatch
         ones = [c for c in coefficients if c == 1]
         assert ones, name
         assert all(c is unit for c in ones), name
+
+
+def holds_index_zero(memo) -> bool:
+    """Whether a ``mul`` memo has an entry keyed by index 0, the table's one."""
+    return any(key >> 32 == 0 or key & 0xFFFFFFFF == 0 for key in memo)
+
+
+def same_value_and_index(x, y) -> bool:
+    return x == y and x._home is y._home and x._ix == y._ix
+
+
+@settings(max_examples=80, deadline=None)
+@given(triples(), st.sampled_from(("canonical", "index carrier", "no table")))
+def test_a_product_by_one_is_the_memo_paths_result(triple, kind):
+    (s, _), _, _ = triple
+    table = problem_table(s.order)
+    one = table.one
+    assert one._ix == 0
+    if kind == "canonical":
+        x = table.intern(s)
+    elif kind == "index carrier":
+        c = table.intern(s)
+        x = fresh(s)
+        assert table.intern(x) is c and x is not c and x._ix == c._ix
+    else:
+        x = fresh(s)
+    products = [one * x, x * one]
+    assert not holds_index_zero(table.memos["mul"])
+    canon = table.intern(fresh(s))
+    # the same products through the memo, which stores them
+    for product in products:
+        assert product == s
+        assert same_value_and_index(product, canon)
+        assert same_value_and_index(product, _memoized("mul", one, x, TruncSeries._mul))
+        assert same_value_and_index(product, _memoized("mul", x, one, TruncSeries._mul))
+
+
+def test_the_one_of_a_table_times_a_series_of_another_is_its_own_copy():
+    a, b = problem_table(2), problem_table(2)
+    y = b.intern(TruncSeries(2, [0, 2, 1]))
+    for x in (y, b.one):
+        product = a.one * x
+        assert product == x and product is not x
+        assert product._home is a.ref and a.canon[product._ix] is product
+    # the left operand's table comes first, as for any other product
+    assert y * a.one is y
+    assert b.one * a.one is b.one
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-twist", "--preset", "pw-jordanian"],
+    ["suite", "--preset", "pw-jordanian", "--order", "2", "--degree", "1"],
+], ids=["check-twist", "suite"])
+def test_no_product_by_one_is_memoized(argv, monkeypatch):
+    probs = []
+
+    def materialize_recording(*args, **kwargs):
+        probs.append(materialize(*args, **kwargs))
+        return probs[-1]
+
+    monkeypatch.setattr(cli, "materialize", materialize_recording)
+    assert cli.main(argv) == cli.EXIT_PASS
+    prob, = probs
+    memo = prob.bialg.rs.scalars.memos["mul"]
+    assert memo
+    assert not holds_index_zero(memo)
 
 
 def test_a_float_is_refused_after_an_equal_scalar_was_memoized():

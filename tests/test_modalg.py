@@ -118,7 +118,7 @@ def test_representation_composes_against_the_brackets():
 
 
 def test_module_algebra_residuals(igl2):
-    report = check_module_algebra(igl2.rep, degree=2)
+    report = check_module_algebra(igl2.bialg, igl2.rep, degree=2)
     assert report.ok()
     assert report.checked > 0
 
@@ -128,7 +128,7 @@ def test_module_algebra_negative_control(igl2):
     # compatibility of the action with the rewriting relations
     momenta, bad = bad_l01_representation()
     rep = RepData(igl2.rep.rs, bad, momenta, validate=False)
-    report = check_module_algebra(rep, degree=2)
+    report = check_module_algebra(igl2.bialg, rep, degree=2)
     assert not report.ok()
     label, _ = report.witness()
     assert "relations" in label
@@ -248,3 +248,55 @@ def test_coordinate_product_drops_a_coefficient_that_truncates():
     h = TruncSeries.h_power(1, 3)
     kept = PolyCoord.monomial(2, 3, (1, 0), h2) * PolyCoord.monomial(2, 3, (0, 1), h)
     assert kept == PolyCoord.monomial(2, 3, (1, 1), TruncSeries.h_power(3, 3))
+
+
+def test_coordinate_generators_carry_the_problems_unit(monkeypatch):
+    from smashtwist import cli
+
+    probs, made = [], []
+
+    def materialize_recording(*args, **kwargs):
+        probs.append(materialize(*args, **kwargs))
+        return probs[-1]
+
+    def recording(build):
+        def wrapper(*args):
+            made.append(build(*args))
+            return made[-1]
+        return staticmethod(wrapper)
+
+    monkeypatch.setattr(cli, "materialize", materialize_recording)
+    monkeypatch.setattr(PolyCoord, "coord", recording(PolyCoord.coord))
+    monkeypatch.setattr(PolyCoord, "one", recording(PolyCoord.one))
+    common = ["--preset", "pw-jordanian", "--order", "2", "--degree", "1"]
+    for argv in (["algebroid-verify", *common], ["star-table", *common],
+                 ["commutator", "x0", "x1", "--deformed", *common]):
+        probs.clear()
+        made.clear()
+        assert cli.main(argv) == cli.EXIT_PASS
+        prob, = probs
+        assert made, argv[0]
+        unit = prob.bialg.rs.unit
+        assert all(c is unit for p in made for c in p.terms.values()), argv[0]
+
+
+def test_module_algebra_sweep_shares_the_problems_presentation(monkeypatch):
+    from smashtwist import cli, hopf
+
+    built = []
+    init = hopf.BialgebraPresentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hopf.BialgebraPresentation, "__init__", counting)
+    argv = ["star-table", "--preset", "pw-jordanian", "--order", "2", "--degree", "1"]
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert len(built) == 1
+
+
+def test_module_algebra_refuses_a_presentation_of_another_alphabet(igl2):
+    other = materialize("pw-jordanian", order=2)
+    with pytest.raises(ValueError, match="different alphabets"):
+        check_module_algebra(other.bialg, igl2.rep, 1)
