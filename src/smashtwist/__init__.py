@@ -56,12 +56,10 @@ from .algebroid import (
     xu_twist,
 )
 from .registry import (
-    InvalidPresetError,
     PRESET_NAMES,
     Problem,
     materialize,
     preset,
-    validate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

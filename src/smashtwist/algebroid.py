@@ -349,12 +349,10 @@ class ShiftedTwist:
         self.hopf_twist = hopf_twist
 
 
-def shift_twist(bd: Bialgebroid, twist: Twist, validate: bool = True) -> ShiftedTwist:
-    """Transport a twist to the bialgebroid level and re-verify its laws."""
-    shifted = ShiftedTwist(bd, shift_legs(bd, twist.F), shift_legs(bd, twist.F_inv), twist)
-    if validate:
-        _refuse_failing(shifted_twist_residuals(bd, shifted))
-    return shifted
+def shift_twist(bd: Bialgebroid, twist: Twist) -> ShiftedTwist:
+    """Transport a twist to the bialgebroid level; ``shifted_twist_residuals``
+    reports its laws there."""
+    return ShiftedTwist(bd, shift_legs(bd, twist.F), shift_legs(bd, twist.F_inv), twist)
 
 
 def _refuse_failing(twistor_reports: dict):
@@ -558,7 +556,7 @@ def xu_side(smash: SmashAlgebra, twist: Twist, check_degree: int) -> tuple:
     check degree and kept by ``smash``.  Failing twistor laws are reported, not
     raised; a refused construction raises and is not kept."""
     bd0 = bm_bialgebroid(smash, check_degree=check_degree)
-    shifted = shift_twist(bd0, twist, validate=False)
+    shifted = shift_twist(bd0, twist)
     return shifted_twist_residuals(bd0, shifted), xu_twist(bd0, shifted)
 
 

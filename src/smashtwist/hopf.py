@@ -3,10 +3,11 @@ counit, twists, twisted coproducts and R-matrices.
 
 Every generator is primitive, Delta(X) = X(x)1 + 1(x)X, and the counit kills
 every generator, so the coproduct of a PBW word is the sum over all splits of
-its letters into two legs.  A twist is an invertible two-leg element
-F = exp(t) built from its exponent t, with inverse exp(-t); constructing one
-verifies that it is a two-sided inverse pair and that both counit
-contractions collapse to the unit.  The twisted coproduct F Delta(x) F^{-1}
+its letters into two legs.  A twist is the two-leg element F = exp(t) built
+from its exponent t, with inverse exp(-t); constructing one only builds the
+pair.  Whether they are inverse, normalized and a cocycle is reported, with a
+witness, by the residual checks (``check-twist`` runs them all), never raised
+while the problem is built.  The twisted coproduct F Delta(x) F^{-1}
 is computed through the exponent, as exp(ad t) applied to Delta(x): t has far
 fewer terms than F.  Identity checks return residual elements rather than
 booleans: a nonzero residual pinpoints the failing term and h-order.
@@ -22,7 +23,8 @@ from .scalars import TruncSeries
 
 
 class InvalidTwistError(ValueError):
-    """Raised when a would-be twist fails inversion or normalization."""
+    """Raised where a construction needs a law the twist fails: ``theorem``
+    refuses a twist whose shifted twistor laws do not hold."""
 
 
 class BialgebraPresentation:
@@ -94,23 +96,15 @@ class BialgebraPresentation:
 
 
 class Twist:
-    """The validated twist F = exp(t), with inverse exp(-t) and unital counit
-    contractions; ``exponent`` is t."""
+    """The twist F = exp(t) with its inverse exp(-t); ``exponent`` is t.  It
+    checks no law: normalization and the cocycle are reported, so a twist
+    that fails them still gets its witness."""
 
     def __init__(self, bialg: BialgebraPresentation, t: NCPoly):
         self.bialg = bialg
         self.exponent = t
-        self.F = F = t.exp_truncated()
-        self.F_inv = F_inv = (-t).exp_truncated()
-        # both products are kept: check-twist reports them as its inverse rows
-        self.products = (F * F_inv, F_inv * F)
-        one2 = NCPoly.one(bialg.rs, 2)
-        if self.products != (one2, one2):
-            raise InvalidTwistError("twist inverse fails at the truncation order")
-        one1 = NCPoly.one(bialg.rs, 1)
-        for elem, tag in ((F, "twist"), (F_inv, "inverse twist")):
-            if bialg.counit_on_leg(elem, 1) != one1 or bialg.counit_on_leg(elem, 2) != one1:
-                raise InvalidTwistError(f"{tag} fails the counit normalization")
+        self.F = t.exp_truncated()
+        self.F_inv = (-t).exp_truncated()
 
     def is_trivial(self) -> bool:
         return self.F == NCPoly.one(self.bialg.rs, 2)
@@ -124,7 +118,7 @@ def twist_from_exponent(bialg: BialgebraPresentation, t: NCPoly) -> Twist:
     """Build the twist exp(t) with inverse exp(-t).
 
     ``t`` must be a two-leg element with no h^0 part so both exponentials
-    terminate at the truncation order.
+    terminate at the truncation order; these are the only checks here.
     """
     if t.nlegs != 2:
         raise ValueError("twist exponent must be a two-leg element")

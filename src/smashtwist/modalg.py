@@ -84,13 +84,13 @@ class RepData:
     """Representation matrices for the symmetry sector plus the pairing of
     momenta with coordinates.
 
-    Validation checks that the matrices realize the declared brackets (the
-    matrix of [L_a, L_b] equals the matrix commutator) and that the full
-    action composes consistently with every bracket in the alphabet.
+    Construction checks only shapes and names.  ``representation_residuals``
+    reports whether the matrices realize the declared brackets (the matrix of
+    [L_a, L_b] equals the matrix commutator) and whether the full action
+    composes consistently with every bracket in the alphabet.
     """
 
-    def __init__(self, rs: RewriteSystem, matrices: dict, momenta, coordinates=None,
-                 validate: bool = True):
+    def __init__(self, rs: RewriteSystem, matrices: dict, momenta, coordinates=None):
         self.rs = rs
         self.momenta = tuple(momenta)
         self.dim = len(self.momenta)
@@ -121,12 +121,6 @@ class RepData:
                 )
                 for row in rows
             )
-
-        if validate:
-            rep = self.representation_residuals()
-            if not rep.ok():
-                label, _ = rep.failures[0]
-                raise ValueError(f"representation property fails: {label}")
 
     # -- the action ------------------------------------------------------
 

@@ -5,9 +5,11 @@ A preset is a config: ``preset(name, order)`` returns the dict that
 the one ``export-preset`` prints.  Each bundles structure constants,
 representation matrices and a twist exponent written out as literals to h^order.
 The exponents are engineering choices tuned so that the deformed coordinate
-commutators come out in the standard normalization [x^0, x^i] = i h x^i;
-validate() re-derives Jacobi closure, the representation property and the
-cocycle condition rather than trusting the table.
+commutators come out in the standard normalization [x^0, x^i] = i h x^i.
+
+``materialize`` only builds: it checks no law of the table.  Jacobi closure
+and the representation property are the ``Problem``'s reports, and the twist
+laws are ``check-twist``'s records, each with a witness when it fails.
 
 A config's exponent is exact only to h^order, so ``materialize`` refuses a
 higher truncation order; a preset is built at the order it is asked for.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .hopf import BialgebraPresentation, Twist, check_cocycle, twist_from_exponent
+from .hopf import BialgebraPresentation, Twist, twist_from_exponent
 from .modalg import RepData
 from .ncpoly import COORDINATE, MOMENTUM, NCPoly, RewriteSystem, SYMMETRY
 from .reporting import ResidualReport
@@ -27,10 +29,6 @@ from .scalars import parse_scalar_literal
 from .smash import SmashAlgebra
 
 PRESET_NAMES = ("trivial", "heisenberg", "igl2-abelian", "igl4-abelian", "pw-jordanian")
-
-
-class InvalidPresetError(ValueError):
-    """A preset failed one of its validity checks; the witness says where."""
 
 
 def _config(name, order, generators, brackets, matrices, momenta, exponent):
@@ -162,7 +160,7 @@ def twist_exponent(cfg: dict, rs: RewriteSystem) -> NCPoly:
 
 
 def materialize(cfg: dict | str, order: int | None = None,
-                degree: int | None = None, validate: bool = True) -> Problem:
+                degree: int | None = None) -> Problem:
     """Build the working objects of a config, or of the preset so named, at a
     truncation order no higher than the config's."""
     if isinstance(cfg, str):
@@ -172,11 +170,10 @@ def materialize(cfg: dict | str, order: int | None = None,
         raise ValueError(f"order: {order} is above the config's order {cfg['order']}; "
                          f"its twist exponent is exact only to h^{cfg['order']}")
     degree = cfg.get("degree", 2) if degree is None else degree
-    rs = RewriteSystem(order, *presentation(cfg), validate=validate)
+    rs = RewriteSystem(order, *presentation(cfg))
     bialg = BialgebraPresentation(rs)
     representation = cfg["representation"]
-    rep = RepData(rs, representation.get("matrices", {}), representation["momenta"],
-                  validate=validate)
+    rep = RepData(rs, representation.get("matrices", {}), representation["momenta"])
     smash = SmashAlgebra(bialg, rep)
     twist = twist_from_exponent(bialg, twist_exponent(cfg, rs))
     return Problem(cfg, order, degree, bialg, rep, smash, twist)
@@ -189,27 +186,4 @@ def jacobi_report(rs: RewriteSystem) -> ResidualReport:
         report.record(f"({na}, {nb}, {nc})", True, res)
     if report.checked == 0:
         report.record("all triples", False)
-    return report
-
-
-def validate(cfg: dict | str, order: int | None = None) -> dict:
-    """Re-derive every guarantee of a config, or of the preset so named, and
-    report the residuals.
-
-    Raises InvalidPresetError with the first witness when anything is
-    nonzero, so a perturbed preset fails loudly.
-    """
-    prob = materialize(cfg, order, validate=False)
-    cocycle = ResidualReport("cocycle")
-    for label, res in check_cocycle(prob.bialg, prob.twist).items():
-        cocycle.check(label, res)
-    report = {"jacobi": jacobi_report(prob.bialg.rs),
-              "representation": prob.rep.representation_residuals(),
-              "cocycle": cocycle}
-    for name, rep in report.items():
-        if not rep.ok():
-            label, res = rep.witness()
-            raise InvalidPresetError(
-                f"preset {prob.config.get('name', 'config')!r} fails {name} at {label}: {res!r}"
-            )
     return report

@@ -457,7 +457,7 @@ def test_xu_memoized_maps_match_direct_formula(name, order):
     prob = materialize(name, order=order)
     smash = prob.smash
     bd0 = bm_bialgebroid(smash, check_degree=1)
-    shifted = shift_twist(bd0, prob.twist, validate=False)
+    shifted = shift_twist(bd0, prob.twist)
     bd = xu_twist(bd0, shifted)
     source, target, coproduct = _direct_xu_maps(bd0, shifted, bd)
 
@@ -571,7 +571,7 @@ def key_case(request):
     prob = materialize(request.param, order=2, degree=1)
     smash = prob.smash
     bd0 = bm_bialgebroid(smash, check_degree=1)
-    shifted = shift_twist(bd0, prob.twist, validate=False)
+    shifted = shift_twist(bd0, prob.twist)
     bds = (bd0, bm_bialgebroid_twisted(smash, prob.twist, check_degree=1),
            xu_twist(bd0, shifted))
     span = smash.spanning(1)

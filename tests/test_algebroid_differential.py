@@ -41,7 +41,7 @@ def bialgebroids(name):
     smash = prob.smash
     bd0 = bm_bialgebroid(smash, check_degree=1)
     bds = (bd0, bm_bialgebroid_twisted(smash, prob.twist, check_degree=1),
-           xu_twist(bd0, shift_twist(bd0, prob.twist, validate=False)))
+           xu_twist(bd0, shift_twist(bd0, prob.twist)))
     keys = [(e, w) for e in monomials_up_to(smash.dim, 2) for w in spanning_words(smash.rs, 1)]
     return bds, keys
 

@@ -1,10 +1,11 @@
 """Driver behavior: configs, reports, exit codes, expressions."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from smashtwist.cli import (
@@ -21,6 +22,7 @@ from smashtwist.cli import (
     validate_config,
 )
 from smashtwist.registry import PRESET_NAMES, materialize, preset
+from smashtwist.scalars import GaussRational, TruncSeries
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +418,64 @@ def test_non_cocycle_twist_reported_not_crashing(tmp_path, igl2_config):
     code = main(["algebroid-verify", "--config", path, "--side", "bm-twisted",
                  "--order", "2", "--fail-fast"])
     assert code == EXIT_RESIDUAL
+
+
+NONNORMALIZED = Path(__file__).parent / "golden" / "pw-jordanian-nonnormalized.json"
+
+
+def _check_twist_failures(tmp_path, capsys, cfg_path):
+    """check-twist's exit code and its failing rows, name -> residual; the
+    report must be written and stderr free of errors."""
+    out = tmp_path / "report.json"
+    code = main(["check-twist", "--config", str(cfg_path), "--json", str(out)])
+    assert "error:" not in capsys.readouterr().err
+    records = json.loads(out.read_text())["records"]
+    passing = {r["name"] for r in records if r["status"] == "pass"}
+    assert {"cocycle", "inverse cocycle", "r-matrix laws", "triangularity",
+            "classical limit"} <= passing
+    return code, {r["name"]: r["residual"] for r in records if r["status"] != "pass"}
+
+
+def _normalization_rows(up: str, down: str) -> dict:
+    return {"normalization (left)": up, "inverse normalization (left)": down,
+            "normalization (right)": up, "inverse normalization (right)": down}
+
+
+def test_non_normalized_twist_fails_only_its_normalization_rows(tmp_path, capsys):
+    # the central exponent term h (1 (x) 1) keeps the cocycle, and each counit
+    # contraction of exp(+-t) keeps its scalar factor exp(+-h)
+    code, failing = _check_twist_failures(tmp_path, capsys, NONNORMALIZED)
+    assert code == EXIT_RESIDUAL
+    assert failing == _normalization_rows("(h + 1/2*h^2 + 1/6*h^3)*1",
+                                          "(-h + 1/2*h^2 - 1/6*h^3)*1")
+
+
+def _exp_minus_one(c: GaussRational, order: int) -> TruncSeries:
+    """exp(c h) - 1 truncated at h^order, summed term by term."""
+    coeffs, term = [GaussRational(0)], GaussRational(1)
+    for k in range(1, order + 1):
+        term = term * c * GaussRational(Fraction(1, k))
+        coeffs.append(term)
+    return TruncSeries(order, coeffs)
+
+
+_small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(re=_small_fractions, im=_small_fractions)
+def test_central_exponent_term_fails_exactly_the_normalization_rows(tmp_path, capsys, re, im):
+    c = GaussRational(re, im)
+    assume(not c.is_zero())
+    cfg = preset("pw-jordanian", 3)
+    for coeff in (f"{re}*h" if re else None, f"{im}*i*h" if im else None):
+        if coeff:
+            cfg["twist"]["exponent"].append({"coeff": coeff, "left": [], "right": []})
+    code, failing = _check_twist_failures(tmp_path, capsys, write_config(tmp_path, cfg))
+    assert code == EXIT_RESIDUAL
+    assert failing == _normalization_rows(f"({_exp_minus_one(c, 3)})*1",
+                                          f"({_exp_minus_one(-c, 3)})*1")
 
 
 PERTURBED = str(Path(__file__).parent / "golden" / "pw-jordanian-perturbed.json")

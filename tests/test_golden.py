@@ -31,6 +31,7 @@ def test_every_golden_report_has_a_case():
     names = {case["name"] for case in CASES}
     reports = {
         p.stem for p in GOLDEN.glob("*.json")
-        if p.name not in ("cases.json", "pw-jordanian-perturbed.json")
+        if p.name not in ("cases.json", "pw-jordanian-perturbed.json",
+                          "pw-jordanian-nonnormalized.json")
     }
     assert reports == names

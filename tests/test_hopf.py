@@ -4,12 +4,13 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from smashtwist.cli import Report, run_twist_checks
 from smashtwist.hopf import (
     CoproductMap,
-    InvalidTwistError,
     check_cocycle,
     check_quasitriangular,
     classical_r_extract,
@@ -107,10 +108,21 @@ def test_twist_construction(igl2):
     assert tw.is_trivial()
     with pytest.raises(ValueError, match="h\\^0"):
         twist_from_exponent(b, NCPoly.gen(rs, "P0", leg=1, nlegs=2))
-    # an exponent violating the counit normalization is rejected
-    bad = NCPoly.gen(rs, "P0", leg=2, nlegs=2).scale(TruncSeries.h_power(1, rs.order))
-    with pytest.raises(InvalidTwistError):
-        twist_from_exponent(b, bad)
+    # an exponent violating the counit normalization builds, and the
+    # normalization records carry the witness (it is no cocycle either):
+    # with t = 1 (x) h P0, the left counit contraction of exp(+-t) is
+    # exp(+-h P0), the right one is 1
+    h = TruncSeries.h_power(1, rs.order)
+    bad = NCPoly.gen(rs, "P0", leg=2, nlegs=2).scale(h)
+    report = Report("check-twist", "test", rs.order, 1)
+    run_twist_checks(report, SimpleNamespace(bialg=b, twist=twist_from_exponent(b, bad)))
+    failing = {r["name"]: r["residual"] for r in report.records
+               if r["identity"] == "counit-normalization" and r["status"] == "fail"}
+    one = NCPoly.one(rs)
+    assert failing == {
+        "normalization (left)": repr(NCPoly.gen(rs, "P0").scale(h).exp_truncated() - one),
+        "inverse normalization (left)": repr((-NCPoly.gen(rs, "P0").scale(h)).exp_truncated() - one),
+    }
 
 
 def test_twist_inverse_two_sided(igl2, pw):
@@ -281,17 +293,13 @@ PERTURBED = Path(__file__).parent / "golden" / "pw-jordanian-perturbed.json"
     ("perturbed", None),
 ])
 def test_reused_products_give_the_old_residuals(source, order):
-    # check-twist reads the products the twist kept, and Yang-Baxter reuses
-    # the hexagon products with the other bracketing: same elements, same text
+    # Yang-Baxter reuses the hexagon products with the other bracketing:
+    # same element, same text
     if source == "perturbed":
         prob = materialize(json.loads(PERTURBED.read_text()))
     else:
         prob = materialize(source, order=order)
-    b, F, Fi = prob.bialg, prob.twist.F, prob.twist.F_inv
-    one2 = NCPoly.one(b.rs, 2)
-    for kept, old in zip(prob.twist.products, (F * Fi, Fi * F)):
-        assert kept - one2 == old - one2
-        assert repr(kept - one2) == repr(old - one2)
+    b = prob.bialg
     R = r_matrix_from_twist(b, prob.twist)
     r12, r13, r23 = (R.place_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
     old = r12 * r13 * r23 - r23 * r13 * r12

@@ -99,9 +99,7 @@ def bad_l01_representation():
 
 def test_representation_validation_catches_corruption(igl2):
     momenta, bad = bad_l01_representation()  # not the matrix of L01 in this bracket table
-    with pytest.raises(ValueError, match="representation"):
-        RepData(igl2.rep.rs, bad, momenta)
-    rep = RepData(igl2.rep.rs, bad, momenta, validate=False)
+    rep = RepData(igl2.rep.rs, bad, momenta)
     assert not rep.representation_residuals().ok()
 
 
@@ -110,7 +108,7 @@ def test_representation_composes_against_the_brackets():
     # unchanged, but P0 D = D P0 - 2 P0 no longer acts as P0 after D on x0
     cfg = preset("pw-jordanian", 2)
     cfg["algebra"]["brackets"][0]["terms"][0]["coeff"] = "2"
-    prob = materialize(cfg, validate=False)
+    prob = materialize(cfg)
     assert prob.jacobi.ok()
     report = prob.representation
     assert not report.ok()
@@ -127,7 +125,7 @@ def test_module_algebra_negative_control(igl2):
     # a corrupted matrix keeps the letterwise Leibniz law but breaks the
     # compatibility of the action with the rewriting relations
     momenta, bad = bad_l01_representation()
-    rep = RepData(igl2.rep.rs, bad, momenta, validate=False)
+    rep = RepData(igl2.rep.rs, bad, momenta)
     report = check_module_algebra(igl2.bialg, rep, degree=2)
     assert not report.ok()
     label, _ = report.witness()

@@ -229,7 +229,7 @@ h_literals = st.sampled_from(("1", "-1", "i", "h", "-2*h", "i*h", "h^2", "1/2*h^
 
 @st.composite
 def h_bracket_systems(draw):
-    """An unvalidated preset alphabet whose brackets are replaced by terms
+    """A preset alphabet whose brackets are replaced by terms
     carrying h^k, at orders 0-2, so that products of per-leg coefficients
     often truncate to zero."""
     gens, _ = presentation(preset(draw(st.sampled_from(("igl2-abelian", "pw-jordanian")))))
@@ -244,7 +244,7 @@ def h_bracket_systems(draw):
             (draw(h_literals), draw(st.one_of(st.none(), st.sampled_from(names))))
             for _ in range(draw(st.integers(1, 2)))
         )
-    return RewriteSystem(draw(st.integers(0, 2)), gens, brackets, validate=False)
+    return RewriteSystem(draw(st.integers(0, 2)), gens, brackets)
 
 
 @settings(max_examples=100, deadline=None)
@@ -289,7 +289,7 @@ def test_jacobi_residuals_of_a_broken_system_match():
     gens, bad = presentation(preset("igl2-abelian"))
     bad[("L00", "L01")] = ((1, "L01"), (1, "P0"))
     bad[("L10", "P1")] = (("h", "P0"), ("1/2*h^2", None), ("i*h", "L11"))
-    rs = RewriteSystem(2, gens, bad, validate=False)
+    rs = RewriteSystem(2, gens, bad)
     got = rs.jacobi_residuals()
     assert got
     assert_same_residuals(got, ref.jacobi_residuals(rs))
@@ -300,7 +300,7 @@ literals = st.sampled_from(("1", "-1", "2", "i", "h", "-h", "1/2*h^2", "3*i*h^2"
 
 @st.composite
 def broken_systems(draw):
-    """A preset alphabet with some brackets replaced at random, unvalidated."""
+    """A preset alphabet with some brackets replaced at random, Jacobi or not."""
     gens, brackets = presentation(preset(draw(st.sampled_from(
         ("heisenberg", "igl2-abelian", "pw-jordanian")))))
     names = [name for name, _ in gens]
@@ -311,7 +311,7 @@ def broken_systems(draw):
             (draw(literals), draw(st.one_of(st.none(), st.sampled_from(names))))
             for _ in range(draw(st.integers(0, 2)))
         )
-    return RewriteSystem(draw(st.integers(0, 3)), gens, brackets, validate=False)
+    return RewriteSystem(draw(st.integers(0, 3)), gens, brackets)
 
 
 @settings(max_examples=40, deadline=None)

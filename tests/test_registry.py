@@ -1,28 +1,29 @@
-"""Shipped presets and their validation."""
+"""Shipped presets and the reports that check them."""
 
 import json
 from fractions import Fraction
 
 import pytest
 
+from smashtwist.cli import EXIT_PASS, main
 from smashtwist.modalg import PolyCoord, StarProduct, star_commutator_table
 from smashtwist.ncpoly import NCPoly, RewriteSystem
 from smashtwist.registry import (
-    InvalidPresetError,
     PRESET_NAMES,
     materialize,
     presentation,
     preset,
     twist_exponent,
-    validate,
 )
 from smashtwist.scalars import GaussRational, TruncSeries
 
 
-def test_all_presets_validate():
-    for name in PRESET_NAMES:
-        report = validate(name)
-        assert all(rep.ok() for rep in report.values()), name
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_passes_check_twist(name, capsys):
+    # at the recommended order, check-twist's records cover what a preset
+    # promises: Jacobi, the representation, the cocycle, the inverse and the
+    # counit normalization
+    assert main(["check-twist", "--preset", name]) == EXIT_PASS, capsys.readouterr().out
 
 
 def test_unknown_preset():
@@ -68,16 +69,18 @@ def test_perturbed_preset_fails_with_witness():
     bad = preset("igl2-abelian", 2)
     bad["name"] = "bad"
     _bracket(bad, "L00", "L01")["terms"].append({"coeff": "1", "gen": "P1"})
-    with pytest.raises(InvalidPresetError, match="jacobi"):
-        validate(bad)
+    prob = materialize(bad)
+    label, residual = prob.jacobi.witness()
+    assert (label, repr(residual)) == ("(L00, L01, L11)", "(-2)*P1")
 
 
 def test_perturbed_matrix_fails():
     bad = preset("igl2-abelian", 2)
     bad["name"] = "bad"
     bad["representation"]["matrices"]["L00"] = [["0", "1"], ["0", "0"]]
-    with pytest.raises(InvalidPresetError, match="representation"):
-        validate(bad)
+    prob = materialize(bad)
+    assert prob.jacobi.ok()
+    assert prob.representation.witness()[0] == "matrix [L00,L01]"
 
 
 def test_igl4_spatial_trace_twist():
