@@ -18,7 +18,6 @@ from .hopf import (
     check_cocycle,
     check_quasitriangular,
     classical_r_extract,
-    r_matrix_from_twist,
     twist_from_exponent,
     trivial_twist,
 )

@@ -24,7 +24,7 @@ from .hopf import InvalidTwistError, Twist, inv_unipotent
 from .modalg import PolyCoord, coaction, monomial_str, monomials_up_to, \
     check_braided_commutativity
 from .ncpoly import LinearCombination, NCPoly, _add_scaled, _bump, _linear, memoized
-from .reporting import ResidualReport
+from .reporting import evaluate
 from .smash import SmashAlgebra, SmashElem, SmashProduct, phi, spanning_words
 
 
@@ -355,38 +355,31 @@ def shift_twist(bd: Bialgebroid, twist: Twist) -> ShiftedTwist:
     return ShiftedTwist(bd, shift_legs(bd, twist.F), shift_legs(bd, twist.F_inv), twist)
 
 
-def _refuse_failing(twistor_reports: dict):
-    for name, rep in twistor_reports.items():
-        if not rep.ok():
-            raise InvalidTwistError(f"shifted twist fails {name}")
-
-
 def shifted_twist_residuals(bd: Bialgebroid, shifted: ShiftedTwist) -> dict:
     """Inverse, cocycle and normalization laws at the bialgebroid level."""
     F, Fi = shifted.forward, shifted.inverse
-    inv = ResidualReport("shifted-inverse")
-    with inv.timed():
-        unit2 = bd.tensor_unit()
-        inv.check("F Finv", F.mul(Fi) - unit2)
-        inv.check("Finv F", Fi.mul(F) - unit2)
 
-    coc = ResidualReport("shifted-cocycle")
-    with coc.timed():
+    def inverse():
+        unit2 = bd.tensor_unit()
+        yield "F Finv", F.mul(Fi) - unit2
+        yield "Finv F", Fi.mul(F) - unit2
+
+    def cocycle():
         twist = shifted.hopf_twist
         f12, f23, fi12, fi23 = (shift_legs(bd, p, legs, 3) for p in (twist.F, twist.F_inv)
                                 for legs in ((1, 2), (2, 3)))
-        coc.check("cocycle", f12.mul(delta_left(bd, F)) - f23.mul(delta_right(bd, F)))
-        coc.check("inverse-cocycle",
-                  delta_left(bd, Fi).mul(fi12) - delta_right(bd, Fi).mul(fi23))
+        yield "cocycle", f12.mul(delta_left(bd, F)) - f23.mul(delta_right(bd, F))
+        yield "inverse-cocycle", delta_left(bd, Fi).mul(fi12) - delta_right(bd, Fi).mul(fi23)
 
-    nor = ResidualReport("shifted-normalization")
-    with nor.timed():
+    def normalization():
         unit = bd.unit()
         for label, elem in (("twist", F), ("inverse", Fi)):
-            nor.check(f"{label} left counit", elem.counit_left() - unit)
-            nor.check(f"{label} right counit", elem.counit_right() - unit)
+            yield f"{label} left counit", elem.counit_left() - unit
+            yield f"{label} right counit", elem.counit_right() - unit
 
-    return {"inverse": inv, "cocycle": coc, "normalization": nor}
+    return {"inverse": evaluate("the shifted twistor, both sides", inverse),
+            "cocycle": evaluate("both shifted twistors", cocycle),
+            "normalization": evaluate("both shifted twistors, both counits", normalization)}
 
 
 def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
@@ -396,40 +389,45 @@ def check_qt_shifted(bd: Bialgebroid, R: NCPoly, degree: int = 2) -> dict:
     Returns reports for the preserved identities, the computed/closed-form
     cross-check of both intertwining expressions, and either a witness basis
     element where they differ or None when no witness exists up to the sweep
-    degree.  Without closed forms (``bd.hdelta`` is None) the sweep stops at
-    the witness: nothing after it is recorded.
+    degree.  Without closed forms (``bd.hdelta`` is None) the closed-form law
+    has no case, and its sweep stops at the witness: nothing after it is
+    evaluated.
     """
     smash = bd.smash
-    preserved = ResidualReport("shifted-qt-preserved")
-    with preserved.timed():
-        Rt = shift_legs(bd, R)
+    Rt = shift_legs(bd, R)
+    span = smash.spanning(degree)
+
+    def preserved():
         r13, r23, r12 = (shift_legs(bd, R, legs, 3) for legs in ((1, 3), (2, 3), (1, 2)))
-        preserved.check("hexagon-left", delta_left(bd, Rt) - r13.mul(r23))
-        preserved.check("hexagon-right", delta_right(bd, Rt) - r13.mul(r12))
+        yield "hexagon-left", delta_left(bd, Rt) - r13.mul(r23)
+        yield "hexagon-right", delta_right(bd, Rt) - r13.mul(r12)
         unit = bd.unit()
-        preserved.check("counit-left", Rt.counit_left() - unit)
-        preserved.check("counit-right", Rt.counit_right() - unit)
+        yield "counit-left", Rt.counit_left() - unit
+        yield "counit-right", Rt.counit_right() - unit
 
     # the intertwining witness comes out of the same sweep, so its time is
     # charged to the closed forms
-    closed = ResidualReport("shifted-qt-closed-forms")
-    witness = None
-    with closed.timed():
+    witness = []
+
+    def closed_forms():
         Rt_inv = shift_legs(bd, inv_unipotent(R))
-        for elem in smash.spanning(degree):
+        for elem in span:
             lhs = Rt.mul(bd.coproduct(elem)).mul(Rt_inv)
             rhs = bd.coproduct(elem).flip()
             if bd.hdelta is not None:
-                lc = _qt2_closed(bd, R, elem, 1, 1)
-                rc = _qt2_closed(bd, R, elem, 2, 2)
-                closed.check(lambda: f"lhs {elem!r}", lhs - lc)
-                closed.check(lambda: f"rhs {elem!r}", rhs - rc)
+                yield lambda: f"lhs {elem!r}", lhs - _qt2_closed(bd, R, elem, 1, 1)
+                yield lambda: f"rhs {elem!r}", rhs - _qt2_closed(bd, R, elem, 2, 2)
             diff = lhs - rhs
-            if witness is None and not diff.is_zero():
-                witness = (repr(elem), diff)
-            if witness is not None and bd.hdelta is None:
-                break
-    return {"preserved": preserved, "closed_forms": closed, "witness": witness}
+            if not witness and not diff.is_zero():
+                witness.append((repr(elem), diff))
+            if witness and bd.hdelta is None:
+                return
+
+    closed = (f"{len(span)} spanning elements to degree {degree}, both sides"
+              if bd.hdelta is not None else "none: no closed forms on this side")
+    return {"preserved": evaluate("hexagons and counits of the shifted R", preserved),
+            "closed_forms": evaluate(closed, closed_forms),
+            "witness": witness[0] if witness else None}
 
 
 def _qt2_closed(bd: Bialgebroid, R: NCPoly, m: SmashElem, r_leg: int,
@@ -574,94 +572,91 @@ def check_bialgebroid_axioms(bd: Bialgebroid, degree: int = 2) -> dict:
     import random
 
     smash = bd.smash
-    order = smash.order
-    monos = [
-        PolyCoord.monomial(smash.dim, order, e, smash.rs.unit)
-        for e in monomials_up_to(smash.dim, degree)
-    ]
+    monos = _monomials(smash, degree)
     span = smash.spanning(degree)
-
-    maps = ResidualReport("source-target-laws")
     total, source, target = bd.total, bd.source, bd.target
-    with maps.timed():
+    spanning = f"{len(span)} spanning elements to degree {degree}"
+
+    def maps():
         for a in monos:
             for b in monos:
-                maps.check(lambda: f"s hom {a!r},{b!r}",
-                           total(source(a), source(b)) - source(bd.base(a, b)))
-                maps.check(lambda: f"t antihom {a!r},{b!r}",
-                           total(target(b), target(a)) - target(bd.base(a, b)))
-                maps.check(lambda: f"s/t commute {a!r},{b!r}",
-                           total(source(a), target(b)) - total(target(b), source(a)))
+                yield (lambda: f"s hom {a!r},{b!r}",
+                       total(source(a), source(b)) - source(bd.base(a, b)))
+                yield (lambda: f"t antihom {a!r},{b!r}",
+                       total(target(b), target(a)) - target(bd.base(a, b)))
+                yield (lambda: f"s/t commute {a!r},{b!r}",
+                       total(source(a), target(b)) - total(target(b), source(a)))
 
-    coassoc = ResidualReport("coassociativity")
-    with coassoc.timed():
+    def coassociativity():
         for m in span:
             T = bd.coproduct(m)
-            coassoc.check(lambda: repr(m), delta_left(bd, T) - delta_right(bd, T))
+            yield lambda: repr(m), delta_left(bd, T) - delta_right(bd, T)
 
-    takeuchi = ResidualReport("takeuchi-invariance")
-    with takeuchi.timed():
-        coord_gens = [
-            PolyCoord.coord(smash.dim, order, mu, smash.rs.unit) for mu in range(smash.dim)
-        ]
+    def takeuchi():
+        coord_gens = [PolyCoord.coord(smash.dim, smash.order, mu, smash.rs.unit)
+                      for mu in range(smash.dim)]
         for m in span:
             T = bd.coproduct(m)
             for mu, a in enumerate(coord_gens):
                 ta, sa = bd.target(a), bd.source(a)
-                left_pairs = []
-                right_pairs = []
+                left_pairs, right_pairs = [], []
                 for (e, wl, wr), c in T.terms.items():
                     l = smash.basis_elem(e, wl)
                     r = bd.pure(wr)
                     left_pairs.append((bd.total(l, ta), r, c))
                     right_pairs.append((l, bd.total(r, sa), c))
-                takeuchi.check(lambda: f"{m!r} against x{mu}",
-                               bd.tensor_from_pairs(left_pairs) - bd.tensor_from_pairs(right_pairs))
+                yield (lambda: f"{m!r} against x{mu}",
+                       bd.tensor_from_pairs(left_pairs) - bd.tensor_from_pairs(right_pairs))
 
     rng = random.Random(20259)
-    pairs = [(u, v) for u in span[: smash.dim + 1] for v in span[: smash.dim + 1]]
+    lead = span[: smash.dim + 1]
     pool = [(u, v) for u in span for v in span]
-    for _ in range(min(20, len(pool))):
-        pairs.append(pool[rng.randrange(len(pool))])
+    drawn = [pool[rng.randrange(len(pool))] for _ in range(min(20, len(pool)))]
+    pairs = [(u, v) for u in lead for v in lead] + drawn
+    sampled = f"{len(pairs)} pairs: (dim+1)^2 leading + {len(drawn)} drawn, seed 20259"
+    products = []  # u*v of each pair, made by the multiplicativity sweep
 
-    multiplicative = ResidualReport("coproduct-multiplicative")
-    counit_product = ResidualReport("counit-product-law")
-    for u, v in pairs:
-        with multiplicative.timed():
-            uv = bd.total(u, v)
-            multiplicative.check(lambda: f"{u!r} * {v!r}",
-                                 bd.coproduct(uv) - bd.coproduct(u).mul(bd.coproduct(v)))
-        with counit_product.timed():
+    def multiplicative():
+        for u, v in pairs:
+            products.append(bd.total(u, v))
+            yield (lambda: f"{u!r} * {v!r}",
+                   bd.coproduct(products[-1]) - bd.coproduct(u).mul(bd.coproduct(v)))
+
+    def counit_product():
+        for (u, v), uv in zip(pairs, products):
             eps_uv = bd.counit(uv)
-            res_s = eps_uv - bd.counit(bd.total(u, bd.source(bd.counit(v))))
-            counit_product.check(lambda: f"s-form {u!r},{v!r}", res_s)
-            res_t = eps_uv - bd.counit(bd.total(u, bd.target(bd.counit(v))))
-            counit_product.check(lambda: f"t-form {u!r},{v!r}", res_t)
+            yield (lambda: f"s-form {u!r},{v!r}",
+                   eps_uv - bd.counit(bd.total(u, bd.source(bd.counit(v)))))
+            yield (lambda: f"t-form {u!r},{v!r}",
+                   eps_uv - bd.counit(bd.total(u, bd.target(bd.counit(v)))))
 
-    counit_laws = ResidualReport("counit-coproduct-law")
-    with counit_laws.timed():
-        one_a = PolyCoord.one(smash.dim, order, smash.rs.unit)
-        counit_laws.check("counit of unit", bd.counit(bd.unit()) - one_a)
+    def counit_coproduct():
+        one_a = PolyCoord.one(smash.dim, smash.order, smash.rs.unit)
+        yield "counit of unit", bd.counit(bd.unit()) - one_a
         for m in span:
-            T = bd.coproduct(m)
             left: dict = {}
             right: dict = {}
-            for (e, wl, wr), c in T.terms.items():
+            for (e, wl, wr), c in bd.coproduct(m).terms.items():
                 l = smash.basis_elem(e, wl)
                 r = bd.pure(wr)
                 _add_scaled(left, c, bd.total(bd.source(bd.counit(l)), r).terms)
                 _add_scaled(right, c, bd.total(bd.target(bd.counit(r)), l).terms)
-            counit_laws.check(lambda: f"s(eps(m1))m2 on {m!r}", SmashElem(smash, left) - m)
-            counit_laws.check(lambda: f"t(eps(m2))m1 on {m!r}", SmashElem(smash, right) - m)
+            yield lambda: f"s(eps(m1))m2 on {m!r}", SmashElem(smash, left) - m
+            yield lambda: f"t(eps(m2))m1 on {m!r}", SmashElem(smash, right) - m
 
-    return {
-        "maps": maps,
-        "coassociativity": coassoc,
-        "takeuchi": takeuchi,
-        "multiplicative": multiplicative,
-        "counit-product": counit_product,
-        "counit-coproduct": counit_laws,
-    }
+    # in this order: the counit-product law reads the multiplicativity products
+    return {"maps": evaluate(f"{len(monos)}^2 monomial pairs to degree {degree}", maps),
+            "coassociativity": evaluate(spanning, coassociativity),
+            "takeuchi": evaluate(f"{spanning} x {smash.dim} coordinates", takeuchi),
+            "multiplicative": evaluate(sampled, multiplicative),
+            "counit-product": evaluate(sampled, counit_product),
+            "counit-coproduct": evaluate(f"the unit + {spanning}", counit_coproduct)}
+
+
+def _monomials(smash: SmashAlgebra, degree: int) -> list:
+    """The coordinate monomials to ``degree``, unit first."""
+    return [PolyCoord.monomial(smash.dim, smash.order, e, smash.rs.unit)
+            for e in monomials_up_to(smash.dim, degree)]
 
 
 # -- the main equivalence harness ------------------------------------------
@@ -679,41 +674,29 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
     under phi (x) phi, first on the two generator families and then on
     general spanning monomials.
     """
-    order = smash.order
-    monos = [
-        PolyCoord.monomial(smash.dim, order, e, smash.rs.unit)
-        for e in monomials_up_to(smash.dim, degree)
-    ]
+    monos = _monomials(smash, degree)
+    span = smash.spanning(degree)
+    spanning = f"{len(span)} spanning elements to degree {degree}"
+    sides = []  # both bialgebroids, built by the first law
 
-    base_rep = ResidualReport("base-products")
-    with base_rep.timed():  # building both sides is charged here
+    def base_products():
         lhs = bm_side(smash, twist, check_degree)
         twistor_reports, rhs = xu_side(smash, twist, check_degree)
-        _refuse_failing(twistor_reports)
+        for name, law in twistor_reports.items():
+            if not law.ok():
+                raise InvalidTwistError(f"shifted twist fails {name}")
+        sides.extend((lhs, rhs))
         for a in monos:
             for b in monos:
-                base_rep.check(lambda: f"{a!r} * {b!r}", lhs.base(a, b) - rhs.base(a, b))
+                yield lambda: f"{a!r} * {b!r}", lhs.base(a, b) - rhs.base(a, b)
 
-    # the sweep is shared with smash-verify; this row is charged only the
-    # time spent here
-    total_rep = ResidualReport("phi-homomorphism")
-    with total_rep.timed():
-        hom = smash.phi_report(twist, degree)
-        total_rep.checked, total_rep.failures = hom.checked, hom.failures
+    base_rep = evaluate(f"{len(monos)}^2 monomial pairs to degree {degree}", base_products)
+    lhs, rhs = sides
 
-    st_rep = ResidualReport("source-target-maps")
-    with st_rep.timed():
+    def source_target():
         for a in monos:
-            st_rep.check(lambda: f"source {a!r}",
-                         phi(smash, twist, lhs.source(a)) - rhs.source(a))
-            st_rep.check(lambda: f"target {a!r}",
-                         phi(smash, twist, lhs.target(a)) - rhs.target(a))
-
-    span = smash.spanning(degree)
-    counit_rep = ResidualReport("counit-intertwined")
-    with counit_rep.timed():
-        for u in span:
-            counit_rep.check(lambda: repr(u), rhs.counit(phi(smash, twist, u)) - lhs.counit(u))
+            yield lambda: f"source {a!r}", phi(smash, twist, lhs.source(a)) - rhs.source(a)
+            yield lambda: f"target {a!r}", phi(smash, twist, lhs.target(a)) - rhs.target(a)
 
     def coproduct_residual(u: SmashElem) -> TensorOverA:
         """Delta_rhs(phi(u)) minus (phi (x) phi)(Delta_lhs(u))."""
@@ -723,29 +706,26 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
             for (e, wl, wr), c in lhs.coproduct(u).terms.items()
         ])
 
-    cases_rep = ResidualReport("coproduct-generator-cases")
-    with cases_rep.timed():
-        for w in spanning_words(smash.rs, degree):
-            if not w:
-                continue
+    def coproduct_cases():
+        for w in spanning_words(smash.rs, degree)[1:]:  # the empty word is no generator
             u = smash.basis_elem((0,) * smash.dim, w)
-            cases_rep.check(lambda: f"Hopf generator {u!r}", coproduct_residual(u))
+            yield lambda: f"Hopf generator {u!r}", coproduct_residual(u)
         for e in monomials_up_to(smash.dim, degree):
             u = smash.basis_elem(e, ())
-            cases_rep.check(lambda: f"coordinate {u!r}", coproduct_residual(u))
-
-    general_rep = ResidualReport("coproduct-general")
-    with general_rep.timed():
-        for u in span:
-            general_rep.check(lambda: repr(u), coproduct_residual(u))
+            yield lambda: f"coordinate {u!r}", coproduct_residual(u)
 
     return {
         "base-products": base_rep,
-        "total-products": total_rep,
-        "source-target-maps": st_rep,
-        "counit": counit_rep,
-        "coproduct-cases": cases_rep,
-        "coproduct-general": general_rep,
+        # the sweep smash-verify runs, shared through the memo
+        "total-products": smash.phi_report(twist, degree),
+        "source-target-maps": evaluate(f"{len(monos)} monomials to degree {degree}, both maps",
+                                       source_target),
+        "counit": evaluate(spanning, lambda: (
+            (lambda: repr(u), rhs.counit(phi(smash, twist, u)) - lhs.counit(u)) for u in span)),
+        "coproduct-cases": evaluate(f"Hopf words + monomials to degree {degree}",
+                                    coproduct_cases),
+        "coproduct-general": evaluate(spanning, lambda: (
+            (lambda: repr(u), coproduct_residual(u)) for u in span)),
         "_lhs": lhs,
         "_rhs": rhs,
     }

@@ -42,7 +42,7 @@ from .modalg import (
 )
 from .ncpoly import COORDINATE, MOMENTUM, NCPoly, SYMMETRY
 from .registry import PRESET_NAMES, materialize, preset
-from .reporting import ResidualReport
+from .reporting import evaluate
 from .scalars import TruncSeries, parse_gauss_literal, parse_scalar_literal
 from .smash import phi, phi_inv
 
@@ -64,7 +64,9 @@ class _FailFast(Exception):
 
 class Report:
     """The records of one command.  Each name is added under ``prefix``; with
-    ``fail_fast`` a failing record ends the run that adds it."""
+    ``fail_fast`` a failing record ends the run that adds it.  A record names
+    the domain its cases ran over; the human table shows it, the JSON does
+    not."""
 
     def __init__(self, command: str, source: str, order: int, degree: int,
                  fail_fast: bool = False):
@@ -75,8 +77,9 @@ class Report:
         self.fail_fast = fail_fast
         self.prefix = ""
         self.records = []
+        self._charged = set()  # the laws whose time a record carries
 
-    def add(self, name, identity, status, residual, checked=1, wall_ms=0.0):
+    def add(self, name, identity, status, residual, checked, wall_ms, *, domain):
         self.records.append({
             "name": self.prefix + name,
             "identity": identity,
@@ -84,19 +87,18 @@ class Report:
             "residual": residual,
             "checked": checked,
             "wall_ms": wall_ms,
+            "domain": domain,
         })
         if status == "fail" and self.fail_fast:
             raise _FailFast
 
-    def add_residual_report(self, name, identity, rep: ResidualReport, wall_ms=None):
-        """Add one record for a report; its time defaults to ``rep.wall_ms``."""
-        if wall_ms is None:
-            wall_ms = rep.wall_ms
-        if rep.ok():
-            self.add(name, identity, "pass", "0", rep.checked, wall_ms)
-        else:
-            label, res = rep.witness()
-            self.add(name, identity, "fail", f"{label}: {res!r}", rep.checked, wall_ms)
+    def add_law(self, name, identity, law):
+        """Add the record of an evaluated law.  A law entered again, a memoized
+        sweep that two checks share, ran once: it is charged no time again."""
+        wall_ms = 0.0 if law in self._charged else law.wall_ms
+        self._charged.add(law)
+        self.add(name, identity, "pass" if law.ok() else "fail", law.summary(),
+                 law.checked, wall_ms, domain=law.domain)
 
     @property
     def ok(self) -> bool:
@@ -115,18 +117,20 @@ class Report:
             "degree": self.degree,
             "ok": self.ok,
             "records": [
-                {k: v for k, v in r.items() if k != "wall_ms"} for r in self.records
+                {k: v for k, v in r.items() if k not in ("wall_ms", "domain")}
+                for r in self.records
             ],
         }
 
     def human(self) -> str:
-        rows = [("status", "check", "identity", "cases", "time", "residual")]
+        rows = [("status", "check", "identity", "cases", "domain", "time", "residual")]
         for r in self.records:
             rows.append((
                 r["status"].upper(),
                 r["name"],
                 r["identity"],
                 str(r["checked"]),
+                r["domain"],
                 f"{r['wall_ms']:.0f}ms",
                 r["residual"] if len(r["residual"]) <= 60 else r["residual"][:57] + "...",
             ))
@@ -332,57 +336,46 @@ def load_problem(args):
 # -- shared check fragments -------------------------------------------------
 
 
-def _timed(fn, *a, **kw):
-    t0 = time.perf_counter()
-    out = fn(*a, **kw)
-    return out, (time.perf_counter() - t0) * 1000.0
-
-
-def _poly_record(report, name, identity, residual, wall_ms=0.0):
-    status = "pass" if residual.is_zero() else "fail"
-    text = "0" if residual.is_zero() else repr(residual)
-    report.add(name, identity, status, text, 1, wall_ms)
-
-
 def run_foundation_checks(report: Report, prob):
     """Jacobi and representation records shared by commands; the problem
-    keeps both reports, so a later command is charged no time for them."""
-    jac, ms = _timed(lambda: prob.jacobi)
-    report.add_residual_report("structure-constants", "jacobi-identity", jac, ms)
-    rep_res, ms = _timed(lambda: prob.representation)
-    report.add_residual_report("representation", "representation-property", rep_res, ms)
+    keeps both laws, and a report charges their time to its first rows."""
+    report.add_law("structure-constants", "jacobi-identity", prob.jacobi)
+    report.add_law("representation", "representation-property", prob.representation)
 
 
 def run_twist_checks(report: Report, prob):
     """Twist-inverse, normalization, cocycle and R-matrix records."""
     bialg, twist = prob.bialg, prob.twist
     F, Fi = twist.F, twist.F_inv
-    one2 = NCPoly.one(bialg.rs, 2)
-    one1 = NCPoly.one(bialg.rs, 1)
-    for a, b, tag in ((F, Fi, "left"), (Fi, F, "right")):
-        _poly_record(report, f"twist-inverse ({tag})", "two-sided-inverse",
-                     *_timed(lambda: a * b - one2))
-    for leg, tag in ((1, "left"), (2, "right")):
-        _poly_record(report, f"normalization ({tag})", "counit-normalization",
-                     *_timed(lambda: bialg.counit_on_leg(twist.F, leg) - one1))
-        _poly_record(report, f"inverse normalization ({tag})", "counit-normalization",
-                     *_timed(lambda: bialg.counit_on_leg(twist.F_inv, leg) - one1))
+    one2, one1 = NCPoly.one(bialg.rs, 2), NCPoly.one(bialg.rs, 1)
 
-    coc, ms = _timed(check_cocycle, bialg, twist)
-    _poly_record(report, "cocycle", "twist-cocycle", coc["cocycle"], ms)
-    _poly_record(report, "inverse cocycle", "inverse-twist-cocycle", coc["inverse-cocycle"])
+    def law(name, identity, domain, residual):
+        """A law of one unlabelled case, whose residual ``residual()`` makes."""
+        report.add_law(name, identity, evaluate(domain, lambda: [("", residual())]))
+
+    for a, b, tag, product in ((F, Fi, "left", "F Finv"), (Fi, F, "right", "Finv F")):
+        law(f"twist-inverse ({tag})", "two-sided-inverse", f"the product {product}",
+            lambda: a * b - one2)
+    for leg, tag in ((1, "left"), (2, "right")):
+        law(f"normalization ({tag})", "counit-normalization", f"F, counit on leg {leg}",
+            lambda: bialg.counit_on_leg(F, leg) - one1)
+        law(f"inverse normalization ({tag})", "counit-normalization",
+            f"Finv, counit on leg {leg}", lambda: bialg.counit_on_leg(Fi, leg) - one1)
+
+    cocycle = {}  # both residuals, made by the first law
+    law("cocycle", "twist-cocycle", "F on three legs",
+        lambda: cocycle.update(check_cocycle(bialg, twist)) or cocycle["cocycle"])
+    law("inverse cocycle", "inverse-twist-cocycle", "Finv on three legs",
+        lambda: cocycle["inverse-cocycle"])
 
     R = twist.r_matrix
-    qt, ms = _timed(check_quasitriangular, bialg, R, CoproductMap(bialg, twist))
-    worst = ResidualReport("quasitriangular")
-    for label, res in qt.items():
-        worst.check(label, res)
-    report.add_residual_report("r-matrix laws", "quasi-triangularity", worst, ms)
-
-    (_, cybe), cybe_ms = _timed(classical_r_extract, R)
-    _poly_record(report, "triangularity", "r-matrix-triangularity",
-                 *_timed(lambda: R * R.swap_legs() - one2))
-    _poly_record(report, "classical limit", "classical-yang-baxter", cybe, cybe_ms)
+    report.add_law("r-matrix laws", "quasi-triangularity", evaluate(
+        f"{len(bialg.rs.generators)} generators, hexagons, counits, Yang-Baxter",
+        lambda: check_quasitriangular(bialg, R, CoproductMap(bialg, twist)).items()))
+    law("triangularity", "r-matrix-triangularity", "the product R R21",
+        lambda: R * R.swap_legs() - one2)
+    law("classical limit", "classical-yang-baxter", "r, the h^1 part of R",
+        lambda: classical_r_extract(R)[1])
 
 
 # -- commands ---------------------------------------------------------------
@@ -399,55 +392,58 @@ def cmd_check_twist(args, prob, report):
 def cmd_star_table(args, prob, report):
     run_foundation_checks(report, prob)
     star = prob.smash.product(prob.twist).star
-    table, ms = _timed(star_commutator_table, star)
+    table = []  # made by the first pair's law
+
+    def entry(mu, nu):
+        if not table:
+            table.extend(star_commutator_table(star))
+        return [("", table[mu][nu])]
+
     names = prob.rep.coordinates
     for mu in range(prob.rep.dim):
         for nu in range(mu + 1, prob.rep.dim):
-            entry = table[mu][nu]
-            text = "0" if entry.is_zero() else repr(entry)
-            report.add(
-                f"[{names[mu]}, {names[nu]}]*", "star-commutator", "witness", text, 1,
-                ms if (mu, nu) == (0, 1) else 0.0,
-            )
+            # a witness row: the commutator, evaluated as a law of one case
+            law = evaluate(f"the coordinate pair ({names[mu]}, {names[nu]})",
+                           lambda: entry(mu, nu))
+            report.add(f"[{names[mu]}, {names[nu]}]*", "star-commutator", "witness",
+                       law.summary(), law.checked, law.wall_ms, domain=law.domain)
     R = prob.twist.r_matrix
-    braided, ms = _timed(check_braided_commutativity, star, R, prob.degree + 1)
-    report.add_residual_report("braided commutativity", "braided-commutativity", braided, ms)
-    mod, ms = _timed(check_module_algebra, prob.bialg, prob.rep, prob.degree)
-    report.add_residual_report("module algebra", "action-leibniz-compatibility", mod, ms)
+    report.add_law("braided commutativity", "braided-commutativity",
+                   check_braided_commutativity(star, R, prob.degree + 1))
+    report.add_law("module algebra", "action-leibniz-compatibility",
+                   check_module_algebra(prob.bialg, prob.rep, prob.degree))
 
 
 def cmd_smash_verify(args, prob, report):
     import random
 
     run_foundation_checks(report, prob)
-    alg = prob.smash
+    alg, twist = prob.smash, prob.twist
     rng = random.Random(4711)
     span = alg.spanning(prob.degree)
     triples = [tuple(rng.choice(span) for _ in range(3)) for _ in range(25)]
-    for label, twist in (("undeformed", None), ("deformed", prob.twist)):
-        mul = alg.product(twist)
-        assoc = ResidualReport(f"associativity-{label}")
-        unital = ResidualReport("unit")
-        with assoc.timed():
+    for label, product_twist in (("undeformed", None), ("deformed", twist)):
+        mul = alg.product(product_twist)
+
+        def products():
             for u, v, w in triples:
-                assoc.check(lambda: f"{u!r};{v!r};{w!r}", mul(mul(u, v), w) - mul(u, mul(v, w)))
+                yield lambda: f"{u!r};{v!r};{w!r}", mul(mul(u, v), w) - mul(u, mul(v, w))
             for u in span[:10]:
-                unital.check(lambda: f"1*{u!r}", mul(alg.one(), u) - u)
-                unital.check(lambda: f"{u!r}*1", mul(u, alg.one()) - u)
-        assoc.merge(unital)
-        report.add_residual_report(f"{label} product", "smash-associativity-unitality", assoc)
+                yield lambda: f"1*{u!r}", mul(alg.one(), u) - u
+                yield lambda: f"{u!r}*1", mul(u, alg.one()) - u
 
-    bij = ResidualReport("phi-bijective")
-    with bij.timed():
+        report.add_law(f"{label} product", "smash-associativity-unitality", evaluate(
+            f"25 triples, seed 4711 + {len(span[:10])} elements x 2 sides", products))
+
+    def bijectivity():
         for u in span:
-            bij.check(lambda: f"phi.phi_inv {u!r}",
-                      phi(alg, prob.twist, phi_inv(alg, prob.twist, u)) - u)
-            bij.check(lambda: f"phi_inv.phi {u!r}",
-                      phi_inv(alg, prob.twist, phi(alg, prob.twist, u)) - u)
-    report.add_residual_report("phi bijectivity", "phi-invertibility", bij)
+            yield lambda: f"phi.phi_inv {u!r}", phi(alg, twist, phi_inv(alg, twist, u)) - u
+            yield lambda: f"phi_inv.phi {u!r}", phi_inv(alg, twist, phi(alg, twist, u)) - u
 
-    hom, ms = _timed(alg.phi_report, prob.twist, prob.degree)
-    report.add_residual_report("phi homomorphism", "phi-intertwines-products", hom, ms)
+    report.add_law("phi bijectivity", "phi-invertibility", evaluate(
+        f"{len(span)} spanning elements to degree {prob.degree}, both ways", bijectivity))
+    report.add_law("phi homomorphism", "phi-intertwines-products",
+                   alg.phi_report(twist, prob.degree))
 
 
 def _construction_identity(exc: ValueError) -> str:
@@ -462,6 +458,7 @@ def cmd_algebroid_verify(args, prob, report, side=None):
     """The construction of ``side``, by default ``--side``."""
     side = side or args.side
     run_foundation_checks(report, prob)
+    built = "braided commutativity to degree 2"
     t0 = time.perf_counter()
     try:
         # built at the check degree verify_theorem uses, so theorem reuses them
@@ -469,30 +466,28 @@ def cmd_algebroid_verify(args, prob, report, side=None):
             bd = bm_side(prob.smash, prob.twist, 2)
         else:
             twistor_reports, bd = xu_side(prob.smash, prob.twist, 2)
-            for name, rep in twistor_reports.items():
-                report.add_residual_report(f"twistor {name}", f"twistor-{name}", rep)
+            for name, law in twistor_reports.items():
+                report.add_law(f"twistor {name}", f"twistor-{name}", law)
     except ValueError as exc:
         report.add("construction", _construction_identity(exc), "fail",
-                   str(exc), 1, (time.perf_counter() - t0) * 1000.0)
+                   str(exc), 1, (time.perf_counter() - t0) * 1000.0, domain=built)
         return
     build_ms = (time.perf_counter() - t0) * 1000.0
-    report.add("construction", "braided-commutativity-precondition", "pass", "0", 1, build_ms)
+    report.add("construction", "braided-commutativity-precondition", "pass", "0", 1, build_ms,
+               domain=built)
 
-    axioms = check_bialgebroid_axioms(bd, prob.degree)
-    for name, rep in axioms.items():
-        report.add_residual_report(name, f"bialgebroid-{name}", rep)
+    for name, law in check_bialgebroid_axioms(bd, prob.degree).items():
+        report.add_law(name, f"bialgebroid-{name}", law)
 
-    R = prob.twist.r_matrix
-    qt = check_qt_shifted(bd, R, min(prob.degree, 1))
-    report.add_residual_report("shifted R preserved laws", "shifted-r-coproduct-counit", qt["preserved"])
-    report.add_residual_report("shifted R closed forms", "shifted-r-closed-forms", qt["closed_forms"])
-    if qt["witness"] is None:
-        report.add("shifted R intertwining", "shifted-r-intertwining", "pass",
-                   "no witness: difference vanishes", 1)
-    else:
-        label, _diff = qt["witness"]
-        report.add("shifted R intertwining", "shifted-r-intertwining", "witness",
-                   f"differs on {label}", 1)
+    degree = min(prob.degree, 1)
+    qt = check_qt_shifted(bd, prob.twist.r_matrix, degree)
+    report.add_law("shifted R preserved laws", "shifted-r-coproduct-counit", qt["preserved"])
+    report.add_law("shifted R closed forms", "shifted-r-closed-forms", qt["closed_forms"])
+    witness = qt["witness"]
+    report.add("shifted R intertwining", "shifted-r-intertwining",
+               "pass" if witness is None else "witness",
+               "no witness: difference vanishes" if witness is None else f"differs on {witness[0]}",
+               1, 0.0, domain=f"spanning elements to degree {degree}, first difference")
 
 
 def cmd_theorem(args, prob, report):
@@ -500,12 +495,12 @@ def cmd_theorem(args, prob, report):
     try:
         out = verify_theorem(prob.smash, prob.twist, prob.degree)
     except ValueError as exc:
-        report.add("construction", _construction_identity(exc), "fail", str(exc), 1)
+        report.add("construction", _construction_identity(exc), "fail", str(exc), 1, 0.0,
+                   domain="braided commutativity to degree 2, twistor laws")
         return
-    for name, rep in out.items():
-        if name.startswith("_"):
-            continue
-        report.add_residual_report(name, f"equivalence-{name}", rep)
+    for name, law in out.items():
+        if not name.startswith("_"):
+            report.add_law(name, f"equivalence-{name}", law)
 
 
 SUITE_CHECKS = {
@@ -629,12 +624,11 @@ def cmd_commutator(args, prob, report):
     mul = prob.smash.product(prob.twist if args.deformed else None)
     lhs = _ExprParser(args.lhs, prob, mul).parse()
     rhs = _ExprParser(args.rhs, prob, mul).parse()
-    out, ms = _timed(lambda: mul(lhs, rhs) - mul(rhs, lhs))
+    # a witness row: the commutator, evaluated as a law of one case
+    law = evaluate("the two given expressions", lambda: [("", mul(lhs, rhs) - mul(rhs, lhs))])
     label = "deformed" if args.deformed else "undeformed"
-    report.add(
-        f"[{args.lhs}, {args.rhs}] ({label})", "commutator-evaluation", "witness",
-        repr(out), 1, ms,
-    )
+    report.add(f"[{args.lhs}, {args.rhs}] ({label})", "commutator-evaluation", "witness",
+               law.summary(), law.checked, law.wall_ms, domain=law.domain)
 
 
 def run(args) -> Report:

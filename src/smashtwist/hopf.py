@@ -111,7 +111,8 @@ class Twist:
 
     @cached_property
     def r_matrix(self) -> NCPoly:
-        return r_matrix_from_twist(self.bialg, self)
+        """R = F_21 F^{-1}, the triangular R-matrix generated by the twist."""
+        return self.F.swap_legs() * self.F_inv
 
 
 def twist_from_exponent(bialg: BialgebraPresentation, t: NCPoly) -> Twist:
@@ -194,12 +195,6 @@ class CoproductMap:
         each coefficient canonical in the problem's intern table."""
         poly = self(NCPoly(self.bialg.rs, 1, {(ranks,): self.bialg.rs.unit}))
         return tuple((l, r, c) for (l, r), c in poly.terms.items())
-
-
-def r_matrix_from_twist(bialg: BialgebraPresentation, twist: Twist) -> NCPoly:
-    """R = F_21 F^{-1}, the triangular R-matrix generated by the twist; the
-    twist keeps it as ``Twist.r_matrix``."""
-    return twist.F.swap_legs() * twist.F_inv
 
 
 def inv_unipotent(p: NCPoly) -> NCPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .ncpoly import MOMENTUM, SCALARS, SYMMETRY, LinearCombination, NCPoly, RewriteSystem, \
     _add_scaled, _bump, memoized
 from .scalars import ZERO, GaussRational, TruncSeries, parse_gauss_literal
-from .reporting import ResidualReport
+from .reporting import ResidualReport, evaluate
 
 
 class PolyCoord(LinearCombination):
@@ -168,38 +168,52 @@ class RepData:
 
     def representation_residuals(self) -> ResidualReport:
         """Matrix-commutator and action-composition consistency checks."""
-        report = ResidualReport("representation")
         sym = self.rs.names(SYMMETRY)
-        for i, na in enumerate(sym):
-            for nb in sym[i + 1 :]:
-                bracket = self.rs.bracket(na, nb)
-                try:
-                    want = _matrix_of(self, bracket)
-                except ValueError as exc:
-                    report.record(f"matrix [{na},{nb}]", True, str(exc))
-                    continue
-                have = _mat_sub(
-                    _mat_mul(self.matrices[na], self.matrices[nb]),
-                    _mat_mul(self.matrices[nb], self.matrices[na]),
-                )
-                diff = _mat_sub(have, want)
-                report.record(f"matrix [{na},{nb}]", _mat_nonzero(diff), diff)
         names = self.rs.names()
-        coords = [PolyCoord.coord(self.dim, self.rs.order, mu, self.rs.unit)
-                  for mu in range(self.dim)]
-        for i, na in enumerate(names):
-            pa = NCPoly.gen(self.rs, na)
-            pa_coords = [act(self, pa, xmu) for xmu in coords]
-            for nb in names[i + 1 :]:
-                pb = NCPoly.gen(self.rs, nb)
-                # pb * pa, not pa * pb: for na before nb the latter is
-                # already a normal word and acts letterwise as pa after pb
-                pba = pb * pa
-                for mu, xmu in enumerate(coords):
-                    lhs = act(self, pba, xmu)
-                    rhs = act(self, pb, pa_coords[mu])
-                    report.check(lambda: f"compose [{na},{nb}] on x{mu}", lhs - rhs)
-        return report
+
+        def cases():
+            for i, na in enumerate(sym):
+                for nb in sym[i + 1 :]:
+                    try:
+                        want = _matrix_of(self, self.rs.bracket(na, nb))
+                    except ValueError as exc:
+                        yield f"matrix [{na},{nb}]", _Refusal(exc)
+                        continue
+                    have = _mat_sub(
+                        _mat_mul(self.matrices[na], self.matrices[nb]),
+                        _mat_mul(self.matrices[nb], self.matrices[na]),
+                    )
+                    yield f"matrix [{na},{nb}]", _Matrix(_mat_sub(have, want))
+            coords = [PolyCoord.coord(self.dim, self.rs.order, mu, self.rs.unit)
+                      for mu in range(self.dim)]
+            for i, na in enumerate(names):
+                pa = NCPoly.gen(self.rs, na)
+                pa_coords = [act(self, pa, xmu) for xmu in coords]
+                for nb in names[i + 1 :]:
+                    pb = NCPoly.gen(self.rs, nb)
+                    # pb * pa, not pa * pb: for na before nb the latter is
+                    # already a normal word and acts letterwise as pa after pb
+                    pba = pb * pa
+                    for mu, xmu in enumerate(coords):
+                        lhs = act(self, pba, xmu)
+                        rhs = act(self, pb, pa_coords[mu])
+                        yield lambda: f"compose [{na},{nb}] on x{mu}", lhs - rhs
+
+        return evaluate(f"symmetry pairs + generator pairs x {self.dim} coordinates", cases)
+
+
+class _Matrix(tuple):
+    """A matrix difference as a residual: zero iff every entry is."""
+
+    def is_zero(self) -> bool:
+        return not any(not x.is_zero() for row in self for x in row)
+
+
+class _Refusal(str):
+    """Why a residual could not be formed: a case that always fails."""
+
+    def is_zero(self) -> bool:
+        return False
 
 
 def _matrix_of(rep: RepData, p: NCPoly):
@@ -233,10 +247,6 @@ def _mat_mul(a, b):
 
 def _mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_nonzero(a) -> bool:
-    return any(not x.is_zero() for row in a for x in row)
 
 
 def act(rep: RepData, h_elem: NCPoly, a: PolyCoord) -> PolyCoord:
@@ -317,54 +327,58 @@ def check_module_algebra(bialg, rep: RepData, degree: int = 3) -> ResidualReport
     """
     if bialg.rs is not rep.rs:
         raise ValueError("bialgebra and representation use different alphabets")
-    report = ResidualReport("module-algebra")
     n = len(rep.rs.generators)
     words = [(r,) for r in range(n)] + [(r1, r2) for r1 in range(n) for r2 in range(r1, n)]
     monos = monomials_up_to(rep.dim, degree)
     order, unit = rep.rs.order, rep.rs.unit
-    for ranks in words:
-        splits = bialg.word_splits(ranks)
-        word = ".".join(rep.rs.generators[r].name for r in ranks)
-        for ea in monos:
-            for eb in monos:
-                lhs = rep.act_word(ranks, tuple(x + y for x, y in zip(ea, eb)))
-                rhs = PolyCoord.zero(rep.dim, order)
-                for left, right, mult in splits:
-                    part = rep.act_word(left, ea) * rep.act_word(right, eb)
-                    rhs = rhs + part.scale(mult)
-                report.check(lambda: f"{word} on {ea}*{eb}", lhs - rhs)
     names = rep.rs.names()
-    for i, na in enumerate(names):
-        pa = NCPoly.gen(rep.rs, na)
-        for nb in names[: i + 1]:
-            prod = pa * NCPoly.gen(rep.rs, nb)
+
+    def cases():
+        for ranks in words:
+            splits = bialg.word_splits(ranks)
+            word = ".".join(rep.rs.generators[r].name for r in ranks)
             for ea in monos:
-                mono = PolyCoord.monomial(rep.dim, order, ea, unit)
-                lhs = act(rep, prod, mono)
-                rhs = act(rep, pa, rep.act_word((rep.rs._rank(nb),), ea))
-                report.check(lambda: f"relations [{na} {nb}] on {ea}", lhs - rhs)
-    return report
+                for eb in monos:
+                    lhs = rep.act_word(ranks, tuple(x + y for x, y in zip(ea, eb)))
+                    rhs = PolyCoord.zero(rep.dim, order)
+                    for left, right, mult in splits:
+                        part = rep.act_word(left, ea) * rep.act_word(right, eb)
+                        rhs = rhs + part.scale(mult)
+                    yield lambda: f"{word} on {ea}*{eb}", lhs - rhs
+        for i, na in enumerate(names):
+            pa = NCPoly.gen(rep.rs, na)
+            for nb in names[: i + 1]:
+                prod = pa * NCPoly.gen(rep.rs, nb)
+                for ea in monos:
+                    mono = PolyCoord.monomial(rep.dim, order, ea, unit)
+                    lhs = act(rep, prod, mono)
+                    rhs = act(rep, pa, rep.act_word((rep.rs._rank(nb),), ea))
+                    yield lambda: f"relations [{na} {nb}] on {ea}", lhs - rhs
+
+    return evaluate(f"{len(words)} words x {len(monos)}^2 monomials + relations", cases)
 
 
 def check_braided_commutativity(star: StarProduct, R: NCPoly, degree: int = 3) -> ResidualReport:
     """Residual of a*b - (R_2 acting on b)*(R_1 acting on a) over monomials."""
     rep = star.rep
     order, unit = rep.rs.order, rep.rs.unit
-    report = ResidualReport("braided-commutativity")
     monos = monomials_up_to(rep.dim, degree)
-    for ea in monos:
-        a = PolyCoord.monomial(rep.dim, order, ea, unit)
-        for eb in monos:
-            b = PolyCoord.monomial(rep.dim, order, eb, unit)
-            rhs = PolyCoord.zero(rep.dim, order)
-            for (w1, w2), c in R.terms.items():
-                rb = rep.act_word(w2, eb)
-                ra = rep.act_word(w1, ea)
-                if rb.is_zero() or ra.is_zero():
-                    continue
-                rhs = rhs + star(rb, ra).scale(c)
-            report.check(lambda: f"{ea} vs {eb}", star(a, b) - rhs)
-    return report
+
+    def cases():
+        for ea in monos:
+            a = PolyCoord.monomial(rep.dim, order, ea, unit)
+            for eb in monos:
+                b = PolyCoord.monomial(rep.dim, order, eb, unit)
+                rhs = PolyCoord.zero(rep.dim, order)
+                for (w1, w2), c in R.terms.items():
+                    rb = rep.act_word(w2, eb)
+                    ra = rep.act_word(w1, ea)
+                    if rb.is_zero() or ra.is_zero():
+                        continue
+                    rhs = rhs + star(rb, ra).scale(c)
+                yield lambda: f"{ea} vs {eb}", star(a, b) - rhs
+
+    return evaluate(f"monomial pairs to degree {degree}", cases)
 
 
 def star_commutator_table(star: StarProduct):

@@ -356,7 +356,12 @@ class LinearCombination:
 
     def scale(self, value):
         c = value if isinstance(value, TruncSeries) else TruncSeries.coerce(value, self._order())
-        return self._like({} if c.is_zero() else _add_scaled({}, c, self.terms))
+        if c.is_zero() or not self.terms:
+            return self._like({})
+        # one join of the coefficients' intern table, not one per term
+        home = next(iter(self.terms.values()))._home
+        table = home and home()
+        return self._like(_add_scaled({}, c if table is None else table.intern(c), self.terms))
 
     def __mul__(self, other):
         if isinstance(other, SCALARS):

@@ -24,7 +24,7 @@ from functools import cached_property
 from .hopf import BialgebraPresentation, Twist, twist_from_exponent
 from .modalg import RepData
 from .ncpoly import COORDINATE, MOMENTUM, NCPoly, RewriteSystem, SYMMETRY
-from .reporting import ResidualReport
+from .reporting import ResidualReport, evaluate
 from .scalars import parse_scalar_literal
 from .smash import SmashAlgebra
 
@@ -180,10 +180,9 @@ def materialize(cfg: dict | str, order: int | None = None,
 
 
 def jacobi_report(rs: RewriteSystem) -> ResidualReport:
-    """One failure per triple with a nonzero Jacobi residual, or one passing case."""
-    report = ResidualReport("jacobi")
-    for na, nb, nc, res in rs.jacobi_residuals():
-        report.record(f"({na}, {nb}, {nc})", True, res)
-    if report.checked == 0:
-        report.record("all triples", False)
-    return report
+    """A failing case per triple with a nonzero Jacobi residual, or one passing case."""
+    def cases():
+        failing = [(f"({na}, {nb}, {nc})", res) for na, nb, nc, res in rs.jacobi_residuals()]
+        yield from failing or [("all triples", NCPoly.zero(rs))]
+
+    return evaluate(f"triples of {len(rs.generators)} generators: failing ones, else 1", cases)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .hopf import BialgebraPresentation, CoproductMap, Twist
 from .modalg import PolyCoord, RepData, StarProduct, monomial_str, monomials_up_to
 from .ncpoly import LinearCombination, NCPoly, _add_scaled, _bump, _linear, memoized
-from .reporting import ResidualReport
+from .reporting import ResidualReport, evaluate
 
 
 class SmashAlgebra:
@@ -237,14 +237,12 @@ def verify_phi_homomorphism(
     alg = algebra
     deformed = alg.product(twist)
     plain = alg.product(None)
-    report = ResidualReport("phi-homomorphism")
+    monos = monomials_up_to(alg.dim, degree)
+    words = spanning_words(alg.rs, degree)
+    basis = [(ea, wl) for ea in monos for wl in words]
 
-    with report.timed():
-        monos = monomials_up_to(alg.dim, degree)
-        words = spanning_words(alg.rs, degree)
-        basis = [(ea, wl) for ea in monos for wl in words]
+    def cases():
         phi_of = {key: phi(alg, twist, alg.basis_elem(*key)) for key in basis}
-
         for ea, wl in basis:
             u = alg.basis_elem(ea, wl)
             pu = phi_of[(ea, wl)]
@@ -257,5 +255,6 @@ def verify_phi_homomorphism(
             for eb, wj in basis:
                 v = alg.basis_elem(eb, wj)
                 r = phi(alg, twist, deformed(u, v)) - plain(pu, phi_of[(eb, wj)])
-                report.check(lambda: f"{case} {ea}|{wl} vs {eb}|{wj}", r)
-    return report
+                yield lambda: f"{case} {ea}|{wl} vs {eb}|{wj}", r
+
+    return evaluate(f"{len(basis)}^2 basis pairs to degree {degree}", cases)

@@ -20,7 +20,7 @@ from smashtwist.algebroid import (
     verify_theorem,
     xu_twist,
 )
-from smashtwist.hopf import check_cocycle, r_matrix_from_twist
+from smashtwist.hopf import check_cocycle
 from smashtwist.modalg import (
     PolyCoord,
     StarProduct,
@@ -110,7 +110,7 @@ def test_criterion_2_deformed_coordinate_table(problems):
 def test_criterion_3_braided_commutativity(problems):
     prob = problems[("igl2-abelian", 3)]
     star = StarProduct(prob.rep, prob.twist)
-    R = r_matrix_from_twist(prob.bialg, prob.twist)
+    R = prob.twist.r_matrix
     report = check_braided_commutativity(star, R, degree=3)
     _report("3", report.ok(), f"braided commutativity zero on {report.checked} monomial pairs (deg <= 3, N=3)")
 
@@ -172,7 +172,7 @@ def test_criterion_7_shifted_r_matrix(problems):
     for name in NONTRIVIAL:
         prob = problems[(name, 3)]
         bdF = bm_bialgebroid_twisted(prob.smash, prob.twist)
-        R = r_matrix_from_twist(prob.bialg, prob.twist)
+        R = prob.twist.r_matrix
         out = check_qt_shifted(bdF, R, degree=1)
         ok = out["preserved"].ok() and out["closed_forms"].ok() and out["witness"] is not None
         label = out["witness"][0] if out["witness"] else "none"

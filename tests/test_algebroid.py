@@ -22,11 +22,11 @@ from smashtwist.algebroid import (
     verify_theorem,
     xu_twist,
 )
-from smashtwist.hopf import r_matrix_from_twist, trivial_twist
+from smashtwist.hopf import trivial_twist
 from smashtwist.modalg import PolyCoord, act, monomials_up_to
 from smashtwist.ncpoly import NCPoly
 from smashtwist.registry import materialize
-from smashtwist.reporting import ResidualReport
+from smashtwist.reporting import ResidualReport, evaluate
 from smashtwist.scalars import GaussRational, TruncSeries
 from smashtwist.smash import SmashAlgebra, SmashElem, SmashProduct, phi, spanning_words
 
@@ -100,7 +100,7 @@ def test_bm_maps(igl2, bd_plain, bd_twisted):
     # twisted side: source is unchanged, target picks up R-legs
     assert bd_twisted.source(x1) == alg.coord_elem(x1)
     assert bd_twisted.target(x1) != alg.coord_elem(x1)
-    R = r_matrix_from_twist(igl2.bialg, igl2.twist)
+    R = igl2.twist.r_matrix
     want = alg.zero()
     for word, c in R.terms.items():
         part = act(alg.rep, NCPoly(alg.rs, 1, {(word[1],): TruncSeries.one(igl2.order)}), x1)
@@ -127,7 +127,7 @@ def test_bm_coproduct_and_counit(igl2, bd_plain):
 def test_construction_refused_without_braided_base(igl2):
     # the twisted R-matrix with the undeformed commutative product is not
     # braided commutative, so the constructor must refuse
-    R = r_matrix_from_twist(igl2.bialg, igl2.twist)
+    R = igl2.twist.r_matrix
     with pytest.raises(ValueError, match="braided"):
         bm_bialgebroid(igl2.smash, rmatrix=R)
 
@@ -162,7 +162,7 @@ def test_shift_twist_validates(igl2, bd_plain):
 
 
 def test_shift_rmatrix_laws(igl2, bd_twisted):
-    R = r_matrix_from_twist(igl2.bialg, igl2.twist)
+    R = igl2.twist.r_matrix
     Rt = shift_legs(bd_twisted, R)
     # counit contractions collapse to the unit
     assert Rt.counit_left() == bd_twisted.unit()
@@ -183,10 +183,8 @@ def test_report_check_records_a_failure_iff_the_residual_is_nonzero(bd_plain, mo
         record(self, *args, **kwargs)
 
     monkeypatch.setattr(ResidualReport, "record", spy)
-    rep = ResidualReport("check")
     unit = bd_plain.tensor_unit()
-    rep.check("zero", unit - unit)
-    rep.check("unit", unit)
+    rep = evaluate("two tensors", lambda: [("zero", unit - unit), ("unit", unit)])
     assert rep.checked == 2
     assert rep.failures == [("unit", unit)]
     # positional, as a hook on record reads its arguments
@@ -209,10 +207,8 @@ def test_a_callable_label_is_made_only_for_a_failing_case(bd_plain, monkeypatch)
 
     made = []
     monkeypatch.setattr(ResidualReport, "record", spy)
-    rep = ResidualReport("check")
     unit = bd_plain.tensor_unit()
-    rep.check(label("zero"), unit - unit)
-    rep.check(label("unit"), unit)
+    rep = evaluate("two tensors", lambda: [(label("zero"), unit - unit), (label("unit"), unit)])
     assert made == ["unit"]
     assert rep.failures == [("unit", unit)]
     # a passing case hands record an empty label
@@ -227,7 +223,7 @@ def test_qt_shifted_trivial_has_no_witness(igl2, bd_plain):
 
 
 def test_qt_shifted_twisted_has_witness(igl2, bd_twisted):
-    R = r_matrix_from_twist(igl2.bialg, igl2.twist)
+    R = igl2.twist.r_matrix
     out = check_qt_shifted(bd_twisted, R, degree=1)
     assert out["preserved"].ok()
     assert out["closed_forms"].ok()
@@ -243,7 +239,7 @@ def test_qt_shifted_specific_witness(igl2, bd_twisted):
     # the intertwining failure is visible on x0 (x) P0 at order h
     from smashtwist.hopf import inv_unipotent
     alg = igl2.smash
-    R = r_matrix_from_twist(igl2.bialg, igl2.twist)
+    R = igl2.twist.r_matrix
     Rt = shift_legs(bd_twisted, R)
     Rt_inv = shift_legs(bd_twisted, inv_unipotent(R))
     m = alg.elem(PolyCoord.coord(2, igl2.order, 0), NCPoly.gen(alg.rs, "P0"))
@@ -498,7 +494,7 @@ def test_axiom_and_theorem_reports_are_each_timed():
     reports += [rep for name, rep in out.items() if not name.startswith("_")]
     assert len(reports) == 12
     for rep in reports:
-        assert rep.wall_ms > 0, rep.name
+        assert rep.wall_ms > 0, rep.domain
 
 
 # -- key-level products against the element-level formula --------------------

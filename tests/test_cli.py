@@ -646,3 +646,65 @@ def test_export_at_a_higher_order_round_trips(tmp_path):
     out = str(tmp_path / "report.json")
     assert main(["check-twist", "--config", path, "--json", out]) == EXIT_PASS
     assert json.loads(open(out).read())["order"] == 5
+
+
+# the rows that are no residual law: witnesses, and the construction of a side
+WITNESS_AND_CONSTRUCTION = {
+    "star-commutator", "shifted-r-intertwining", "commutator-evaluation",
+    "braided-commutativity-precondition", "twistor-laws",
+}
+
+
+def test_every_record_comes_from_a_declared_law(monkeypatch):
+    from smashtwist import algebroid, cli, modalg, registry, smash
+    from smashtwist.cli import Report
+
+    evaluated = []
+    for module in (algebroid, cli, modalg, registry, smash):
+        def spy(*args, evaluate=module.evaluate):
+            evaluated.append(evaluate(*args))
+            return evaluated[-1]
+        monkeypatch.setattr(module, "evaluate", spy)
+    through_law = []
+    add, add_law = Report.add, Report.add_law
+
+    def spy_add(self, *args, **kwargs):
+        through_law.append(bool(entering))
+        add(self, *args, **kwargs)
+
+    def spy_add_law(self, name, identity, law):
+        assert any(law is out for out in evaluated), name
+        entering.append(name)
+        try:
+            add_law(self, name, identity, law)
+        finally:
+            entering.pop()
+
+    entering = []
+    monkeypatch.setattr(Report, "add", spy_add)
+    monkeypatch.setattr(Report, "add_law", spy_add_law)
+    problem = ["--preset", "pw-jordanian", "--order", "1", "--degree", "1"]
+    seen = set()
+    for argv in (["check-twist"], ["star-table"], ["smash-verify"],
+                 ["algebroid-verify", "--side", "xu-twisted"], ["theorem"], ["suite"],
+                 ["commutator", "x0", "x1", "--deformed"]):
+        through_law.clear()
+        report = run(build_parser().parse_args(argv + problem))
+        assert len(through_law) == len(report.records)
+        lines = report.human().splitlines()[4:]
+        for rec, via_law, line in zip(report.records, through_law, lines):
+            assert rec["domain"], rec["name"]
+            assert via_law or rec["identity"] in WITNESS_AND_CONSTRUCTION, rec["name"]
+            if rec["identity"] in ("star-commutator", "commutator-evaluation"):
+                # the value a witness shows is evaluated as a law of one case
+                assert any(rec["domain"] is out.domain for out in evaluated), rec["name"]
+            # the human table prints each row's domain, the JSON does not
+            assert rec["name"] in line and rec["domain"] in line
+            seen.add(rec["identity"])
+            if rec["name"].endswith(("undeformed product", "deformed product")):
+                assert "seed 4711" in rec["domain"]
+            if rec["name"].endswith(("multiplicative", "counit-product")):
+                assert "seed 20259" in rec["domain"]
+        assert all("domain" not in rec for rec in report.to_json()["records"])
+    assert WITNESS_AND_CONSTRUCTION - {"twistor-laws"} <= seen
+    assert {"smash-associativity-unitality", "bialgebroid-multiplicative"} <= seen

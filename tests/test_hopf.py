@@ -15,7 +15,6 @@ from smashtwist.hopf import (
     check_quasitriangular,
     classical_r_extract,
     inv_unipotent,
-    r_matrix_from_twist,
     trivial_twist,
     twist_from_exponent,
 )
@@ -205,8 +204,8 @@ def test_twisted_coproduct_laws(igl2):
 def test_r_matrix_examples(igl2):
     b, tw = igl2.bialg, igl2.twist
     rs = b.rs
-    assert r_matrix_from_twist(b, trivial_twist(b)) == NCPoly.one(rs, 2)
-    R = r_matrix_from_twist(b, tw)
+    assert trivial_twist(b).r_matrix == NCPoly.one(rs, 2)
+    R = tw.r_matrix
     # triangularity: R R_21 = 1
     assert R * R.swap_legs() == NCPoly.one(rs, 2)
     # abelian exponent t gives R = exp(t_21 - t) = exp(-2t + 2t_21)/..: verify directly
@@ -221,7 +220,7 @@ def test_r_matrix_antisymmetric_exponent_pattern():
     rs = prob.bialg.rs
     t = twist_exponent(preset("heisenberg"), rs)
     assert t.swap_legs() == -t
-    R = r_matrix_from_twist(prob.bialg, prob.twist)
+    R = prob.twist.r_matrix
     assert R == t.swap_legs().scale(2).exp_truncated()
 
 
@@ -230,7 +229,7 @@ def test_classical_r_extract(igl2):
     rs = b.rs
     r0, cybe0 = classical_r_extract(NCPoly.one(rs, 2))
     assert r0.is_zero() and cybe0.is_zero()
-    R = r_matrix_from_twist(b, tw)
+    R = tw.r_matrix
     r, cybe = classical_r_extract(R)
     # frozen from expanding F_21 F^{-1} to first order
     i = GaussRational(0, 1)
@@ -247,7 +246,7 @@ def test_classical_r_extract(igl2):
 
 def test_classical_r_cybe_for_presets(igl2, pw):
     for prob in (igl2, pw):
-        R = r_matrix_from_twist(prob.bialg, prob.twist)
+        R = prob.twist.r_matrix
         _, cybe = classical_r_extract(R)
         assert cybe.is_zero()
 
@@ -261,7 +260,7 @@ def test_quasitriangular_cocommutative(igl2):
 def test_quasitriangular_twisted(igl2, pw):
     for prob in (igl2, pw):
         b, tw = prob.bialg, prob.twist
-        R = r_matrix_from_twist(b, tw)
+        R = tw.r_matrix
         res = check_quasitriangular(b, R, CoproductMap(b, tw))
         assert all(v.is_zero() for v in res.values())
 
@@ -279,7 +278,7 @@ def test_quasitriangular_negative_control(igl2):
 
 def test_inv_unipotent(igl2):
     rs = igl2.bialg.rs
-    R = r_matrix_from_twist(igl2.bialg, igl2.twist)
+    R = igl2.twist.r_matrix
     assert inv_unipotent(R) * R == NCPoly.one(rs, 2)
     with pytest.raises(ValueError):
         inv_unipotent(NCPoly.gen(rs, "P0", leg=1, nlegs=2))
@@ -300,7 +299,7 @@ def test_reused_products_give_the_old_residuals(source, order):
     else:
         prob = materialize(source, order=order)
     b = prob.bialg
-    R = r_matrix_from_twist(b, prob.twist)
+    R = prob.twist.r_matrix
     r12, r13, r23 = (R.place_legs(legs, 3) for legs in ((1, 2), (1, 3), (2, 3)))
     old = r12 * r13 * r23 - r23 * r13 * r12
     new = check_quasitriangular(b, R, CoproductMap(b, prob.twist))["yang-baxter"]
@@ -311,5 +310,5 @@ def test_reused_products_give_the_old_residuals(source, order):
 def test_the_twist_keeps_one_r_matrix(igl2):
     R = igl2.twist.r_matrix
     assert igl2.twist.r_matrix is R
-    assert R == r_matrix_from_twist(igl2.bialg, igl2.twist)
+    assert R == igl2.twist.F.swap_legs() * igl2.twist.F_inv
     assert trivial_twist(igl2.bialg).r_matrix == NCPoly.one(igl2.bialg.rs, 2)

@@ -10,6 +10,7 @@ dead one, still computes.
 
 import gc
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalars_oracle as ref
-from smashtwist import cli
-from smashtwist.ncpoly import RewriteSystem
+from smashtwist import cli, scalars
+from smashtwist.ncpoly import LinearCombination, RewriteSystem
 from smashtwist.registry import materialize
 from smashtwist.scalars import GaussRational, InternTable, TruncSeries, _memoized
 
@@ -269,3 +270,27 @@ def test_a_float_is_refused_after_an_equal_scalar_was_memoized():
     assert x.scale(Fraction(1, 2)) == TruncSeries.h_power(1, 2, Fraction(1, 2))
     with pytest.raises(TypeError):
         x.scale(0.5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-twist", "--preset", "pw-jordanian"],
+    ["suite", "--preset", "pw-jordanian", "--order", "2", "--degree", "1"],
+], ids=["check-twist", "suite"])
+def test_scaling_by_a_plain_scalar_joins_no_table(argv, monkeypatch):
+    # LinearCombination.scale interns its scalar once, into the table of the
+    # coefficients it scales, so no coefficient product under it joins one
+    scale = LinearCombination.scale.__code__
+    join = scalars._join
+    joins = []
+
+    def recording_join(a, b):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not scale:
+            frame = frame.f_back
+        joins.append(frame is not None)
+        return join(a, b)
+
+    monkeypatch.setattr(scalars, "_join", recording_join)
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert joins  # the spy sees the joins made elsewhere
+    assert not any(joins)

@@ -139,7 +139,7 @@ SHARED_CONSTRUCTIONS = {
     "bm-twisted": algebroid.bm_bialgebroid_twisted,
     "xu_twist": algebroid.xu_twist,
     "shifted_twist_residuals": algebroid.shifted_twist_residuals,
-    "r_matrix_from_twist": hopf.r_matrix_from_twist,
+    "r_matrix": hopf.Twist.r_matrix.func,
     "representation_residuals": RepData.representation_residuals,
     "jacobi_report": registry.jacobi_report,
 }

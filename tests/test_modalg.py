@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smashtwist.hopf import r_matrix_from_twist, trivial_twist
+from smashtwist.hopf import trivial_twist
 from smashtwist.modalg import (
     PolyCoord,
     RepData,
@@ -179,7 +179,7 @@ def test_star_unit_and_associativity(igl2, pw):
 def test_braided_commutativity(igl2, pw):
     for prob in (igl2, pw):
         star = StarProduct(prob.rep, prob.twist)
-        R = r_matrix_from_twist(prob.bialg, prob.twist)
+        R = prob.twist.r_matrix
         assert check_braided_commutativity(star, R, degree=2).ok()
     # plain product with trivial R is plainly commutative
     star0 = StarProduct(igl2.rep, None)
@@ -202,7 +202,7 @@ def test_coaction(igl2):
     # trivial R: delta(a) = a (x) 1
     got = coaction(alg, NCPoly.one(rs, 2), x0)
     assert got == alg.coord_elem(x0)
-    R = r_matrix_from_twist(igl2.bialg, igl2.twist)
+    R = igl2.twist.r_matrix
     mixed = coaction(alg, R, x0)
     # leading term a (x) 1 plus h-corrections with nontrivial Hopf factors
     assert mixed.terms[((1, 0), ())] == TruncSeries.one(rs.order)
