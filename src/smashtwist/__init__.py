@@ -13,7 +13,6 @@ from .ncpoly import (
 from .hopf import (
     BialgebraPresentation,
     CoproductMap,
-    InvalidTwistError,
     Twist,
     check_cocycle,
     check_quasitriangular,
@@ -41,10 +40,8 @@ from .smash import (
 )
 from .algebroid import (
     Bialgebroid,
-    BrokenAnchorError,
     ShiftedTwist,
     TensorOverA,
-    anchor_action,
     bm_bialgebroid,
     bm_bialgebroid_twisted,
     check_bialgebroid_axioms,

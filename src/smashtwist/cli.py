@@ -17,19 +17,18 @@ import json
 import os
 import re
 import sys
-import time
 from fractions import Fraction
 
 from .algebroid import (
     bm_side,
     check_bialgebroid_axioms,
     check_qt_shifted,
+    twistor_laws,
     verify_theorem,
     xu_side,
 )
 from .hopf import (
     CoproductMap,
-    InvalidTwistError,
     check_cocycle,
     check_quasitriangular,
     classical_r_extract,
@@ -93,12 +92,13 @@ class Report:
             raise _FailFast
 
     def add_law(self, name, identity, law):
-        """Add the record of an evaluated law.  A law entered again, a memoized
-        sweep that two checks share, ran once: it is charged no time again."""
+        """Add the record of an evaluated law, the one way a record is added;
+        its kind sets its status.  A law entered again, a memoized sweep that
+        two checks share, ran once: it is charged no time again."""
         wall_ms = 0.0 if law in self._charged else law.wall_ms
         self._charged.add(law)
-        self.add(name, identity, "pass" if law.ok() else "fail", law.summary(),
-                 law.checked, wall_ms, domain=law.domain)
+        self.add(name, identity, law.status(), law.summary(), law.checked, wall_ms,
+                 domain=law.domain)
 
     @property
     def ok(self) -> bool:
@@ -402,11 +402,9 @@ def cmd_star_table(args, prob, report):
     names = prob.rep.coordinates
     for mu in range(prob.rep.dim):
         for nu in range(mu + 1, prob.rep.dim):
-            # a witness row: the commutator, evaluated as a law of one case
-            law = evaluate(f"the coordinate pair ({names[mu]}, {names[nu]})",
-                           lambda: entry(mu, nu))
-            report.add(f"[{names[mu]}, {names[nu]}]*", "star-commutator", "witness",
-                       law.summary(), law.checked, law.wall_ms, domain=law.domain)
+            report.add_law(f"[{names[mu]}, {names[nu]}]*", "star-commutator", evaluate(
+                f"the coordinate pair ({names[mu]}, {names[nu]})", lambda: entry(mu, nu),
+                "witness"))
     R = prob.twist.r_matrix
     report.add_law("braided commutativity", "braided-commutativity",
                    check_braided_commutativity(star, R, prob.degree + 1))
@@ -446,61 +444,54 @@ def cmd_smash_verify(args, prob, report):
                    alg.phi_report(twist, prob.degree))
 
 
-def _construction_identity(exc: ValueError) -> str:
-    """The law a refused construction failed: a twistor law, or the braided
-    commutativity of the base."""
-    if isinstance(exc, InvalidTwistError):
-        return "twistor-laws"
-    return "braided-commutativity-precondition"
-
-
 def cmd_algebroid_verify(args, prob, report, side=None):
     """The construction of ``side``, by default ``--side``."""
     side = side or args.side
     run_foundation_checks(report, prob)
-    built = "braided commutativity to degree 2"
-    t0 = time.perf_counter()
-    try:
-        # built at the check degree verify_theorem uses, so theorem reuses them
-        if side == "bm-twisted":
-            bd = bm_side(prob.smash, prob.twist, 2)
-        else:
-            twistor_reports, bd = xu_side(prob.smash, prob.twist, 2)
-            for name, law in twistor_reports.items():
-                report.add_law(f"twistor {name}", f"twistor-{name}", law)
-    except ValueError as exc:
-        report.add("construction", _construction_identity(exc), "fail",
-                   str(exc), 1, (time.perf_counter() - t0) * 1000.0, domain=built)
+    # built at the check degree verify_theorem uses, so theorem reuses it
+    build = bm_side if side == "bm-twisted" else xu_side
+    construction = evaluate("braided commutativity to degree 2",
+                            lambda: build(prob.smash, prob.twist, 2), "construction")
+    if side == "xu-twisted" and construction.ok():
+        for name, law in twistor_laws(prob.smash, prob.twist, 2).items():
+            report.add_law(f"twistor {name}", f"twistor-{name}", law)
+    report.add_law("construction", "braided-commutativity-precondition", construction)
+    if not construction.ok():
         return
-    build_ms = (time.perf_counter() - t0) * 1000.0
-    report.add("construction", "braided-commutativity-precondition", "pass", "0", 1, build_ms,
-               domain=built)
+    bd = construction.built
 
     for name, law in check_bialgebroid_axioms(bd, prob.degree).items():
         report.add_law(name, f"bialgebroid-{name}", law)
 
-    degree = min(prob.degree, 1)
-    qt = check_qt_shifted(bd, prob.twist.r_matrix, degree)
+    qt = check_qt_shifted(bd, prob.twist.r_matrix, min(prob.degree, 1))
     report.add_law("shifted R preserved laws", "shifted-r-coproduct-counit", qt["preserved"])
     report.add_law("shifted R closed forms", "shifted-r-closed-forms", qt["closed_forms"])
-    witness = qt["witness"]
-    report.add("shifted R intertwining", "shifted-r-intertwining",
-               "pass" if witness is None else "witness",
-               "no witness: difference vanishes" if witness is None else f"differs on {witness[0]}",
-               1, 0.0, domain=f"spanning elements to degree {degree}, first difference")
+    report.add_law("shifted R intertwining", "shifted-r-intertwining", qt["intertwining"])
+
+
+def _twistor_laws_hold(smash, twist):
+    """The build of theorem's second hypothesis: refused while a law fails."""
+    for name, law in twistor_laws(smash, twist, 2).items():
+        if not law.ok():
+            raise ValueError(f"shifted twist fails {name}")
 
 
 def cmd_theorem(args, prob, report):
+    """The theorem's hypotheses as construction laws, each entered only when
+    it is refused, which ends the command; then its equivalence laws."""
+    smash, twist = prob.smash, prob.twist
     run_foundation_checks(report, prob)
-    try:
-        out = verify_theorem(prob.smash, prob.twist, prob.degree)
-    except ValueError as exc:
-        report.add("construction", _construction_identity(exc), "fail", str(exc), 1, 0.0,
-                   domain="braided commutativity to degree 2, twistor laws")
-        return
-    for name, law in out.items():
-        if not name.startswith("_"):
-            report.add_law(name, f"equivalence-{name}", law)
+    for identity, domain, build in (
+            ("braided-commutativity-precondition", "both sides, braided commutativity to degree 2",
+             lambda: (bm_side(smash, twist, 2), xu_side(smash, twist, 2))),
+            ("twistor-laws", "the shifted twistor's inverse, cocycle and normalization",
+             lambda: _twistor_laws_hold(smash, twist))):
+        law = evaluate(domain, build, "construction")
+        if not law.ok():
+            report.add_law("construction", identity, law)
+            return
+    for name, law in verify_theorem(smash, twist, prob.degree).items():
+        report.add_law(name, f"equivalence-{name}", law)
 
 
 SUITE_CHECKS = {
@@ -624,11 +615,9 @@ def cmd_commutator(args, prob, report):
     mul = prob.smash.product(prob.twist if args.deformed else None)
     lhs = _ExprParser(args.lhs, prob, mul).parse()
     rhs = _ExprParser(args.rhs, prob, mul).parse()
-    # a witness row: the commutator, evaluated as a law of one case
-    law = evaluate("the two given expressions", lambda: [("", mul(lhs, rhs) - mul(rhs, lhs))])
     label = "deformed" if args.deformed else "undeformed"
-    report.add(f"[{args.lhs}, {args.rhs}] ({label})", "commutator-evaluation", "witness",
-               law.summary(), law.checked, law.wall_ms, domain=law.domain)
+    report.add_law(f"[{args.lhs}, {args.rhs}] ({label})", "commutator-evaluation", evaluate(
+        "the two given expressions", lambda: [("", mul(lhs, rhs) - mul(rhs, lhs))], "witness"))
 
 
 def run(args) -> Report:

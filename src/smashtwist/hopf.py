@@ -22,11 +22,6 @@ from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, memoized
 from .scalars import TruncSeries
 
 
-class InvalidTwistError(ValueError):
-    """Raised where a construction needs a law the twist fails: ``theorem``
-    refuses a twist whose shifted twistor laws do not hold."""
-
-
 class BialgebraPresentation:
     """The Hopf-side alphabet with its primitive coproduct and counit."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .ncpoly import MOMENTUM, SCALARS, SYMMETRY, LinearCombination, NCPoly, RewriteSystem, \
     _add_scaled, _bump, memoized
 from .scalars import ZERO, GaussRational, TruncSeries, parse_gauss_literal
-from .reporting import ResidualReport, evaluate
+from .reporting import Refusal, ResidualReport, evaluate
 
 
 class PolyCoord(LinearCombination):
@@ -177,7 +177,7 @@ class RepData:
                     try:
                         want = _matrix_of(self, self.rs.bracket(na, nb))
                     except ValueError as exc:
-                        yield f"matrix [{na},{nb}]", _Refusal(exc)
+                        yield f"matrix [{na},{nb}]", Refusal(exc)
                         continue
                     have = _mat_sub(
                         _mat_mul(self.matrices[na], self.matrices[nb]),
@@ -207,13 +207,6 @@ class _Matrix(tuple):
 
     def is_zero(self) -> bool:
         return not any(not x.is_zero() for row in self for x in row)
-
-
-class _Refusal(str):
-    """Why a residual could not be formed: a case that always fails."""
-
-    def is_zero(self) -> bool:
-        return False
 
 
 def _matrix_of(rep: RepData, p: NCPoly):

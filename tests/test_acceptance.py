@@ -159,11 +159,10 @@ def test_criterion_6_main_equivalence(problems):
         t0 = time.perf_counter()
         out = verify_theorem(prob.smash, prob.twist, degree=2)
         elapsed = time.perf_counter() - t0
-        names = [k for k in out if not k.startswith("_")]
-        ok = all(out[k].ok() for k in names) and elapsed < 600.0
+        ok = all(law.ok() for law in out.values()) and elapsed < 600.0
         detail = (
             f"{name}: base products equal, phi intertwines products/source/target/"
-            f"counit/coproduct ({', '.join(names)}) in {elapsed:.1f}s"
+            f"counit/coproduct ({', '.join(out)}) in {elapsed:.1f}s"
         )
         _report("6", ok, detail)
 
@@ -174,13 +173,15 @@ def test_criterion_7_shifted_r_matrix(problems):
         bdF = bm_bialgebroid_twisted(prob.smash, prob.twist)
         R = prob.twist.r_matrix
         out = check_qt_shifted(bdF, R, degree=1)
-        ok = out["preserved"].ok() and out["closed_forms"].ok() and out["witness"] is not None
-        label = out["witness"][0] if out["witness"] else "none"
-        _report("7", ok, f"{name}: coproduct/counit laws preserved, intertwining witness {label}")
+        intertwining = out["intertwining"]
+        ok = (out["preserved"].ok() and out["closed_forms"].ok()
+              and intertwining.status() == "witness")
+        _report("7", ok, f"{name}: coproduct/counit laws preserved, intertwining "
+                         f"{intertwining.summary()}")
     triv = problems[("trivial", 3)]
     bd = bm_bialgebroid(triv.smash)
     out = check_qt_shifted(bd, NCPoly.one(triv.smash.rs, 2), degree=1)
-    ok = out["preserved"].ok() and out["witness"] is None
+    ok = out["preserved"].ok() and out["intertwining"].status() == "pass"
     _report("7", ok, "trivial twist: intertwining difference vanishes identically")
 
 

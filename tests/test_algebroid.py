@@ -7,11 +7,9 @@ import pytest
 
 import algebroid_oracle as ref
 from smashtwist.algebroid import (
-    BrokenAnchorError,
     TensorOverA,
     bm_bialgebroid,
     bm_bialgebroid_twisted,
-    anchor_action,
     check_bialgebroid_axioms,
     check_qt_shifted,
     delta_left,
@@ -136,20 +134,22 @@ def test_anchor_action(igl2, bd_plain, bd_twisted):
     alg = igl2.smash
     x0, x1 = coords(igl2)
     b = x0 * x1
-    assert anchor_action(bd_plain, alg.one(), b) == b
     p = NCPoly.from_word(alg.rs, ["L01", "P0"])
-    assert anchor_action(bd_plain, alg.h_elem(p), b) == act(alg.rep, p, b)
-    star = bd_twisted.base
-    assert anchor_action(bd_twisted, alg.coord_elem(x0), x1) == star(x0, x1)
+    for bd, m, a, value in ((bd_plain, alg.one(), b, b),
+                            (bd_plain, alg.h_elem(p), b, act(alg.rep, p, b)),
+                            (bd_twisted, alg.coord_elem(x0), x1, bd_twisted.base(x0, x1))):
+        assert bd.anchor(m, a) == value
+        # the anchor reads the same through the target: eps(m s(a)) = eps(m t(a))
+        assert bd.counit(bd.total(m, bd.target(a))) == value
 
 
-def test_anchor_mismatch_raises(igl2, bd_plain):
-    alg = igl2.smash
+def test_a_target_that_breaks_the_anchor_fails_the_counit_product_law(igl2, bd_plain):
     broken = copy.copy(bd_plain)
-    broken.target = lambda a: alg.zero()
-    x0, _ = coords(igl2)
-    with pytest.raises(BrokenAnchorError):
-        anchor_action(broken, alg.one(), x0)
+    broken._memos = {}  # the copy must not fill the fixture's memos
+    broken.target = lambda a: igl2.smash.zero()
+    law = check_bialgebroid_axioms(broken, 1)["counit-product"]
+    # eps(1 s(eps(1))) = 1, while eps(1 t(eps(1))) = 0
+    assert law.witness()[0].startswith("t-form (1)*1#1")
 
 
 def test_shift_twist_validates(igl2, bd_plain):
@@ -219,7 +219,9 @@ def test_qt_shifted_trivial_has_no_witness(igl2, bd_plain):
     out = check_qt_shifted(bd_plain, NCPoly.one(igl2.smash.rs, 2), degree=1)
     assert out["preserved"].ok()
     assert out["closed_forms"].ok()
-    assert out["witness"] is None
+    law = out["intertwining"]
+    assert (law.status(), law.summary(), law.checked) == \
+        ("pass", "no witness: difference vanishes", 1)
 
 
 def test_qt_shifted_twisted_has_witness(igl2, bd_twisted):
@@ -227,8 +229,8 @@ def test_qt_shifted_twisted_has_witness(igl2, bd_twisted):
     out = check_qt_shifted(bd_twisted, R, degree=1)
     assert out["preserved"].ok()
     assert out["closed_forms"].ok()
-    assert out["witness"] is not None
-    _, diff = out["witness"]
+    assert out["intertwining"].status() == "witness"
+    _, diff = out["intertwining"].witness()
     lowest = min(
         c.lowest_order() for c in diff.terms.values()
     )
@@ -396,19 +398,19 @@ def test_coassociativity_checks_both_orders(igl2, bd_twisted):
 
 def test_verify_theorem_trivial(igl2):
     out = verify_theorem(igl2.smash, trivial_twist(igl2.bialg), degree=1)
-    assert all(rep.ok() for name, rep in out.items() if not name.startswith("_"))
+    assert all(rep.ok() for rep in out.values())
 
 
 def test_verify_theorem_small(pw):
     out = verify_theorem(pw.smash, pw.twist, degree=2)
-    assert all(rep.ok() for name, rep in out.items() if not name.startswith("_"))
+    assert all(rep.ok() for rep in out.values())
 
 
 def test_verify_theorem_larger_algebra():
     # 20-generator alphabet with a four-dimensional coordinate sector
     prob = materialize("igl4-abelian", order=2)
     out = verify_theorem(prob.smash, prob.twist, degree=1, check_degree=1)
-    assert all(rep.ok() for name, rep in out.items() if not name.startswith("_"))
+    assert all(rep.ok() for rep in out.values())
 
 
 def _direct_xu_maps(bd, shifted, new_bd):
@@ -491,7 +493,7 @@ def test_axiom_and_theorem_reports_are_each_timed():
     bd = bm_bialgebroid_twisted(prob.smash, prob.twist)
     reports = list(check_bialgebroid_axioms(bd, 1).values())
     out = verify_theorem(prob.smash, prob.twist, degree=1, check_degree=1)
-    reports += [rep for name, rep in out.items() if not name.startswith("_")]
+    reports += list(out.values())
     assert len(reports) == 12
     for rep in reports:
         assert rep.wall_ms > 0, rep.domain

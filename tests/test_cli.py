@@ -648,11 +648,8 @@ def test_export_at_a_higher_order_round_trips(tmp_path):
     assert json.loads(open(out).read())["order"] == 5
 
 
-# the rows that are no residual law: witnesses, and the construction of a side
-WITNESS_AND_CONSTRUCTION = {
-    "star-commutator", "shifted-r-intertwining", "commutator-evaluation",
-    "braided-commutativity-precondition", "twistor-laws",
-}
+# the problem whose theorem is refused: its twist fails the cocycle at h^3
+REFUSED = ["--config", PERTURBED, "--order", "3", "--degree", "1"]
 
 
 def test_every_record_comes_from_a_declared_law(monkeypatch):
@@ -661,8 +658,8 @@ def test_every_record_comes_from_a_declared_law(monkeypatch):
 
     evaluated = []
     for module in (algebroid, cli, modalg, registry, smash):
-        def spy(*args, evaluate=module.evaluate):
-            evaluated.append(evaluate(*args))
+        def spy(*args, evaluate=module.evaluate, **kwargs):
+            evaluated.append(evaluate(*args, **kwargs))
             return evaluated[-1]
         monkeypatch.setattr(module, "evaluate", spy)
     through_law = []
@@ -685,19 +682,17 @@ def test_every_record_comes_from_a_declared_law(monkeypatch):
     monkeypatch.setattr(Report, "add_law", spy_add_law)
     problem = ["--preset", "pw-jordanian", "--order", "1", "--degree", "1"]
     seen = set()
-    for argv in (["check-twist"], ["star-table"], ["smash-verify"],
-                 ["algebroid-verify", "--side", "xu-twisted"], ["theorem"], ["suite"],
-                 ["commutator", "x0", "x1", "--deformed"]):
+    for argv in [argv + problem for argv in (
+            ["check-twist"], ["star-table"], ["smash-verify"],
+            ["algebroid-verify", "--side", "xu-twisted"], ["theorem"], ["suite"],
+            ["commutator", "x0", "x1", "--deformed"])] + [["theorem"] + REFUSED]:
         through_law.clear()
-        report = run(build_parser().parse_args(argv + problem))
-        assert len(through_law) == len(report.records)
+        report = run(build_parser().parse_args(argv))
+        # witnesses, searches and constructions included: every row is a law
+        assert through_law == [True] * len(report.records), argv
         lines = report.human().splitlines()[4:]
-        for rec, via_law, line in zip(report.records, through_law, lines):
+        for rec, line in zip(report.records, lines):
             assert rec["domain"], rec["name"]
-            assert via_law or rec["identity"] in WITNESS_AND_CONSTRUCTION, rec["name"]
-            if rec["identity"] in ("star-commutator", "commutator-evaluation"):
-                # the value a witness shows is evaluated as a law of one case
-                assert any(rec["domain"] is out.domain for out in evaluated), rec["name"]
             # the human table prints each row's domain, the JSON does not
             assert rec["name"] in line and rec["domain"] in line
             seen.add(rec["identity"])
@@ -706,5 +701,70 @@ def test_every_record_comes_from_a_declared_law(monkeypatch):
             if rec["name"].endswith(("multiplicative", "counit-product")):
                 assert "seed 20259" in rec["domain"]
         assert all("domain" not in rec for rec in report.to_json()["records"])
-    assert WITNESS_AND_CONSTRUCTION - {"twistor-laws"} <= seen
+    assert {"star-commutator", "shifted-r-intertwining", "commutator-evaluation",
+            "braided-commutativity-precondition", "twistor-laws"} <= seen
     assert {"smash-associativity-unitality", "bialgebroid-multiplicative"} <= seen
+
+
+# -- where a row's time comes from ---------------------------------------------
+
+
+@pytest.fixture
+def tick(monkeypatch):
+    """A clock that stands still but for the ticks of chosen functions, so a
+    row's time is exactly the ticks its work made: ``tick(module, name)``
+    makes each call of ``module.name`` take one second."""
+    from smashtwist import reporting
+
+    now = [0.0]
+    monkeypatch.setattr(reporting.time, "perf_counter", lambda: now[0])
+
+    def ticking(module, name):
+        fn = getattr(module, name)
+
+        def slow(*args, **kwargs):
+            now[0] += 1.0
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, slow)
+    ticking.now = now
+    return ticking
+
+
+def _wall(argv):
+    report = run(build_parser().parse_args(argv))
+    return {rec["name"]: rec["wall_ms"] for rec in report.records}
+
+
+def test_the_xu_construction_is_not_charged_its_twistor_laws(tick):
+    from smashtwist import algebroid
+
+    # the twistor cocycle law makes the problem's only two delta_left calls
+    # before the axiom sweep
+    tick(algebroid, "delta_left")
+    wall = _wall(["algebroid-verify", "--side", "xu-twisted", "--preset", "pw-jordanian",
+                  "--order", "1", "--degree", "1"])
+    assert (wall["construction"], wall["twistor cocycle"]) == (0.0, 2000.0)
+
+
+def test_a_refused_theorem_is_charged_its_build(tick):
+    from smashtwist import algebroid
+
+    # the twistor laws are the build of the hypothesis that refuses
+    tick(algebroid, "shifted_twist_residuals")
+    assert _wall(["theorem"] + REFUSED)["construction"] == 1000.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebroid-verify", "--side", "xu-twisted", "--preset", "pw-jordanian",
+     "--order", "1", "--degree", "1"],
+    ["theorem"] + REFUSED,
+    ["suite", "--preset", "pw-jordanian", "--order", "1", "--degree", "1"],
+], ids=["algebroid-verify-xu", "theorem-perturbed", "suite"])
+def test_rows_take_no_more_time_than_their_command(tick, argv):
+    from smashtwist import algebroid
+
+    for name in ("delta_left", "shifted_twist_residuals", "bm_bialgebroid_twisted"):
+        tick(algebroid, name)
+    start = tick.now[0]
+    wall = _wall(argv)
+    assert 0 < sum(wall.values()) <= (tick.now[0] - start) * 1000.0

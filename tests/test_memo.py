@@ -24,8 +24,7 @@ import pytest
 
 import smashtwist
 from smashtwist import algebroid, cli, hopf, registry
-from smashtwist.algebroid import TensorOverA, bm_side, check_qt_shifted, verify_theorem, xu_side
-from smashtwist.hopf import InvalidTwistError
+from smashtwist.algebroid import TensorOverA, bm_side, check_qt_shifted, xu_side
 from smashtwist.modalg import RepData
 from smashtwist.ncpoly import memoized
 from smashtwist.registry import materialize
@@ -173,19 +172,20 @@ def test_refused_construction_raises_again_and_is_not_kept(monkeypatch):
     assert _memos(prob.smash).get("bm_side", {}) == {}
 
 
-def test_refused_theorem_raises_again_from_the_kept_side():
+def test_refused_theorem_is_refused_again_from_the_kept_side():
     cfg = json.loads((ROOT / "tests" / "golden" / "pw-jordanian-perturbed.json").read_text())
     # the perturbation sits at h^3
     prob = materialize(cfg, order=3, degree=1)
-    messages = []
+    refusals = []
 
     def theorem():
-        with pytest.raises(InvalidTwistError) as exc:
-            verify_theorem(prob.smash, prob.twist, degree=1)
-        messages.append(str(exc.value))
+        report = cli.Report("theorem", "test", 3, 1)
+        cli.cmd_theorem(None, prob, report)
+        refusals.append({k: report.records[-1][k] for k in ("name", "identity", "residual")})
 
     counts = _count_runs(SHARED_CONSTRUCTIONS, lambda: (theorem(), theorem()))
-    assert messages == ["shifted twist fails cocycle"] * 2
+    assert refusals == [{"name": "construction", "identity": "twistor-laws",
+                         "residual": "shifted twist fails cocycle"}] * 2
     # the failing twistor reports are kept with the side they belong to
     assert counts["xu_twist"] == counts["shifted_twist_residuals"] == 1
 
@@ -193,7 +193,7 @@ def test_refused_theorem_raises_again_from_the_kept_side():
 @pytest.mark.parametrize("name, evaluated", [("pw-jordanian", 5), ("trivial", None)])
 def test_xu_intertwining_sweep_stops_at_its_witness(monkeypatch, name, evaluated):
     prob = materialize(name, order=2, degree=1)
-    _, bd = xu_side(prob.smash, prob.twist, 2)
+    bd = xu_side(prob.smash, prob.twist, 2)
     flips = []
     flip = TensorOverA.flip
     monkeypatch.setattr(TensorOverA, "flip", lambda T: flips.append(T) or flip(T))
@@ -201,12 +201,12 @@ def test_xu_intertwining_sweep_stops_at_its_witness(monkeypatch, name, evaluated
     span = prob.smash.spanning(1)
     if evaluated is None:
         # no witness: every spanning element is evaluated
-        assert out["witness"] is None
+        assert out["intertwining"].ok()
         assert len(flips) == len(span) == 21
     else:
         assert len(span) == 12
         assert len(flips) == evaluated
-        assert out["witness"][0] == repr(span[evaluated - 1])
+        assert out["intertwining"].witness()[0] == repr(span[evaluated - 1])
 
 
 def test_check_twist_problem_is_freed_without_the_collector(monkeypatch):

@@ -93,3 +93,58 @@ def test_the_law_is_charged_the_time_its_cases_take(monkeypatch):
 ])
 def test_summary_is_zero_or_the_first_witness(cases, summary):
     assert evaluate("some cases", lambda: cases).summary() == summary
+
+
+# -- the kinds of law ----------------------------------------------------------
+
+
+def test_a_witness_reads_witness_even_when_its_value_is_zero():
+    law = evaluate("one value", lambda: [("", Residual(0))], "witness")
+    assert (law.status(), law.summary(), law.checked) == ("witness", "0", 1)
+
+
+@pytest.mark.parametrize("cases, status, summary", [
+    ([("", Residual(0))], "pass", "no witness: difference vanishes"),
+    ([("x0", Residual(5))], "witness", "differs on x0"),
+], ids=["no-difference", "difference"])
+def test_a_search_passes_unless_a_case_differs(cases, status, summary):
+    law = evaluate("first difference", lambda: cases, "search")
+    assert (law.status(), law.summary(), law.checked) == (status, summary, 1)
+
+
+def test_a_refused_construction_fails_with_its_message_and_its_time(monkeypatch):
+    clock = [10.0]
+    monkeypatch.setattr(reporting.time, "perf_counter", lambda: clock[0])
+
+    def build():
+        clock[0] += 0.5  # the build's work before it refuses
+        raise ValueError("base is not braided commutative; construction refused")
+
+    law = evaluate("the build", build, "construction")
+    assert (law.status(), law.summary(), law.checked) == (
+        "fail", "base is not braided commutative; construction refused", 1)
+    assert law.wall_ms == pytest.approx(500.0)
+    assert law.built is None
+
+
+def test_a_construction_that_builds_passes_and_keeps_what_it_built():
+    built = object()
+    law = evaluate("the build", lambda: built, "construction")
+    assert (law.status(), law.summary(), law.checked) == ("pass", "0", 1)
+    assert law.built is built
+
+
+def test_a_construction_lets_an_error_that_is_no_refusal_through():
+    with pytest.raises(ZeroDivisionError):
+        evaluate("the build", lambda: 1 / 0, "construction")
+
+
+def test_the_kind_alone_sets_the_status_a_report_enters():
+    from smashtwist.cli import Report
+
+    report = Report("test", "test", 1, 1, fail_fast=True)
+    for kind, value in (("witness", 3), ("search", 4), ("identity", 0)):
+        report.add_law(kind, kind, evaluate("one case", lambda: [("a", Residual(value))], kind))
+    assert [r["status"] for r in report.records] == ["witness", "witness", "pass"]
+    # a nonzero witness fails nothing: the fail-fast report went on
+    assert report.ok
