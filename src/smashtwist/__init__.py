@@ -18,7 +18,6 @@ from .hopf import (
     check_quasitriangular,
     classical_r_extract,
     twist_from_exponent,
-    trivial_twist,
 )
 from .modalg import (
     PolyCoord,

@@ -27,6 +27,9 @@ from .ncpoly import LinearCombination, NCPoly, _add_scaled, _bump, _linear, memo
 from .reporting import evaluate
 from .smash import SmashAlgebra, SmashElem, SmashProduct, phi, spanning_words
 
+# the degree to which a smash bialgebroid's base must be braided commutative
+BRAIDED_DEGREE = 2
+
 
 class Bialgebroid:
     """A total algebra on the smash carrier together with its base data.
@@ -64,19 +67,19 @@ class Bialgebroid:
     def tensor_from_pairs(self, items, nlegs: int = 2) -> "TensorOverA":
         """Canonicalize a raw sum of n-fold products of carrier elements.
 
-        An item is ``(f_1, ..., f_n)`` or ``(f_1, ..., f_n, c)``.  Working
-        from the right, every factor is split as sum s(a_i) (1 (x) J_i) and
-        the a_i are moved into the factor on its left through the target map,
-        so every factor but the first ends up pure.
+        An item is ``(f_1, ..., f_n, c)``, the product of the factors scaled
+        by the series ``c``.  Working from the right, every factor is split as
+        sum s(a_i) (1 (x) J_i) and the a_i are moved into the factor on its
+        left through the target map, so every factor but the first ends up
+        pure.
         """
         total, target, split = self.total, self.target, self.right_split
-        staged = [(item[:nlegs], (), item[nlegs] if len(item) > nlegs else None)
-                  for item in items]
+        staged = [(item[:nlegs], (), item[nlegs]) for item in items]
         for k in range(nlegs - 1, 1, -1):
             reduced = []
             for fs, tail, c in staged:
                 for (er, wr), cr in fs[k].terms.items():
-                    base_c = cr if c is None else c * cr
+                    base_c = c * cr
                     if not any(er):
                         reduced.append((fs[:k], (wr,) + tail, base_c))
                         continue
@@ -87,7 +90,7 @@ class Bialgebroid:
         out: dict = {}
         for (l, r), tail, c in staged:
             for (er, wr), cr in r.terms.items():
-                base_c = cr if c is None else c * cr
+                base_c = c * cr
                 if not any(er):
                     for (el, wl), cl in l.terms.items():
                         _bump(out, (el, wl, wr) + tail, base_c * cl)
@@ -240,27 +243,24 @@ class SmashBialgebroid(Bialgebroid):
     """The bialgebroid of a smash product (Brzezinski-Militaru).
 
     The base product is the star product of ``total``, the source is a (x) 1,
-    the target the coaction of ``rmatrix`` (a (x) 1 as well when it is the
+    the target the coaction of ``r_matrix`` (a (x) 1 as well when it is the
     unit), and the coproduct splits the Hopf word by the Sweedler legs of the
     product's coproduct.  Construction is refused when the base fails braided
-    commutativity for ``rmatrix`` up to ``check_degree``.
+    commutativity for ``r_matrix`` up to ``BRAIDED_DEGREE``.
     """
 
-    def __init__(self, name, smash: SmashAlgebra, total: SmashProduct, rmatrix: NCPoly,
-                 check_degree: int):
-        if check_degree:
-            braided = check_braided_commutativity(total.star, rmatrix, check_degree)
-            if not braided.ok():
-                label, res = braided.witness()
-                raise ValueError(
-                    f"base is not braided commutative for the given R-matrix "
-                    f"({label}: {res!r}); construction refused"
-                )
+    def __init__(self, name, smash: SmashAlgebra, total: SmashProduct, r_matrix: NCPoly):
+        braided = check_braided_commutativity(total.star, r_matrix, BRAIDED_DEGREE)
+        if not braided.ok():
+            raise ValueError(
+                f"base is not braided commutative for the given R-matrix "
+                f"({braided.summary()}); construction refused"
+            )
         super().__init__(name, smash, total)
         self.base = total.star
         self.hdelta = total.delta
-        self.rmatrix = rmatrix
-        self._unit_r = rmatrix == NCPoly.one(smash.rs, 2)
+        self.r_matrix = r_matrix
+        self._unit_r = r_matrix == NCPoly.one(smash.rs, 2)
 
     def source(self, a: PolyCoord) -> SmashElem:
         return self.smash.coord_elem(a)
@@ -274,7 +274,7 @@ class SmashBialgebroid(Bialgebroid):
     def target_image(self, exp) -> dict:
         smash = self.smash
         mono = PolyCoord.monomial(smash.dim, smash.order, exp, smash.rs.unit)
-        return coaction(smash, self.rmatrix, mono).terms
+        return coaction(smash, self.r_matrix, mono).terms
 
     @memoized
     def coproduct_image(self, key) -> dict:
@@ -287,22 +287,14 @@ class SmashBialgebroid(Bialgebroid):
         return ((PolyCoord.monomial(smash.dim, smash.order, exp, unit), word, unit),)
 
 
-def bm_bialgebroid(smash: SmashAlgebra, rmatrix: NCPoly | None = None,
-                   check_degree: int = 2) -> Bialgebroid:
-    """Bialgebroid on the undeformed smash product.
-
-    ``rmatrix`` defaults to the unit, the triangular structure of the
-    cocommutative case.  Construction is refused when the base fails braided
-    commutativity for the given R-matrix.
-    """
-    if rmatrix is None:
-        rmatrix = NCPoly.one(smash.rs, 2)
-    return SmashBialgebroid("smash-bialgebroid", smash, smash.product(None), rmatrix,
-                            check_degree)
+def bm_bialgebroid(smash: SmashAlgebra) -> Bialgebroid:
+    """Bialgebroid on the undeformed smash product, with the unit R-matrix,
+    the triangular structure of the cocommutative case."""
+    return SmashBialgebroid("smash-bialgebroid", smash, smash.product(None),
+                            NCPoly.one(smash.rs, 2))
 
 
-def bm_bialgebroid_twisted(smash: SmashAlgebra, twist: Twist,
-                           check_degree: int = 2) -> Bialgebroid:
+def bm_bialgebroid_twisted(smash: SmashAlgebra, twist: Twist) -> Bialgebroid:
     """Bialgebroid on the twist-deformed smash product.
 
     The R-matrix is the twisted one generated by the twist, the base product
@@ -310,14 +302,14 @@ def bm_bialgebroid_twisted(smash: SmashAlgebra, twist: Twist,
     coproduct.
     """
     return SmashBialgebroid("twisted-smash-bialgebroid", smash, smash.product(twist),
-                            twist.r_matrix, check_degree)
+                            twist.r_matrix)
 
 
 @memoized
-def bm_side(smash: SmashAlgebra, twist: Twist, check_degree: int) -> Bialgebroid:
-    """``bm_bialgebroid_twisted``, built once per twist and check degree and
-    kept by ``smash``; a refused construction raises and is not kept."""
-    return bm_bialgebroid_twisted(smash, twist, check_degree)
+def bm_side(smash: SmashAlgebra, twist: Twist) -> Bialgebroid:
+    """``bm_bialgebroid_twisted``, built once per twist and kept by ``smash``;
+    a refused construction raises and is not kept."""
+    return bm_bialgebroid_twisted(smash, twist)
 
 
 # -- shifting Hopf data into the bialgebroid ------------------------------
@@ -521,9 +513,9 @@ class TwistedBialgebroid(Bialgebroid):
             apoly = self.inner.anchor_on_basis((e, wl), exp)
             if apoly.is_zero():
                 continue
-            for (er2, wr2), cr2 in prod((z, wr), (z, word)).terms.items():
-                if any(er2):
-                    raise ValueError("twistor right leg is not pure")
+            # a product of pure elements is pure: a nonempty Hopf word acting
+            # on a constant gives zero
+            for (_, wr2), cr2 in prod((z, wr), (z, word)).terms.items():
                 items.append((apoly, wr2, c * cr2))
         return items
 
@@ -536,20 +528,20 @@ def xu_twist(bd: Bialgebroid, shifted: ShiftedTwist) -> Bialgebroid:
 
 
 @memoized
-def xu_side(smash: SmashAlgebra, twist: Twist, check_degree: int) -> Bialgebroid:
+def xu_side(smash: SmashAlgebra, twist: Twist) -> Bialgebroid:
     """The xu-twisted bialgebroid, built from the smash bialgebroid once per
-    twist and check degree and kept by ``smash``; a refused construction
-    raises and is not kept.  Its twistor laws are ``twistor_laws``."""
-    bd0 = bm_bialgebroid(smash, check_degree=check_degree)
+    twist and kept by ``smash``; a refused construction raises and is not
+    kept.  Its twistor laws are ``twistor_laws``."""
+    bd0 = bm_bialgebroid(smash)
     return xu_twist(bd0, shift_twist(bd0, twist))
 
 
 @memoized
-def twistor_laws(smash: SmashAlgebra, twist: Twist, check_degree: int) -> dict:
+def twistor_laws(smash: SmashAlgebra, twist: Twist) -> dict:
     """The ``shifted_twist_residuals`` reports of the twistor ``xu_side``
-    deforms by, evaluated once per twist and check degree and kept by
-    ``smash``: ``algebroid-verify`` records them, ``theorem`` requires them."""
-    bd = xu_side(smash, twist, check_degree)
+    deforms by, evaluated once per twist and kept by ``smash``:
+    ``algebroid-verify`` records them, ``theorem`` requires them."""
+    bd = xu_side(smash, twist)
     return shifted_twist_residuals(bd.inner, bd.shifted)
 
 
@@ -657,8 +649,7 @@ def _monomials(smash: SmashAlgebra, degree: int) -> list:
 # -- the main equivalence harness ------------------------------------------
 
 
-def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
-                   check_degree: int = 2) -> dict:
+def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2) -> dict:
     """Compare the twisted-smash bialgebroid with the twistor-deformed one.
 
     Reads both sides from ``bm_side`` and ``xu_side``, so it builds only
@@ -673,7 +664,7 @@ def verify_theorem(smash: SmashAlgebra, twist: Twist, degree: int = 2,
     monos = _monomials(smash, degree)
     span = smash.spanning(degree)
     spanning = f"{len(span)} spanning elements to degree {degree}"
-    lhs, rhs = bm_side(smash, twist, check_degree), xu_side(smash, twist, check_degree)
+    lhs, rhs = bm_side(smash, twist), xu_side(smash, twist)
 
     def base_products():
         for a in monos:

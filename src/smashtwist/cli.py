@@ -20,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from .algebroid import (
+    BRAIDED_DEGREE,
     bm_side,
     check_bialgebroid_axioms,
     check_qt_shifted,
@@ -208,14 +209,18 @@ def _get(obj, key, kind):
     return value if isinstance(value, kind) else kind()
 
 
+def _schema() -> dict:
+    with open(os.path.join(os.path.dirname(__file__), "config.schema.json")) as fh:
+        return json.load(fh)
+
+
 def validate_config(cfg) -> list:
     """Schema errors plus the rules the schema cannot state, as ``path: message``.
 
     The second pass reads only values of the right type, so it runs on any
     JSON value and reports bad names next to unrelated schema errors.
     """
-    with open(os.path.join(os.path.dirname(__file__), "config.schema.json")) as fh:
-        errors = schema_errors(json.load(fh), cfg)
+    errors = schema_errors(_schema(), cfg)
     algebra = _get(cfg, "algebra", dict)
     sorts = {}
     for k, g in enumerate(_get(algebra, "generators", list)):
@@ -302,9 +307,15 @@ def load_problem(args):
     """Build the working objects from --preset or --config.
 
     A preset is built as a config at the requested order, so both sources
-    pass the same validate_config and materialize.
+    pass the same validate_config and materialize.  The --order and --degree
+    overrides are checked against the schema's own ``order`` and ``degree``.
     """
     order, degree = getattr(args, "order", None), getattr(args, "degree", None)
+    bounds = _schema()["properties"]
+    for flag, value in (("order", order), ("degree", degree)):
+        errors = [] if value is None else schema_errors(bounds[flag], value, f"--{flag}")
+        if errors:
+            raise ConfigError("\n  ".join(errors))
     if getattr(args, "preset", None) and getattr(args, "config", None):
         raise ConfigError("give either --preset or --config, not both")
     if getattr(args, "config", None):
@@ -448,12 +459,12 @@ def cmd_algebroid_verify(args, prob, report, side=None):
     """The construction of ``side``, by default ``--side``."""
     side = side or args.side
     run_foundation_checks(report, prob)
-    # built at the check degree verify_theorem uses, so theorem reuses it
+    # memoized on the twist, so theorem reuses it
     build = bm_side if side == "bm-twisted" else xu_side
-    construction = evaluate("braided commutativity to degree 2",
-                            lambda: build(prob.smash, prob.twist, 2), "construction")
+    construction = evaluate(f"braided commutativity to degree {BRAIDED_DEGREE}",
+                            lambda: build(prob.smash, prob.twist), "construction")
     if side == "xu-twisted" and construction.ok():
-        for name, law in twistor_laws(prob.smash, prob.twist, 2).items():
+        for name, law in twistor_laws(prob.smash, prob.twist).items():
             report.add_law(f"twistor {name}", f"twistor-{name}", law)
     report.add_law("construction", "braided-commutativity-precondition", construction)
     if not construction.ok():
@@ -471,7 +482,7 @@ def cmd_algebroid_verify(args, prob, report, side=None):
 
 def _twistor_laws_hold(smash, twist):
     """The build of theorem's second hypothesis: refused while a law fails."""
-    for name, law in twistor_laws(smash, twist, 2).items():
+    for name, law in twistor_laws(smash, twist).items():
         if not law.ok():
             raise ValueError(f"shifted twist fails {name}")
 
@@ -482,8 +493,9 @@ def cmd_theorem(args, prob, report):
     smash, twist = prob.smash, prob.twist
     run_foundation_checks(report, prob)
     for identity, domain, build in (
-            ("braided-commutativity-precondition", "both sides, braided commutativity to degree 2",
-             lambda: (bm_side(smash, twist, 2), xu_side(smash, twist, 2))),
+            ("braided-commutativity-precondition",
+             f"both sides, braided commutativity to degree {BRAIDED_DEGREE}",
+             lambda: (bm_side(smash, twist), xu_side(smash, twist))),
             ("twistor-laws", "the shifted twistor's inverse, cocycle and normalization",
              lambda: _twistor_laws_hold(smash, twist))):
         law = evaluate(domain, build, "construction")
@@ -607,7 +619,11 @@ class _ExprParser:
         if tok in self.atoms:
             return self.atoms[tok]
         if re.fullmatch(r"\d+(?:/\d+)?", tok):
-            return alg.one().scale(TruncSeries.const(Fraction(tok), alg.order))
+            try:
+                value = Fraction(tok)
+            except ZeroDivisionError:
+                raise ConfigError(f"zero denominator in {tok!r}") from None
+            return alg.one().scale(TruncSeries.const(value, alg.order))
         raise ConfigError(f"unknown symbol {tok!r} in expression")
 
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .ncpoly import COORDINATE, NCPoly, RewriteSystem, _bump, memoized
-from .scalars import TruncSeries
 
 
 class BialgebraPresentation:
@@ -71,14 +70,6 @@ class BialgebraPresentation:
                 _bump(out, head + (left, right) + tail, c * mult)
         return NCPoly(p.rs, p.nlegs + 1, out)
 
-    def counit(self, p: NCPoly) -> TruncSeries:
-        """Coefficient of the empty word; every generator maps to zero."""
-        if p.rs is not self.rs:
-            raise ValueError("element does not live over this alphabet")
-        if p.nlegs != 1:
-            raise ValueError("counit expects a single-leg element")
-        return p.coefficient(((),))
-
     def counit_on_leg(self, p: NCPoly, leg: int) -> NCPoly:
         """Contract one tensor leg (1..n) with the counit.
 
@@ -121,10 +112,6 @@ def twist_from_exponent(bialg: BialgebraPresentation, t: NCPoly) -> Twist:
     if not t.has_no_constant_order():
         raise ValueError("twist exponent has a nonzero h^0 component")
     return Twist(bialg, t)
-
-
-def trivial_twist(bialg: BialgebraPresentation) -> Twist:
-    return twist_from_exponent(bialg, NCPoly.zero(bialg.rs, 2))
 
 
 def check_cocycle(bialg: BialgebraPresentation, twist: Twist) -> dict:

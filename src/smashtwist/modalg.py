@@ -90,15 +90,11 @@ class RepData:
     composes consistently with every bracket in the alphabet.
     """
 
-    def __init__(self, rs: RewriteSystem, matrices: dict, momenta, coordinates=None):
+    def __init__(self, rs: RewriteSystem, matrices: dict, momenta):
         self.rs = rs
         self.momenta = tuple(momenta)
         self.dim = len(self.momenta)
-        self.coordinates = tuple(coordinates) if coordinates else tuple(
-            f"x{k}" for k in range(self.dim)
-        )
-        if len(self.coordinates) != self.dim:
-            raise ValueError("coordinate names must match the momentum count")
+        self.coordinates = tuple(f"x{k}" for k in range(self.dim))
 
         declared_momenta = set(rs.names(MOMENTUM))
         if set(self.momenta) != declared_momenta:

@@ -50,22 +50,6 @@ class Generator:
         return f"Generator({self.name!r}, {self.sort!r}, rank={self.rank})"
 
 
-def _inversions(word) -> int:
-    """Out-of-order letter pairs of a word.
-
-    The termination measure of ``normalize_word``: swapping an adjacent
-    descent lowers it by exactly one, and a correction term is a shorter
-    word.  The tests check this property.
-    """
-    n = 0
-    for i in range(len(word)):
-        wi = word[i]
-        for j in range(i + 1, len(word)):
-            if wi > word[j]:
-                n += 1
-    return n
-
-
 def _bump(d: dict, key, value):
     """Add ``value`` at ``key`` of a term dict, which never stores a zero:
     a zero is not inserted, and a sum that cancels is deleted."""
@@ -407,11 +391,6 @@ class NCPoly(LinearCombination):
         return NCPoly(rs, nlegs, {((),) * nlegs: rs.unit})
 
     @staticmethod
-    def scalar(rs, value, nlegs=1) -> "NCPoly":
-        c = rs.scalars.intern(TruncSeries.coerce(value, rs.order))
-        return NCPoly(rs, nlegs, {} if c.is_zero() else {((),) * nlegs: c})
-
-    @staticmethod
     def gen(rs, name, leg=1, nlegs=1) -> "NCPoly":
         word = _word_on_leg((rs._rank(name),), leg, nlegs)
         return NCPoly(rs, nlegs, {word: rs.unit})
@@ -530,9 +509,6 @@ class NCPoly(LinearCombination):
 
     def has_no_constant_order(self) -> bool:
         return all(c.coefficient(0).is_zero() for c in self.terms.values())
-
-    def coefficient(self, word) -> TruncSeries:
-        return self.terms.get(word, TruncSeries.zero(self.rs.order))
 
     def h_coefficient(self, k: int) -> "NCPoly":
         """The h^k coefficient as a polynomial with constant coefficients."""

@@ -50,9 +50,6 @@ class ResidualReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def witness(self):
-        return self.failures[0] if self.failures else None
-
     def status(self) -> str:
         if self.kind == "witness" or (self.kind == "search" and self.failures):
             return "witness"

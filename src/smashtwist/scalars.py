@@ -94,9 +94,6 @@ class GaussRational:
         d1, d2 = self.d, other.d
         return _gauss(self.a * d2 - other.a * d1, self.b * d2 - other.b * d1, d1 * d2)
 
-    def __rsub__(self, other):
-        return GaussRational.coerce(other) - self
-
     def __neg__(self):
         return _gauss(-self.a, -self.b, self.d)
 
@@ -289,11 +286,6 @@ class TruncSeries:
                         out[k] = s
         return TruncSeries._from_data(order, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, c) -> "TruncSeries":
         return _memoized("scale", self, c, TruncSeries._scale)
 
@@ -306,21 +298,7 @@ class TruncSeries:
             self.order, {k: v * c for k, v in self.data.items()}
         )
 
-    def truncate(self, new_order: int) -> "TruncSeries":
-        """Drop to a lower truncation order."""
-        if new_order > self.order:
-            raise ValueError("cannot raise the truncation order")
-        return TruncSeries._from_data(
-            new_order, {k: c for k, c in self.data.items() if k <= new_order}
-        )
-
     # -- queries ------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(
-            self.data.get(k, ZERO) for k in range(self.order + 1)
-        )
 
     def coefficient(self, k: int) -> GaussRational:
         return self.data.get(k, ZERO)
@@ -347,7 +325,8 @@ class TruncSeries:
         return h
 
     def __repr__(self):
-        return f"TruncSeries({self.order}, {self.coeffs!r})"
+        coeffs = tuple(self.data.get(k, ZERO) for k in range(self.order + 1))
+        return f"TruncSeries({self.order}, {coeffs!r})"
 
     def __str__(self):
         parts = []
@@ -494,22 +473,3 @@ def parse_gauss_literal(text: str) -> GaussRational:
         raise ValueError(f"literal {text!r} must not involve h here")
     return value
 
-
-def scalar_literals(series: TruncSeries):
-    """Decompose a series into product literals; parsing them back and
-    summing recovers the series exactly."""
-    out = []
-    for k in sorted(series.data):
-        c = series.data[k]
-        for part, is_im in ((c.re, False), (c.im, True)):
-            if part == 0:
-                continue
-            factors = [str(part)]
-            if is_im:
-                factors.append("i")
-            if k == 1:
-                factors.append("h")
-            elif k > 1:
-                factors.append(f"h^{k}")
-            out.append("*".join(factors))
-    return out

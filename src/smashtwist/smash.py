@@ -53,9 +53,6 @@ class SmashAlgebra:
 
     # -- element constructors -------------------------------------------
 
-    def zero(self) -> "SmashElem":
-        return SmashElem(self, {})
-
     def one(self) -> "SmashElem":
         exp = (0,) * self.dim
         return SmashElem(self, {(exp, ()): self.rs.unit})
@@ -74,17 +71,6 @@ class SmashAlgebra:
         return SmashElem(
             self, {(exp, w): c for (w,), c in p.terms.items()}
         )
-
-    def elem(self, a: PolyCoord, p: NCPoly | None = None) -> "SmashElem":
-        """a (x) p for a coordinate polynomial and a Hopf element."""
-        left = self.coord_elem(a)
-        if p is None:
-            return left
-        out: dict = {}
-        for (e, _w), ca in left.terms.items():
-            for (w,), cp in p.terms.items():
-                _bump(out, (e, w), ca * cp)
-        return SmashElem(self, out)
 
     def basis_elem(self, exp, ranks) -> "SmashElem":
         return SmashElem(self, {(tuple(exp), tuple(ranks)): self.rs.unit})

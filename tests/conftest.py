@@ -1,7 +1,25 @@
 """Shared test helpers."""
 
 from ncpoly_oracle import from_letters, to_letters
+from smashtwist.hopf import twist_from_exponent
+from smashtwist.ncpoly import NCPoly, _bump
 from smashtwist.scalars import TruncSeries
+from smashtwist.smash import SmashElem
+
+
+def trivial_twist(bialg):
+    """The twist exp(0) = 1 (x) 1."""
+    return twist_from_exponent(bialg, NCPoly.zero(bialg.rs, 2))
+
+
+def smash_elem(alg, a, p):
+    """a (x) p on the smash carrier of ``alg``, for a coordinate polynomial
+    ``a`` and a single-leg Hopf element ``p``."""
+    out = {}
+    for e, ca in a.terms.items():
+        for (w,), cp in p.terms.items():
+            _bump(out, (e, w), ca * cp)
+    return SmashElem(alg, out)
 
 
 def normalize_rightmost(rs, word):

@@ -117,7 +117,7 @@ def test_criterion_3_braided_commutativity(problems):
     wrong = check_braided_commutativity(star, NCPoly.one(prob.bialg.rs, 2), degree=3)
     ok = not wrong.ok()
     if ok:
-        _, res = wrong.witness()
+        _, res = wrong.failures[0]
         ok = min(c.lowest_order() for c in res.terms.values()) == 1
     _report("3", ok, "negative control: wrong R-matrix fails at order h")
 
@@ -221,8 +221,9 @@ def test_criterion_8_kernel_properties(problems):
         for _ in range(60):
             a = rng.choice(monos)
             m, v = rng.choice(span), rng.choice(span)
-            lhs = bd.tensor_from_pairs([(bd.total(bd.target(a), m), v)])
-            rhs = bd.tensor_from_pairs([(m, bd.total(bd.source(a), v))])
+            one = bd.smash.rs.unit
+            lhs = bd.tensor_from_pairs([(bd.total(bd.target(a), m), v, one)])
+            rhs = bd.tensor_from_pairs([(m, bd.total(bd.source(a), v), one)])
             ok = ok and lhs == rhs
             samples += 1
     _report("8", ok and samples >= 100,

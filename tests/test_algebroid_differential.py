@@ -39,8 +39,8 @@ def bialgebroids(name):
     """The three bialgebroids of a preset, and the basis keys factors use."""
     prob = materialize(name, order=ORDER, degree=1)
     smash = prob.smash
-    bd0 = bm_bialgebroid(smash, check_degree=1)
-    bds = (bd0, bm_bialgebroid_twisted(smash, prob.twist, check_degree=1),
+    bd0 = bm_bialgebroid(smash)
+    bds = (bd0, bm_bialgebroid_twisted(smash, prob.twist),
            xu_twist(bd0, shift_twist(bd0, prob.twist)))
     keys = [(e, w) for e in monomials_up_to(smash.dim, 2) for w in spanning_words(smash.rs, 1)]
     return bds, keys
@@ -64,14 +64,13 @@ def factors(draw, smash, keys):
 
 @st.composite
 def cases(draw, nlegs):
-    """(bialgebroid, items) with items (f_1, ..., f_n) or (f_1, ..., f_n, c)."""
+    """(bialgebroid, items) with items (f_1, ..., f_n, c), c a drawn series or one."""
     bds, keys = bialgebroids(draw(st.sampled_from(PRESET_NAMES)))
     bd = draw(st.sampled_from(bds))
     items = []
     for _ in range(draw(st.integers(0, 4))):
         item = tuple(draw(factors(bd.smash, keys)) for _ in range(nlegs))
-        if draw(st.booleans()):
-            item += (draw(coefficients()),)
+        item += (draw(coefficients()) if draw(st.booleans()) else bd.smash.rs.unit,)
         items.append(item)
     return bd, items
 

@@ -13,6 +13,7 @@ from smashtwist.cli import (
     EXIT_PASS,
     EXIT_RESIDUAL,
     SUITE_CHECKS,
+    ConfigError,
     _ExprParser,
     build_parser,
     cmd_commutator,
@@ -543,10 +544,20 @@ def test_expression_parser():
     assert val == want
     val = _ExprParser("i*h*P0", prob, mul).parse()
     assert not val.is_zero()
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="end of expression"):
         _ExprParser("x0 +", prob, mul).parse()
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="unknown symbol 'Q99'"):
         _ExprParser("Q99", prob, mul).parse()
+    with pytest.raises(ConfigError, match="zero denominator in '1/0'"):
+        _ExprParser("x0 + 1/0", prob, mul).parse()
+
+
+def test_commutator_with_a_zero_denominator_exits_2(capsys):
+    assert main(["commutator", "--preset", "heisenberg", "--order", "2",
+                 "x0", "1/0"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "zero denominator in '1/0'" in err
+    assert "Traceback" not in err
 
 
 def test_unary_minus_binds_looser_than_a_power():
@@ -633,6 +644,24 @@ def test_export_at_a_negative_order_exits_2(tmp_path, capsys):
     assert "order: must be >= 0" in captured.err
     assert "Traceback" not in captured.err
     assert not captured.out and not path.exists()
+
+
+# the overrides obey the bounds the schema sets on a config's own order and
+# degree: a negative order used to crash in the polynomial product, and a
+# negative degree passed "module algebra" on no case
+
+
+@pytest.mark.parametrize("flag", ["--order", "--degree"])
+@pytest.mark.parametrize("source", [
+    ["--preset", "heisenberg"],
+    ["--config", PERTURBED],
+], ids=["preset", "config"])
+def test_negative_order_or_degree_override_exits_2(source, flag, capsys):
+    assert main(["star-table", *source, flag, "-1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert f"error: {flag}: must be >= 0" in captured.err
+    assert "Traceback" not in captured.err
+    assert not captured.out
 
 
 def test_preset_at_a_higher_order_passes():

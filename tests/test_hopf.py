@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import trivial_twist
 from smashtwist.cli import Report, run_twist_checks
 from smashtwist.hopf import (
     CoproductMap,
@@ -15,7 +16,6 @@ from smashtwist.hopf import (
     check_quasitriangular,
     classical_r_extract,
     inv_unipotent,
-    trivial_twist,
     twist_from_exponent,
 )
 from smashtwist.ncpoly import NCPoly
@@ -53,20 +53,19 @@ def test_coproduct_examples(igl2):
 
 
 def test_counit_examples(igl2):
+    # the counit of a one-leg element is its empty-word part, on no leg
     b = igl2.bialg
     rs = b.rs
-    assert b.counit(NCPoly.one(rs)) == TruncSeries.one(rs.order)
-    assert b.counit(NCPoly.from_word(rs, ["P0", "L11"])).is_zero()
-    mixed = NCPoly.scalar(rs, 3) + NCPoly.gen(rs, "P0").scale(TruncSeries.h_power(1, rs.order))
-    assert b.counit(mixed) == TruncSeries.const(3, rs.order)
+    assert b.counit_on_leg(NCPoly.one(rs), 1) == NCPoly.one(rs, 0)
+    assert b.counit_on_leg(NCPoly.from_word(rs, ["P0", "L11"]), 1).is_zero()
+    mixed = NCPoly.one(rs).scale(3) + NCPoly.gen(rs, "P0").scale(TruncSeries.h_power(1, rs.order))
+    assert b.counit_on_leg(mixed, 1) == NCPoly.one(rs, 0).scale(3)
 
 
 def test_alphabet_mismatch_rejected(igl2, pw):
     foreign = NCPoly.gen(pw.bialg.rs, "P0")
     with pytest.raises(ValueError, match="alphabet"):
         igl2.bialg.coproduct_on_leg(foreign, 1)
-    with pytest.raises(ValueError, match="alphabet"):
-        igl2.bialg.counit(foreign)
 
 
 def test_coassociativity_and_counit_laws(igl2):

@@ -58,7 +58,7 @@ def contexts():
         out.append({
             "rs": prob.smash.rs,
             "smash": prob.smash,
-            "bd": bm_bialgebroid(prob.smash, check_degree=0),
+            "bd": bm_bialgebroid(prob.smash),
             "product": prob.smash.product(prob.twist),
         })
     return out

@@ -159,14 +159,14 @@ def test_suite_builds_each_shared_structure_once(argv):
 def test_refused_construction_raises_again_and_is_not_kept(monkeypatch):
     prob = materialize("pw-jordanian", order=1, degree=1)
 
-    def refuse(smash, twist, check_degree):
+    def refuse(smash, twist):
         raise ValueError("base is not braided commutative; construction refused")
 
     monkeypatch.setattr(algebroid, "bm_bialgebroid_twisted", refuse)
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError) as exc:
-            bm_side(prob.smash, prob.twist, 2)
+            bm_side(prob.smash, prob.twist)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
     assert _memos(prob.smash).get("bm_side", {}) == {}
@@ -193,7 +193,7 @@ def test_refused_theorem_is_refused_again_from_the_kept_side():
 @pytest.mark.parametrize("name, evaluated", [("pw-jordanian", 5), ("trivial", None)])
 def test_xu_intertwining_sweep_stops_at_its_witness(monkeypatch, name, evaluated):
     prob = materialize(name, order=2, degree=1)
-    bd = xu_side(prob.smash, prob.twist, 2)
+    bd = xu_side(prob.smash, prob.twist)
     flips = []
     flip = TensorOverA.flip
     monkeypatch.setattr(TensorOverA, "flip", lambda T: flips.append(T) or flip(T))
@@ -206,7 +206,7 @@ def test_xu_intertwining_sweep_stops_at_its_witness(monkeypatch, name, evaluated
     else:
         assert len(span) == 12
         assert len(flips) == evaluated
-        assert out["intertwining"].witness()[0] == repr(span[evaluated - 1])
+        assert out["intertwining"].failures[0][0] == repr(span[evaluated - 1])
 
 
 def test_check_twist_problem_is_freed_without_the_collector(monkeypatch):

@@ -7,9 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smashtwist.ncpoly import NCPoly, RewriteSystem, _inversions
+from smashtwist.ncpoly import NCPoly, RewriteSystem
 from smashtwist.registry import PRESET_NAMES, presentation, preset, twist_exponent
 from smashtwist.scalars import TruncSeries
+
+
+def _inversions(word) -> int:
+    """Out-of-order letter pairs of a word.
+
+    The termination measure of ``normalize_word``: swapping an adjacent
+    descent lowers it by exactly one, and a correction term is a shorter
+    word.
+    """
+    return sum(a > b for i, a in enumerate(word) for b in word[i + 1:])
 
 
 def igl2_rs(order=3):

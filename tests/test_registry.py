@@ -70,7 +70,7 @@ def test_perturbed_preset_fails_with_witness():
     bad["name"] = "bad"
     _bracket(bad, "L00", "L01")["terms"].append({"coeff": "1", "gen": "P1"})
     prob = materialize(bad)
-    label, residual = prob.jacobi.witness()
+    label, residual = prob.jacobi.failures[0]
     assert (label, repr(residual)) == ("(L00, L01, L11)", "(-2)*P1")
 
 
@@ -80,7 +80,7 @@ def test_perturbed_matrix_fails():
     bad["representation"]["matrices"]["L00"] = [["0", "1"], ["0", "0"]]
     prob = materialize(bad)
     assert prob.jacobi.ok()
-    assert prob.representation.witness()[0] == "matrix [L00,L01]"
+    assert prob.representation.failures[0][0] == "matrix [L00,L01]"
 
 
 def test_igl4_spatial_trace_twist():

@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from scalars_oracle import NonInvertibleError, invert
+from scalars_oracle import NonInvertibleError, invert, scalar_literals
 from smashtwist.scalars import (
     GaussRational,
     TruncSeries,
     parse_gauss_literal,
     parse_scalar_literal,
-    scalar_literals,
 )
 
 
@@ -106,15 +105,20 @@ def test_invert_two_sided_random():
         assert inv * a == TruncSeries.one(4)
 
 
+def truncate(s, m):
+    """``s`` modulo h^(m+1), as a series of order m."""
+    return TruncSeries(m, [s.coefficient(k) for k in range(m + 1)])
+
+
 def test_truncation_consistency():
     rng = random.Random(7)
     for _ in range(25):
         a, b = rand_series(rng, 5), rand_series(rng, 5)
         for m in (0, 2, 4):
-            assert (a * b).truncate(m) == a.truncate(m) * b.truncate(m)
-            assert (a + b).truncate(m) == a.truncate(m) + b.truncate(m)
+            assert truncate(a * b, m) == truncate(a, m) * truncate(b, m)
+            assert truncate(a + b, m) == truncate(a, m) + truncate(b, m)
         if not a.coefficient(0).is_zero():
-            assert invert(a).truncate(3) == invert(a.truncate(3))
+            assert truncate(invert(a), 3) == invert(truncate(a, 3))
 
 
 def test_literal_round_trip():

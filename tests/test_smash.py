@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from conftest import smash_elem, trivial_twist
 from smash_oracle import action_on_base
-from smashtwist.hopf import trivial_twist
 from smashtwist.modalg import PolyCoord
 from smashtwist.ncpoly import NCPoly
 from smashtwist.registry import materialize
 from smashtwist.scalars import GaussRational, TruncSeries
 from smashtwist.smash import (
+    SmashElem,
     phi,
     phi_inv,
     verify_phi_homomorphism,
@@ -38,7 +39,7 @@ def test_factorized_generators(igl2):
     x0, _ = coords(igl2)
     L = NCPoly.gen(rs, "L11")
     # (a (x) 1)(1 (x) L) = a (x) L in both products
-    want = alg.elem(x0, L)
+    want = smash_elem(alg, x0, L)
     assert alg.product(None)(alg.coord_elem(x0), alg.h_elem(L)) == want
     assert alg.product(igl2.twist)(alg.coord_elem(x0), alg.h_elem(L)) == want
 
@@ -49,8 +50,8 @@ def test_momentum_coordinate_relation(igl2):
     x0, x1 = coords(igl2)
     p1 = NCPoly.gen(rs, "P1")
     got = alg.product(None)(alg.h_elem(p1), alg.coord_elem(x1))
-    assert got == alg.one() + alg.elem(x1, p1)
-    assert alg.product(None)(alg.h_elem(p1), alg.coord_elem(x0)) == alg.elem(x0, p1)
+    assert got == alg.one() + smash_elem(alg, x1, p1)
+    assert alg.product(None)(alg.h_elem(p1), alg.coord_elem(x0)) == smash_elem(alg, x0, p1)
 
 
 def test_associativity_both_products(igl2, pw):
@@ -82,7 +83,7 @@ def test_twisted_mul_examples(igl2):
     x0, x1 = coords(igl2)
     # trivial twist coincides with the undeformed product
     triv = trivial_twist(igl2.bialg)
-    u, v = alg.elem(x0, NCPoly.gen(rs, "P0")), alg.elem(x1, NCPoly.gen(rs, "L01"))
+    u, v = smash_elem(alg, x0, NCPoly.gen(rs, "P0")), smash_elem(alg, x1, NCPoly.gen(rs, "L01"))
     assert alg.product(triv)(u, v) == alg.product(None)(u, v)
     # deformed coordinate sector reproduces the deformed commutator
     ih = TruncSeries.h_power(1, rs.order, GaussRational(0, 1))
@@ -117,7 +118,7 @@ def test_phi_examples(igl2):
     rs = alg.rs
     x0, _ = coords(igl2)
     triv = trivial_twist(igl2.bialg)
-    u = alg.elem(x0, NCPoly.gen(rs, "P0"))
+    u = smash_elem(alg, x0, NCPoly.gen(rs, "P0"))
     assert phi(alg, triv, u) == u
     # normalization fixes the Hopf subalgebra pointwise
     for name in ("P0", "L01", "L11"):
@@ -174,7 +175,7 @@ def test_phi_report_is_shared_by_theorem(monkeypatch):
     assert alg.phi_report(prob.twist, 1) is rep
     monkeypatch.setattr(smash_module, "verify_phi_homomorphism",
                         lambda *a: pytest.fail("phi sweep recomputed"))
-    total = verify_theorem(alg, prob.twist, degree=1, check_degree=1)["total-products"]
+    total = verify_theorem(alg, prob.twist, degree=1)["total-products"]
     assert total is rep
     # a report charges the shared sweep's time to the first record of it only
     report = Report("suite", "test", 1, 1)
@@ -206,12 +207,12 @@ def test_phi_corruption_detected(igl2):
     plain = alg.product(None)
 
     def bad_phi(u):
-        out = alg.zero()
+        out = SmashElem(alg, {})
         for (e, w), c in u.terms.items():
             word_poly = NCPoly(rs, 1, {(w,): TruncSeries.one(rs.order)})
             for fword, cf in twist.F_inv.terms.items():
                 apart = alg.rep.act_word(fword[0], e)
-                out = out + alg.elem(apart, word_poly).scale(c * cf)
+                out = out + smash_elem(alg, apart, word_poly).scale(c * cf)
         return out
 
     failures = 0
@@ -222,11 +223,11 @@ def test_phi_corruption_detected(igl2):
                 failures += 1
     assert failures > 0
     # the exact pair derived by hand: (x0 (x) P1) against (x1 (x) 1)
-    u = alg.elem(PolyCoord.coord(2, rs.order, 0), NCPoly.gen(rs, "P1"))
+    u = smash_elem(alg, PolyCoord.coord(2, rs.order, 0), NCPoly.gen(rs, "P1"))
     v = alg.coord_elem(PolyCoord.coord(2, rs.order, 1))
     res = bad_phi(deformed(u, v)) - plain(bad_phi(u), bad_phi(v))
     ih = TruncSeries.h_power(1, rs.order, GaussRational(0, 1))
-    want = alg.elem(PolyCoord.coord(2, rs.order, 1), NCPoly.gen(rs, "P1")).scale(ih)
+    want = smash_elem(alg, PolyCoord.coord(2, rs.order, 1), NCPoly.gen(rs, "P1")).scale(ih)
     assert res == want
 
 
